@@ -20,6 +20,7 @@ import re
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -179,7 +180,7 @@ def _parse_subfield(raw: Any) -> int | None:
 
 
 def _parse_countries(raw: Any) -> tuple[tuple[str, ...], int]:
-    """Normalize to unique upper-case alpha-2 codes, first-seen order."""
+    """Normalize to unique upper-case ASCII alpha-2 codes, first-seen order."""
     if raw is None:
         return (), 0
     if not isinstance(raw, list):
@@ -187,7 +188,12 @@ def _parse_countries(raw: Any) -> tuple[tuple[str, ...], int]:
     seen: list[str] = []
     invalid = 0
     for item in raw:
-        if isinstance(item, str) and len(item) == 2 and item.isalpha():
+        if (
+            isinstance(item, str)
+            and len(item) == 2
+            and item.isascii()
+            and item.isalpha()
+        ):
             code = item.upper()
             if code not in seen:
                 seen.append(code)
@@ -196,12 +202,27 @@ def _parse_countries(raw: Any) -> tuple[tuple[str, ...], int]:
     return tuple(seen), invalid
 
 
+def _gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate CSR rows ``rows`` as (position in ``rows``, entry) pairs."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    first = np.cumsum(lengths) - lengths
+    positions = np.arange(len(owner)) + np.repeat(starts - first, lengths)
+    return owner, indices[positions]
+
+
 class CitationCorpus:
     """Immutable citation graph with per-work year, subfield, country labels.
 
     Adjacency rows are sorted by work index; ``citers_idx`` is the exact
-    transpose of ``references_idx``.  Construction is single-writer; queries
-    never mutate shared state beyond a per-work citation-count memo.
+    transpose of ``references_idx``.  Construction is single-writer.  The
+    only state built after construction is the sorted citation-year key
+    behind :meth:`citations_in_years`, made on first use so that corpora
+    that are never scored do not pay for it.
     """
 
     def __init__(
@@ -222,7 +243,6 @@ class CitationCorpus:
         self._out_indices = np.asarray(out_indices, dtype=np.int32)
         self._build_transpose()
         self._build_year_index()
-        self._offset_counts: dict[int, dict[int, int]] = {}
 
     def _build_transpose(self) -> None:
         n = len(self._ids)
@@ -301,18 +321,59 @@ class CitationCorpus:
         present = np.unique(self._subfield)
         return [int(s) for s in present if s >= 0]
 
-    def citation_offsets(self, idx: int) -> dict[int, int]:
-        """Citations received per non-negative year offset from publication."""
-        memo = self._offset_counts.get(idx)
-        if memo is None:
-            year = int(self._pub_year[idx])
-            memo = {}
-            for citer in self.citers_idx(idx):
-                off = int(self._pub_year[citer]) - year
-                if off >= 0:
-                    memo[off] = memo.get(off, 0) + 1
-            self._offset_counts[idx] = memo
-        return memo
+    @property
+    def pub_years(self) -> np.ndarray:
+        """Publication year of every work, by work index (read-only view)."""
+        view = self._pub_year.view()
+        view.flags.writeable = False
+        return view
+
+    def reference_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every reference of the works ``rows``, row by row.
+
+        Returns (position in ``rows``, referenced work index) as two arrays;
+        within a row the references keep their ascending work-index order.
+        """
+        return _gather_rows(self._out_indptr, self._out_indices, rows)
+
+    def citer_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every citer of the works ``rows`` as (position in ``rows``, citer)."""
+        return _gather_rows(self._in_indptr, self._in_indices, rows)
+
+    @cached_property
+    def _citation_year_key(self) -> np.ndarray:
+        """Sorted ``cited * stride + (citing year - year_min)``, one per edge.
+
+        The stride is the number of publication years, so each cited work owns
+        one contiguous run of keys ordered by citing year.
+        """
+        if not self._ids:
+            return np.empty(0, dtype=np.int64)
+        stride = self.year_max - self.year_min + 1
+        cited = np.repeat(
+            np.arange(self.n_works, dtype=np.int64), np.diff(self._in_indptr)
+        )
+        citing_year = self._pub_year[self._in_indices].astype(np.int64)
+        return np.sort(cited * stride + (citing_year - self.year_min))
+
+    def citations_in_years(
+        self, cited: np.ndarray, first: np.ndarray | int, last: np.ndarray | int
+    ) -> np.ndarray:
+        """Citations each work in ``cited`` receives from works published in
+        ``first..last`` inclusive; the bounds broadcast against ``cited``."""
+        cited = np.asarray(cited, dtype=np.int64)
+        if not self._ids:
+            return np.zeros(cited.shape, dtype=np.int64)
+        key = self._citation_year_key
+        stride = self.year_max - self.year_min + 1
+        # bounds clipped to the corpus years never reach another work's keys
+        lo = np.clip(np.asarray(first) - self.year_min, 0, stride)
+        hi = np.clip(np.asarray(last) - self.year_min, -1, stride - 1)
+        base = cited * stride
+        count = np.searchsorted(key, base + hi, "right") - np.searchsorted(
+            key, base + lo, "left"
+        )
+        return np.maximum(count, 0)
 
     # -- snapshot persistence ----------------------------------------------
 

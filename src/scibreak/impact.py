@@ -1,36 +1,53 @@
-"""Per-work impact metrics over a citation corpus.
+"""Impact metrics over a citation corpus, computed for many works at once.
 
-Two scores are computed for a focal work f at an integer horizon T:
+Both scores of a focal work f at an integer horizon T are built from its
+in-window citing edges c -> f, those with 0 <= year(c) - year(f) <= T.
+Citing works dated before the focal year are corpus noise and never count.
 
-* NBNC — the network-based normalized citation score.  For each year offset
-  t in 0..T, the citations c_t that f receives in that year are normalized by
-  the average citations of the works co-cited with f at that offset:
+* NBNC — the network-based normalized citation score (Ke, Gates & Barabási
+  2023).  At each offset t in 0..T the c_t citations f receives are
+  normalized by the citations of the works co-cited with it:
 
-      term_t = N_t * c_t / sum_j gamma_t(cocited_j)
+      term_t = N_t * c_t / sum_{j in B_t} gamma_t(j)
 
-  where N_t is the co-cited bag size and gamma_t(j) is the citation count of
-  j in its own t-th year after publication (this convention is switchable).
-  NBNC is the sum of the yearly terms; years with no citations or no
-  co-citation evidence contribute exactly 0.
+  The co-cited bag B_t holds, for each citer c at offset t, every reference
+  r != f of c: once per (c, r) pair under ``multiset`` semantics, once per
+  distinct r under ``set``; N_t = |B_t|.  gamma_t(j) is j's citation count
+  in calendar year year(j) + t (``own_age``) or year(f) + t
+  (``focal_calendar``, 0 before j is published).  The kernel expands the
+  in-window edges into (f, t, r) triples, looks each gamma up in the
+  corpus's citation-year key and sums bag sizes and denominators per (f, t)
+  cell.  Offsets with no citations or no co-citation evidence contribute
+  exactly 0.  NBNC adds the yearly terms left to right, as ``sum`` does.
 
-* CD — the disruption index.  Citers of f within the horizon are split into
-  C_x (cite f but none of its references) and C_y (cite f and at least one
-  reference); C_refs counts citations earned by f's references within the
-  same window, excluding citing works that also cite f and excluding f's own
-  references.  Then CD = (C_x - C_y) / (C_x + C_y + C_refs), which lies in
-  [-1, 1].  A zero denominator yields 0 with a flag.
+* CD — the disruption index (Funk & Owen-Smith 2017).  With
+  k(c, f) = |refs(c) ∩ refs(f)| over the in-window citers c of f:
 
-Both metrics are pure functions of an immutable corpus; batch evaluation is
-a deterministic map over the per-work functions.
+      C_y    = #{c : k(c, f) > 0},   C_x = #{c : k(c, f) = 0}
+      C_refs = sum_{r in refs(f)} N_r[year(f), year(f) + T]
+               - |refs(f)| - sum_c k(c, f)
+
+  where N_r[a, b] counts the citations r receives from works published in
+  a..b.  The two subtractions remove f's own citations of its references
+  and those made by f's citers, leaving the works that cite f's references
+  but not f.  CD = (C_x - C_y) / (C_x + C_y + C_refs) lies in [-1, 1]; a
+  zero denominator yields 0 with a flag.
+
+Both kernels take an array of focal works and process it in blocks of one
+publication year, so the expanded edges of only one year are held at a
+time.  Results are read-only mappings over per-work arrays; the per-work
+score objects are built only when looked up.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
-from .corpus import CitationCorpus, cocited_member_indices
+import numpy as np
+
+from .corpus import CitationCorpus
 
 
 class BreakthroughClass(Enum):
@@ -71,6 +88,71 @@ class CdScore:
     zero_denominator: bool
 
 
+class _ScoreTable(Mapping):
+    """Scores of a set of works, one array row per work in index order."""
+
+    def __init__(self, corpus: CitationCorpus, works: np.ndarray, horizon: int):
+        self.works = works
+        self.horizon = horizon
+        ids = corpus.ids
+        self._rows = {ids[idx]: row for row, idx in enumerate(works.tolist())}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+
+class NbncTable(_ScoreTable):
+    """NBNC of a set of works: ``terms`` is (works, horizon + 1)."""
+
+    def __init__(self, corpus, works, horizon, terms, truncated):
+        super().__init__(corpus, works, horizon)
+        self.terms = terms
+        self.value = np.zeros(len(works))
+        for column in terms.T:
+            self.value += column  # left to right, as sum() adds the terms
+        self.truncated = truncated
+
+    def __getitem__(self, work_id: str) -> NbncScore:
+        row = self._rows[work_id]
+        return NbncScore(
+            work_id,
+            self.horizon,
+            self.value.item(row),
+            tuple(self.terms[row].tolist()),
+            self.truncated.item(row),
+        )
+
+
+class CdTable(_ScoreTable):
+    """CD of a set of works with its integer components as arrays."""
+
+    def __init__(self, corpus, works, horizon, c_x, c_y, c_refs):
+        super().__init__(corpus, works, horizon)
+        self.c_x, self.c_y, self.c_refs = c_x, c_y, c_refs
+        denom = c_x + c_y + c_refs
+        self.zero_denominator = denom == 0
+        self.value = np.divide(
+            c_x - c_y, denom, out=np.zeros(len(works)), where=denom > 0
+        )
+
+    def __getitem__(self, work_id: str) -> CdScore:
+        row = self._rows[work_id]
+        c_x, c_y = self.c_x.item(row), self.c_y.item(row)
+        return CdScore(
+            work_id,
+            self.horizon,
+            self.value.item(row),
+            c_x,
+            c_y,
+            c_x + c_y,
+            self.c_refs.item(row),
+            self.zero_denominator.item(row),
+        )
+
+
 def nbnc(
     corpus: CitationCorpus,
     work_id: str,
@@ -86,39 +168,9 @@ def nbnc(
     publication year; ``focal_calendar`` reads them in the calendar year the
     focal work turns t.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if gamma_convention not in ("own_age", "focal_calendar"):
-        raise ValueError(f"unknown gamma convention: {gamma_convention!r}")
-    focal = corpus.work_index(work_id)
-    year = corpus.pub_year_of(focal)
-    year_max = corpus.year_max
-    truncated = year_max is not None and year + horizon > year_max
-
-    citer_years = [
-        corpus.pub_year_of(int(c)) - year for c in corpus.citers_idx(focal)
-    ]
-    terms: list[float] = []
-    for t in range(horizon + 1):
-        cites_t = citer_years.count(t)
-        if cites_t == 0:
-            terms.append(0.0)
-            continue
-        members = cocited_member_indices(corpus, focal, t, cocited_semantics)
-        if not members:
-            terms.append(0.0)
-            continue
-        denom = 0
-        for j in members:
-            offsets = corpus.citation_offsets(j)
-            if gamma_convention == "own_age":
-                denom += offsets.get(t, 0)
-            else:
-                age = year + t - corpus.pub_year_of(j)
-                if age >= 0:
-                    denom += offsets.get(age, 0)
-        terms.append(len(members) * cites_t / denom if denom else 0.0)
-    return NbncScore(work_id, horizon, sum(terms), tuple(terms), truncated)
+    works = np.array([corpus.work_index(work_id)])
+    table = _nbnc_table(corpus, works, horizon, cocited_semantics, gamma_convention)
+    return table[work_id]
 
 
 def nbnc_all(
@@ -128,23 +180,19 @@ def nbnc_all(
     *,
     cocited_semantics: str = "multiset",
     gamma_convention: str = "own_age",
-) -> dict[str, NbncScore]:
+) -> NbncTable:
     """NBNC for every work published in ``year_range`` (whole corpus if None).
 
     Equals calling :func:`nbnc` per work; iteration order is work index, so
     the result is deterministic regardless of how the corpus was built up.
     """
-    result: dict[str, NbncScore] = {}
-    for idx in _works_in_range(corpus, year_range):
-        wid = corpus.work_id(idx)
-        result[wid] = nbnc(
-            corpus,
-            wid,
-            horizon,
-            cocited_semantics=cocited_semantics,
-            gamma_convention=gamma_convention,
-        )
-    return result
+    return _nbnc_table(
+        corpus,
+        _works_in_range(corpus, year_range),
+        horizon,
+        cocited_semantics,
+        gamma_convention,
+    )
 
 
 def cd_index(corpus: CitationCorpus, work_id: str, horizon: int) -> CdScore:
@@ -154,54 +202,17 @@ def cd_index(corpus: CitationCorpus, work_id: str, horizon: int) -> CdScore:
     focal year + horizon inclusive; earlier citing works are corpus noise
     and ignored.  Reference citations are counted per citing edge.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    focal = corpus.work_index(work_id)
-    year = corpus.pub_year_of(focal)
-    refs = set(int(r) for r in corpus.references_idx(focal))
-    all_citers = set(int(c) for c in corpus.citers_idx(focal))
-
-    c_x = 0
-    c_y = 0
-    for citer in corpus.citers_idx(focal):
-        citer = int(citer)
-        offset = corpus.pub_year_of(citer) - year
-        if offset < 0 or offset > horizon:
-            continue
-        if refs and any(int(r) in refs for r in corpus.references_idx(citer)):
-            c_y += 1
-        else:
-            c_x += 1
-
-    c_refs = 0
-    for ref in sorted(refs):
-        for citer in corpus.citers_idx(ref):
-            citer = int(citer)
-            if citer == focal or citer in all_citers:
-                continue
-            offset = corpus.pub_year_of(citer) - year
-            if 0 <= offset <= horizon:
-                c_refs += 1
-
-    c_total = c_x + c_y
-    denom = c_total + c_refs
-    if denom == 0:
-        return CdScore(work_id, horizon, 0.0, 0, 0, 0, 0, True)
-    return CdScore(
-        work_id, horizon, (c_x - c_y) / denom, c_x, c_y, c_total, c_refs, False
-    )
+    works = np.array([corpus.work_index(work_id)])
+    return _cd_table(corpus, works, horizon)[work_id]
 
 
 def cd_all(
     corpus: CitationCorpus,
     horizon: int,
     year_range: tuple[int, int] | None = None,
-) -> dict[str, CdScore]:
+) -> CdTable:
     """CD index for every work published in ``year_range``."""
-    return {
-        corpus.work_id(idx): cd_index(corpus, corpus.work_id(idx), horizon)
-        for idx in _works_in_range(corpus, year_range)
-    }
+    return _cd_table(corpus, _works_in_range(corpus, year_range), horizon)
 
 
 def classify(cd: CdScore) -> BreakthroughClass:
@@ -213,14 +224,136 @@ def classify(cd: CdScore) -> BreakthroughClass:
     )
 
 
+# -- kernels -------------------------------------------------------------------
+
+
 def _works_in_range(
     corpus: CitationCorpus, year_range: tuple[int, int] | None
-) -> Iterable[int]:
+) -> np.ndarray:
+    years = corpus.pub_years
     if year_range is None:
-        return range(corpus.n_works)
+        return np.arange(len(years))
     lo, hi = year_range
-    return (
-        idx
-        for idx in range(corpus.n_works)
-        if lo <= corpus.pub_year_of(idx) <= hi
+    return np.nonzero((lo <= years) & (years <= hi))[0]
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+
+
+def _year_blocks(corpus: CitationCorpus, works: np.ndarray):
+    """Yield (year, rows of ``works`` published that year), year by year."""
+    if not len(works):
+        return
+    years = corpus.pub_years[works]
+    order = np.argsort(years, kind="stable")
+    bounds = np.flatnonzero(np.diff(years[order])) + 1
+    for rows in np.split(order, bounds):
+        yield int(years[rows[0]]), rows
+
+
+def _window_edges(
+    corpus: CitationCorpus, works: np.ndarray, year: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-window citing edges of ``works`` (all published in ``year``).
+
+    Returns (position in ``works``, citer, offset) per edge.
+    """
+    owner, citer = corpus.citer_pairs(works)
+    offset = corpus.pub_years[citer] - year
+    keep = (offset >= 0) & (offset <= horizon)
+    return owner[keep], citer[keep], offset[keep]
+
+
+def _nbnc_table(
+    corpus: CitationCorpus,
+    works: np.ndarray,
+    horizon: int,
+    semantics: str,
+    convention: str,
+) -> NbncTable:
+    _check_horizon(horizon)
+    if semantics not in ("multiset", "set"):
+        raise ValueError(f"unknown co-citation semantics: {semantics!r}")
+    if convention not in ("own_age", "focal_calendar"):
+        raise ValueError(f"unknown gamma convention: {convention!r}")
+    terms = np.zeros((len(works), horizon + 1))
+    for year, rows in _year_blocks(corpus, works):
+        terms[rows] = _nbnc_terms(
+            corpus, works[rows], year, horizon, semantics, convention
+        )
+    truncated = corpus.pub_years[works] + horizon > (corpus.year_max or 0)
+    return NbncTable(corpus, works, horizon, terms, truncated)
+
+
+def _nbnc_terms(
+    corpus: CitationCorpus,
+    works: np.ndarray,
+    year: int,
+    horizon: int,
+    semantics: str,
+    convention: str,
+) -> np.ndarray:
+    """Yearly NBNC terms of ``works``, all published in ``year``."""
+    n_cells = len(works) * (horizon + 1)
+    owner, citer, offset = _window_edges(corpus, works, year, horizon)
+    cell = owner * (horizon + 1) + offset
+    cites = np.bincount(cell, minlength=n_cells)
+
+    edge, member = corpus.reference_pairs(citer)
+    bagged = member != works[owner[edge]]
+    member_cell = cell[edge[bagged]]
+    member = member[bagged]
+    if semantics == "set":
+        unique = np.unique(member_cell * corpus.n_works + member)
+        member_cell, member = np.divmod(unique, corpus.n_works)
+    member_year = corpus.pub_years[member]
+    calendar = (member_year if convention == "own_age" else year) + (
+        member_cell % (horizon + 1)
     )
+    gamma = corpus.citations_in_years(member, calendar, calendar)
+    gamma[calendar < member_year] = 0  # focal_calendar before j's publication
+    size = np.bincount(member_cell, minlength=n_cells)
+    # integer sums below 2**53 are exact in float64
+    denom = np.bincount(member_cell, weights=gamma, minlength=n_cells)
+    terms = np.divide(size * cites, denom, out=np.zeros(n_cells), where=denom > 0)
+    return terms.reshape(len(works), horizon + 1)
+
+
+def _cd_table(corpus: CitationCorpus, works: np.ndarray, horizon: int) -> CdTable:
+    _check_horizon(horizon)
+    parts = np.zeros((3, len(works)), dtype=np.int64)
+    for year, rows in _year_blocks(corpus, works):
+        parts[:, rows] = _cd_parts(corpus, works[rows], year, horizon)
+    return CdTable(corpus, works, horizon, *parts)
+
+
+def _cd_parts(
+    corpus: CitationCorpus, works: np.ndarray, year: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C_x, C_y, C_refs) of ``works``, all published in ``year``."""
+    n = len(works)
+    owner, citer, _ = _window_edges(corpus, works, year, horizon)
+    ref_owner, ref = corpus.reference_pairs(works)
+    edge, member = corpus.reference_pairs(citer)
+    # the (citer, reference) pairs where the focal work cites that reference too
+    shared = edge[
+        np.isin(
+            owner[edge] * corpus.n_works + member,
+            ref_owner * corpus.n_works + ref,
+            kind="sort",
+        )
+    ]
+    coupled = np.zeros(len(citer), dtype=bool)
+    coupled[shared] = True
+
+    c_total = np.bincount(owner, minlength=n)
+    c_y = np.bincount(owner[coupled], minlength=n)
+    ref_cites = corpus.citations_in_years(ref, year, year + horizon)
+    c_refs = (
+        np.bincount(ref_owner, weights=ref_cites, minlength=n).astype(np.int64)
+        - np.bincount(ref_owner, minlength=n)
+        - np.bincount(owner[shared], minlength=n)
+    )
+    return c_total - c_y, c_y, c_refs

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +35,15 @@ from .clustering import (
 from .complexity import BinaryAdjacency, binarize, genepy_scores, rca, rank_table
 from .config import PipelineConfig
 from .corpus import CitationCorpus, ingest_files
-from .impact import BreakthroughClass, CdScore, NbncScore, cd_all, nbnc_all
+from .impact import (
+    BreakthroughClass,
+    CdScore,
+    CdTable,
+    NbncScore,
+    NbncTable,
+    cd_all,
+    nbnc_all,
+)
 from .panel import (
     BreakthroughRecord,
     PanelMatrix,
@@ -73,23 +82,28 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write_tsv(path: Path, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
+def _write_lines(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write a tab-separated table whose cells are already strings."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+            fh.write("\t".join(row) + "\n")
+
+
+def _write_tsv(path: Path, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
+    _write_lines(path, header, (map(_fmt, row) for row in rows))
 
 
 def _write_matrix(
     path: Path, corner: str, col_labels: Iterable[object], row_labels: Iterable[object], matrix: np.ndarray
 ) -> None:
     header = [corner] + [str(c) for c in col_labels]
-    rows = [
-        [str(label)] + [_fmt(v) for v in row]
+    rows = (
+        [str(label), *map(_fmt, row)]
         for label, row in zip(row_labels, matrix.tolist())
-    ]
-    _write_tsv(path, header, rows)
+    )
+    _write_lines(path, header, rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -108,35 +122,40 @@ def _flags(*pairs: tuple[str, bool]) -> str:
 
 
 def write_metrics_tables(
-    run_dir: Path,
-    corpus: CitationCorpus,
-    scores: Mapping[str, NbncScore],
-    cds: Mapping[str, CdScore],
+    run_dir: Path, corpus: CitationCorpus, scores: NbncTable, cds: CdTable
 ) -> list[Path]:
-    """One columnar file per publication year: work_id, nbnc, cd, flags."""
-    by_year: dict[int, list[str]] = {}
-    for wid in scores:
-        year = corpus.pub_year_of(corpus.work_index(wid))
-        by_year.setdefault(year, []).append(wid)
+    """One columnar file per publication year: work_id, nbnc, cd, flags.
+
+    ``scores`` and ``cds`` must cover the same works; rows within a year are
+    ordered by work id.
+    """
+    if not np.array_equal(scores.works, cds.works):
+        raise ValueError("NBNC and CD scores cover different works")
+    ids = corpus.ids
+    nbnc_values = scores.value.tolist()
+    cd_values = cds.value.tolist()
+    flags = [
+        _flags(("truncated_horizon", truncated), ("cd_zero_denominator", zero))
+        for truncated, zero in zip(
+            scores.truncated.tolist(), cds.zero_denominator.tolist()
+        )
+    ]
+    by_year: dict[int, list[tuple[str, int]]] = {}
+    works = scores.works.tolist()
+    years = corpus.pub_years[scores.works].tolist()
+    for row, (idx, year) in enumerate(zip(works, years)):
+        by_year.setdefault(year, []).append((ids[idx], row))
     written = []
     for year in sorted(by_year):
-        rows = []
-        for wid in sorted(by_year[year]):
-            score = scores[wid]
-            cd = cds[wid]
-            rows.append(
-                (
-                    wid,
-                    score.value,
-                    cd.value,
-                    _flags(
-                        ("truncated_horizon", score.truncated_horizon),
-                        ("cd_zero_denominator", cd.zero_denominator),
-                    ),
-                )
-            )
         path = run_dir / "metrics" / f"metrics_{year}.tsv"
-        _write_tsv(path, ("work_id", "nbnc", "cd", "flags"), rows)
+        _write_tsv(
+            path,
+            ("work_id", "nbnc", "cd", "flags"),
+            (
+                (wid, nbnc_values[row], cd_values[row], flags[row])
+                for wid, row in sorted(by_year[year])
+            ),
+        )
         written.append(path)
     return written
 
@@ -433,7 +452,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """
     config.validate()
     run_dir = Path(config.out_root) / config.config_hash()
-    run_dir.mkdir(parents=True, exist_ok=True)
+    # the directory is named by the config alone, so files of an earlier run
+    # on a since-changed corpus must go before the manifest checksums them
+    if run_dir.exists():
+        shutil.rmtree(run_dir)
+    run_dir.mkdir(parents=True)
     stages: list[StageOutcome] = []
     state: dict[str, object] = {}
 

@@ -301,6 +301,21 @@ class TestSnapshot:
         assert nbnc_all(corpus, 6) == nbnc_all(loaded, 6)
         assert cd_all(corpus, 6) == cd_all(loaded, 6)
 
+    def test_non_ascii_country_codes_counted_not_stored(self, tmp_path):
+        # "ÉÉ" is two alphabetic characters but not ASCII; kept, it made
+        # save_snapshot fail on its ASCII encode
+        records = make_records(
+            [("A", 2000, []), ("B", 2001, ["A"])],
+            countries={"A": ["ÉÉ", "fr"], "B": ["ÅÄ"]},
+        )
+        corpus, report = ingest_works(records)
+        assert report.invalid_countries == 2
+        path = tmp_path / "c.snap"
+        corpus.save_snapshot(path)
+        loaded = CitationCorpus.load_snapshot(path)
+        assert loaded.countries_of(loaded.work_index("A")) == ("FR",)
+        assert loaded.countries_of(loaded.work_index("B")) == ()
+
     def test_corruption_detected(self, tmp_path):
         corpus = build(make_records([("A", 2000, [])]))
         path = tmp_path / "c.snap"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scibreak.corpus import UnknownWorkError
 from scibreak.impact import (
@@ -329,6 +331,63 @@ class TestCdProperties:
             ]
             assert cd_index(build(pure), wid, 10).value >= before
             assert cd_index(build(coupled), wid, 10).value <= before
+
+
+@st.composite
+def small_corpora(draw):
+    """Records over a few years with self, duplicate and backward references."""
+    n = draw(st.integers(1, 14))
+    years = draw(st.lists(st.integers(2000, 2008), min_size=n, max_size=n))
+    return [
+        {
+            "id": f"W{i}",
+            "publication_year": years[i],
+            "referenced_works": [
+                f"W{j}" for j in draw(st.lists(st.integers(0, n - 1), max_size=5))
+            ],
+        }
+        for i in range(n)
+    ]
+
+
+class TestKernelsAgainstOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=small_corpora(),
+        horizon=st.integers(0, 8),
+        semantics=st.sampled_from(["multiset", "set"]),
+        convention=st.sampled_from(["own_age", "focal_calendar"]),
+        bounds=st.tuples(st.integers(1999, 2009), st.integers(1999, 2009)),
+    )
+    def test_batch_single_and_subrange_agree_with_oracles(
+        self, records, horizon, semantics, convention, bounds
+    ):
+        corpus = build(records)
+        options = dict(cocited_semantics=semantics, gamma_convention=convention)
+        scores = nbnc_all(corpus, horizon, **options)
+        cds = cd_all(corpus, horizon)
+        assert len(scores) == len(cds) == len(records)
+        for record in records:
+            wid = record["id"]
+            value, terms = naive_nbnc(records, wid, horizon, semantics, convention)
+            assert scores[wid].value == value
+            assert scores[wid].yearly_terms == tuple(terms)
+            assert scores[wid] == nbnc(corpus, wid, horizon, **options)
+            cd_value, parts = brute_cd(records, wid, horizon)
+            assert cds[wid].value == cd_value
+            assert (cds[wid].c_x, cds[wid].c_y, cds[wid].c_refs) == parts
+            assert cds[wid].zero_denominator == (sum(parts) == 0)
+            assert cds[wid] == cd_index(corpus, wid, horizon)
+
+        # year blocks are an evaluation detail: a sub-range scores the same
+        lo, hi = bounds
+        year = {r["id"]: r["publication_year"] for r in records}
+        inside = [wid for wid in scores if lo <= year[wid] <= hi]
+        sub_scores = nbnc_all(corpus, horizon, (lo, hi), **options)
+        sub_cds = cd_all(corpus, horizon, (lo, hi))
+        assert list(sub_scores) == list(sub_cds) == inside
+        assert sub_scores == {wid: scores[wid] for wid in inside}
+        assert sub_cds == {wid: cds[wid] for wid in inside}
 
 
 class TestClassify:

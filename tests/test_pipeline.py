@@ -144,6 +144,30 @@ class TestPipelineRun:
         for rel in m_a["outputs"]:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
 
+    def test_rerun_after_corpus_change_drops_stale_outputs(self, tmp_path):
+        # the run directory is named by the config, which holds the corpus
+        # path but not its content; a rerun on a shrunken corpus must not
+        # leave (and certify) the metrics of years the corpus no longer has
+        config = small_config(tmp_path, out_root=str(tmp_path / "runs"))
+        first = run_pipeline(config)
+        records = synthetic_records(200, seed=5, year_start=1970, year_end=2005)
+        write_jsonl(
+            [r for r in records if r["publication_year"] <= 1990],
+            config.corpus_path,
+        )
+        second = run_pipeline(config)
+        fresh = run_pipeline(small_config(tmp_path, out_root=str(tmp_path / "fresh")))
+        run_dir = Path(config.out_root) / second["config_hash"]
+        on_disk = {
+            p.relative_to(run_dir).as_posix()
+            for p in run_dir.rglob("*")
+            if p.is_file() and p.name != "manifest.json"
+        }
+        assert set(second["outputs"]) == on_disk == set(fresh["outputs"])
+        assert second["outputs"] == fresh["outputs"]
+        assert "metrics/metrics_1995.tsv" in first["outputs"]
+        assert "metrics/metrics_1995.tsv" not in second["outputs"]
+
     def test_stage_error_carries_stage_name(self, tmp_path):
         bad_dir = tmp_path / "iamadir"
         bad_dir.mkdir()
