@@ -81,7 +81,6 @@ class GenepyResult:
     ranking: tuple[RankedEntity, ...]  # retained sorted, then pruned
     pruned: tuple[str, ...]
     residuals: tuple[float, ...]
-    iterations: tuple[int, ...]
 
 
 def rca(counts: PanelMatrix) -> RcaMatrix:
@@ -263,13 +262,9 @@ def _genepy_side(
     labels: tuple[str, ...],
     pruned: tuple[str, ...],
     count: int,
-    tol: float,
-    max_iter: int,
 ) -> GenepyResult:
     n = proximity.shape[0]
-    pairs = top_eigenpairs_symmetric(
-        proximity, count, tol=tol, max_iter=max_iter, tie_tol=_TIE_TOL
-    )
+    pairs = top_eigenpairs_symmetric(proximity, count, tie_tol=_TIE_TOL)
     scores = _composite_scores(pairs, min(count, n), n, _TIE_TOL)
     reported = pairs[: min(count, n)]
     vectors = np.column_stack([p.vector for p in reported])
@@ -282,16 +277,11 @@ def _genepy_side(
         ranking=_build_ranking(labels, scores, pruned),
         pruned=tuple(sorted(pruned)),
         residuals=tuple(p.residual for p in reported),
-        iterations=tuple(p.iterations for p in reported),
     )
 
 
 def genepy_scores(
-    adjacency: BinaryAdjacency,
-    count: int = 2,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    adjacency: BinaryAdjacency, count: int = 2
 ) -> tuple[GenepyResult, GenepyResult]:
     """GENEPY composite scores and rankings for countries and subfields.
 
@@ -312,8 +302,6 @@ def genepy_scores(
         adjacency.countries,
         adjacency.pruned_countries,
         count,
-        tol,
-        max_iter,
     )
     subfields = _genepy_side(
         "subfields",
@@ -321,8 +309,6 @@ def genepy_scores(
         tuple(str(s) for s in adjacency.subfields),
         tuple(str(s) for s in adjacency.pruned_subfields),
         count,
-        tol,
-        max_iter,
     )
     return countries, subfields
 

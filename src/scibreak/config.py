@@ -207,13 +207,6 @@ def _coerce(cls: type, key: str, text: str, where: str) -> object:
         raise ConfigError(f"{where}: bad {target.__name__} for {key}") from exc
 
 
-def write_config(config: PipelineConfig, path: str | Path) -> None:
-    """Write a config in the canonical key = value form."""
-    lines = [f"{k} = {v}" for k, v in config.canonical_items()]
-    lines.append(f"out_root = {config.out_root}")
-    Path(path).write_text("\n".join(sorted(lines)) + "\n", encoding="utf-8")
-
-
 def with_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
     """Functional update helper used by the CLI."""
     clean = {k: v for k, v in overrides.items() if v is not None}

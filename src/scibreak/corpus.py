@@ -56,17 +56,6 @@ class FieldMap:
     countries: str = "authorships.countries"
 
 
-@dataclass(frozen=True)
-class WorkRecord:
-    """One normalized scholarly work as parsed from an input record."""
-
-    work_id: str
-    pub_year: int
-    references: tuple[str, ...]
-    subfield_id: int | None
-    country_codes: tuple[str, ...]
-
-
 @dataclass
 class IngestReport:
     """Counters describing what happened during one ingestion run."""

@@ -1,16 +1,14 @@
 """Leading eigenpairs of small dense symmetric matrices.
 
-Deterministic shifted power iteration with projection deflation.  A
-Gershgorin shift makes the algebraically largest eigenvalue dominant in
-magnitude, each converged eigenvector is projected out before the next pair
-is sought, and a Rayleigh-quotient polish kicks in when plain iteration
-stalls on a narrow spectral gap.  Start vectors come from fixed-seed
-generators, so results are reproducible run to run.
+One dense symmetric eigendecomposition (``numpy.linalg.eigh``) of the whole
+spectrum, reordered by descending eigenvalue.  Eigenvector signs are fixed by
+making the largest-magnitude component non-negative, so results are
+reproducible run to run.
 
-Degenerate spectra are supported: with ``tie_tol`` set, extraction continues
-past the requested count while further eigenvalues tie the one at the cut,
-so an eigenvalue class is never returned partially.  Callers can then form
-basis-independent quantities over the whole eigenspace.
+Degenerate spectra are supported: with ``tie_tol`` set, the returned pairs
+extend past the requested count while further eigenvalues tie the one at the
+cut, so an eigenvalue class is never returned partially.  Callers can then
+form basis-independent quantities over the whole eigenspace.
 """
 
 from __future__ import annotations
@@ -19,33 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_START_SEED = 0x5C1B0
-
-
-class EigenConvergenceError(RuntimeError):
-    """Iteration cap reached; carries the best residual seen."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"eigen iteration failed to converge: residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
-
 
 @dataclass(frozen=True)
 class EigenPair:
     value: float
     vector: np.ndarray
     residual: float  # inf-norm of S v - value v on the original matrix
-    iterations: int
-
-
-def _orthogonalize(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        v = v - (b @ v) * b
-    return v
+    iterations: int = 0  # always 0; the bench tracer sums it
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -57,125 +35,16 @@ def _residual(S: np.ndarray, value: float, v: np.ndarray) -> float:
     return float(np.max(np.abs(S @ v - value * v)))
 
 
-def _polish(
-    S: np.ndarray,
-    value: float,
-    v: np.ndarray,
-    basis: list[np.ndarray],
-    tol: float,
-    steps: int = 40,
-) -> tuple[float, np.ndarray, int]:
-    """Rayleigh-quotient iteration kept inside the deflated subspace."""
-    eye = np.eye(S.shape[0])
-    scale = max(1.0, float(np.abs(S).max()))
-    used = 0
-    for _ in range(steps):
-        if _residual(S, value, v) <= tol:
-            break
-        used += 1
-        try:
-            w = np.linalg.solve(S - value * eye, v)
-        except np.linalg.LinAlgError:
-            w = np.linalg.solve(S - (value + 1e-12 * scale) * eye, v)
-        if not np.all(np.isfinite(w)):
-            break
-        w = _orthogonalize(w, basis)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        v = w / norm
-        value = float(v @ S @ v)
-    return value, v, used
-
-
-def _extract_pair(
-    S: np.ndarray,
-    shift: float,
-    basis: list[np.ndarray],
-    tol: float,
-    max_iter: int,
-    start_seed: int,
-) -> tuple[float, np.ndarray, int]:
-    """One deflated eigenpair via shifted power iteration plus polish."""
-    n = S.shape[0]
-    rng = np.random.default_rng(start_seed)
-
-    def fresh_start() -> np.ndarray:
-        for _ in range(8):
-            cand = _orthogonalize(rng.standard_normal(n), basis)
-            cand = _orthogonalize(cand, basis)
-            norm = float(np.linalg.norm(cand))
-            if norm > 1e-12:
-                return cand / norm
-        raise EigenConvergenceError(float("inf"), 0)
-
-    v = fresh_start()
-    iterations = 0
-    check_every = 50
-    min_before_polish = 200
-    # converge each pair well below the caller tolerance: residuals of the
-    # deflation basis set the noise floor for every later pair
-    scale = max(1.0, float(np.abs(S).sum(axis=1).max()))
-    eps_floor = 20.0 * np.finfo(float).eps * scale
-    tol_inner = max(tol * 1e-3, eps_floor)
-
-    value = float(v @ S @ v)
-    best_res = _residual(S, value, v)
-    best_pair = (value, v)
-    previous = best_res
-    plateau = 0
-    while iterations < max_iter:
-        for _ in range(check_every):
-            w = S @ v + shift * v
-            # twice-is-enough Gram-Schmidt keeps the deflated directions out
-            w = _orthogonalize(_orthogonalize(w, basis), basis)
-            norm = float(np.linalg.norm(w))
-            iterations += 1
-            if norm < 1e-30:
-                # iterate fell into the deflated span; restart deterministically
-                v = fresh_start()
-                continue
-            v = w / norm
-        value = float(v @ S @ v)
-        residual = _residual(S, value, v)
-        if residual < best_res:
-            best_res = residual
-            best_pair = (value, v)
-        if residual <= tol_inner:
-            return value, v, iterations
-        stalled = residual > 0.3 * previous
-        plateau = plateau + 1 if residual > 0.9 * previous else 0
-        previous = residual
-        if iterations >= min_before_polish and stalled:
-            value, v, used = _polish(S, value, v, basis, tol_inner)
-            iterations += used
-            residual = _residual(S, value, v)
-            if residual < best_res:
-                best_res = residual
-                best_pair = (value, v)
-            if residual <= tol_inner:
-                return value, v, iterations
-            plateau += 1
-        if plateau >= 3 and best_res <= tol:
-            # stuck at the numerical floor but within the caller tolerance
-            return best_pair[0], best_pair[1], iterations
-    if best_res <= tol:
-        return best_pair[0], best_pair[1], iterations
-    raise EigenConvergenceError(best_res, iterations)
-
-
 def top_eigenpairs_symmetric(
     matrix: np.ndarray,
     count: int = 2,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
     tie_tol: float | None = None,
 ) -> list[EigenPair]:
     """Algebraically largest eigenpairs, sorted by descending eigenvalue.
 
-    At most ``min(count, n)`` pairs are requested.  With ``tie_tol`` set,
-    extraction keeps probing while further eigenvalues land within
+    At most ``min(count, n)`` pairs are returned.  With ``tie_tol`` set, the
+    pairs continue while further eigenvalues lie within
     ``tie_tol * max(1, |lambda_1|)`` of the value at the cut, so degenerate
     classes come back whole.  Eigenvector signs are fixed by making the
     largest-magnitude component non-negative.
@@ -188,50 +57,14 @@ def top_eigenpairs_symmetric(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     S = 0.5 * (S + S.T)
-    n = S.shape[0]
-    count = min(count, n)
-
-    # Gershgorin lower bound keeps the spectrum non-negative after shifting;
-    # the margin guarantees no eigenvalue of the shifted operator is zero,
-    # so the power iterate can never be annihilated into rounding noise
-    radii = np.abs(S).sum(axis=1) - np.abs(np.diag(S))
-    lower = float((np.diag(S) - radii).min())
-    upper = float((np.diag(S) + radii).max())
-    margin = 0.05 * (upper - lower) + 1e-12
-    shift = max(0.0, -lower) + margin
-
-    pairs: list[EigenPair] = []
-    basis: list[np.ndarray] = []
-
-    def extract_next() -> None:
-        value, v, iters = _extract_pair(
-            S, shift, basis, tol, max_iter, _START_SEED + len(pairs)
-        )
-        v = _fix_sign(v)
-        pairs.append(EigenPair(value, v, _residual(S, value, v), iters))
-        basis.append(v)
-
-    # oversample a couple of pairs beyond the request: deflated extraction
-    # can surface near eigenvalues out of order, and the final sort then
-    # still yields the true leaders
-    while len(pairs) < min(n, count + 2):
-        extract_next()
+    values, vectors = np.linalg.eigh(S)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    keep = min(count, len(values))
     if tie_tol is not None:
-        # keep extracting while the smallest value seen may still belong to
-        # the eigenvalue class at the cut, so the class comes back whole
-        while len(pairs) < n:
-            ordered = sorted((p.value for p in pairs), reverse=True)
-            scale = max(1.0, abs(ordered[0]))
-            if ordered[-1] < ordered[count - 1] - tie_tol * scale:
-                break
-            extract_next()
-    pairs.sort(key=lambda p: -p.value)
-    if tie_tol is None:
-        return pairs[:count]
-    ordered_values = [p.value for p in pairs]
-    scale = max(1.0, abs(ordered_values[0]))
-    cut = ordered_values[count - 1]
-    keep = count
-    while keep < len(pairs) and pairs[keep].value >= cut - tie_tol * scale:
-        keep += 1
-    return pairs[:keep]
+        cut = values[keep - 1] - tie_tol * max(1.0, abs(values[0]))
+        keep = int(np.count_nonzero(values >= cut))
+    pairs = []
+    for value, v in zip(values[:keep].tolist(), vectors.T[:keep]):
+        v = _fix_sign(v.copy())
+        pairs.append(EigenPair(value, v, _residual(S, value, v)))
+    return pairs

@@ -433,8 +433,6 @@ def write_rank_outputs(
             "eigenvalues_subfields": list(subfields_result.eigenvalues),
             "residuals_countries": list(countries_result.residuals),
             "residuals_subfields": list(subfields_result.residuals),
-            "iterations_countries": list(countries_result.iterations),
-            "iterations_subfields": list(subfields_result.iterations),
         },
     )
     written.append(diag_path)

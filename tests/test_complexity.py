@@ -266,6 +266,29 @@ class TestGenepy:
         assert np.allclose(c1, c2, rtol=1e-9)
         assert np.allclose(s1, s2, rtol=1e-9)
 
+    def test_narrow_gap_panel_matches_dense_eigenvalues(self):
+        # a paper-sized 200 x 252 panel (the last of 14 Zipf-weighted decadal
+        # draws) whose country-side lambda2 and lambda3 differ by under 4%:
+        # a deflated power iteration returned lambda3 as lambda2 here
+        rng = np.random.default_rng([1, 4])
+        subfields = rng.choice(np.arange(1100, 3700), size=252, replace=False)
+        row_w = 1.0 / (1 + rng.permutation(200)) ** 1.1
+        col_w = 1.0 / (1 + rng.permutation(252)) ** 0.8
+        base = np.outer(row_w / row_w.sum(), col_w / col_w.sum())
+        for d in range(7):
+            for scale in (2.0, 1.0):
+                counts = rng.poisson(300.0 * scale * 1.8**d * base)
+        adjacency = binarize(
+            rca(make_panel(counts, subfields=tuple(sorted(subfields.tolist()))))
+        )
+        countries, subfields = genepy_scores(adjacency)
+        k, k_prime = degree_vectors(adjacency)
+        A = adjacency.matrix / (k[:, None] * k_prime[None, :])
+        for result, S in ((countries, A @ A.T), (subfields, A.T @ A)):
+            np.fill_diagonal(S, 0.0)
+            expected = np.linalg.eigvalsh(S)[::-1][: len(result.eigenvalues)]
+            assert np.allclose(result.eigenvalues, expected, rtol=0, atol=1e-9)
+
     def test_pruned_entities_appended_with_trailing_tie(self):
         countries, _ = genepy_scores(
             make_adjacency([[1, 1], [1, 0]], pruned=("ZZ", "XX"))
