@@ -402,6 +402,43 @@ class TestCliStages:
         )
         assert sorted((rank_dir / "ranks").glob("*_countries.tsv"))
 
+    def test_stagewise_matches_run(self, tmp_path):
+        config = small_config(tmp_path, n_works=400)
+        manifest = run_pipeline(config)
+        run_dir = Path(config.out_root) / manifest["config_hash"]
+
+        out = tmp_path / "cli"
+        out.mkdir()
+        span = ["--start", str(config.analysis_start), "--end", str(config.analysis_end)]
+        steps = [
+            ["ingest", "--input", config.corpus_path, "--snapshot", str(out / "corpus.snap"),
+             "--report", str(out / "ingest_report.json")],
+            ["metrics", "--snapshot", str(out / "corpus.snap"), "--out-dir", str(out), *span],
+            ["select", "--snapshot", str(out / "corpus.snap"),
+             "--metrics-dir", str(out / "metrics"), "--out-dir", str(out)],
+            ["panel", "--snapshot", str(out / "corpus.snap"),
+             "--breakthroughs-dir", str(out / "breakthroughs"), "--out-dir", str(out), *span],
+            ["cluster", "--series", str(out / "series" / "subfield_series.tsv"),
+             "--out-dir", str(out), "--seed", str(config.leiden_seed)],
+        ]
+        for argv in steps:
+            assert cli_main(argv) == 0, argv[0]
+        panels = sorted(str(p) for p in (out / "panels").glob("*.tsv"))
+        assert cli_main(["rank", "--panel", *panels, "--out-dir", str(out)]) == 0
+
+        def files(root):
+            return {
+                p.relative_to(root).as_posix(): p.read_bytes()
+                for p in root.rglob("*")
+                if p.is_file() and p.name != "manifest.json"
+            }
+
+        from_run, from_cli = files(run_dir), files(out)
+        assert set(from_run) == set(from_cli)
+        assert len(from_run) > 50
+        for rel in from_run:
+            assert from_run[rel] == from_cli[rel], rel
+
     def test_correlate_and_fit_commands(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         a.write_text(
