@@ -1,7 +1,9 @@
 """Command-line interface for the breakthrough analytics pipeline.
 
-Subcommands mirror the pipeline stages so each can be run standalone on the
-artifacts of the previous one; ``run`` executes everything from a config
+Each stage subcommand reads the artifacts of the previous stage, calls the
+stage function of :mod:`scibreak.pipeline` that ``run`` also calls, and
+prints the detail that ``run`` records in its manifest; a skipped stage
+writes nothing and exits 1.  ``run`` executes everything from a config
 file.  See the README for the config schema and output layout.
 """
 
@@ -9,45 +11,43 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import analysis as stats
-from .clustering import (
-    cluster_mean_trajectory,
-    default_sigma,
-    distance_matrix,
-    leiden_clusters,
-    similarity_matrix,
-    trajectories_from_series,
-)
-from .complexity import binarize, genepy_scores, rca
 from .config import ConfigError, PipelineConfig, with_overrides
-from .corpus import CitationCorpus, FieldMap, ingest_files
-from .impact import BreakthroughClass, cd_all, nbnc_all
-from .panel import (
-    country_subfield_counts,
-    decade_windows,
-    scaled_counts,
-    select_breakthroughs,
-    subfield_series,
-)
+from .corpus import CitationCorpus, FieldMap
 from .pipeline import (
-    SeriesResult,
     StageError,
+    cluster_stage,
+    ingest_stage,
+    metrics_stage,
+    panel_stage,
+    rank_stage,
     read_breakthrough_tables,
     read_metrics_dir,
     read_panel,
     read_series_table,
     run_pipeline,
-    write_breakthrough_tables,
-    write_cluster_outputs,
-    write_metrics_tables,
-    write_panel,
-    write_rank_outputs,
-    write_series_table,
+    select_stage,
 )
+
+# not called here; bench/tracing.py wraps these names on this module
+from .clustering import cluster_mean_trajectory, default_sigma  # noqa: F401
+from .clustering import distance_matrix, leiden_clusters, similarity_matrix  # noqa: F401
+from .complexity import binarize, genepy_scores, rca  # noqa: F401
+from .corpus import ingest_files  # noqa: F401
+from .pipeline import write_cluster_outputs, write_rank_outputs  # noqa: F401
+
+
+def _report(detail: str, skipped: bool, out: str) -> int:
+    """Print a stage's detail; a skipped stage exits 1."""
+    if skipped:
+        print(detail, file=sys.stderr)
+        return 1
+    print(f"{detail} -> {out}")
+    return 0
 
 
 def _add_ingest(sub: argparse._SubParsersAction) -> None:
@@ -72,20 +72,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         subfield=args.map_subfield,
         countries=args.map_countries,
     )
-    corpus, report = ingest_files(
-        args.input, schema, year_min=args.year_min, year_max=args.year_max
+    _, detail, skipped = ingest_stage(
+        args.input, schema, args.year_min, args.year_max, args.snapshot, args.report
     )
-    corpus.save_snapshot(args.snapshot)
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    print(
-        f"ingested {report.works_ingested}/{report.records_seen} records "
-        f"({corpus.n_edges} edges) -> {args.snapshot}"
-    )
-    return 0
+    return _report(detail, skipped, args.snapshot)
 
 
 def _add_metrics(sub: argparse._SubParsersAction) -> None:
@@ -107,17 +97,15 @@ def _add_metrics(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     corpus = CitationCorpus.load_snapshot(args.snapshot)
-    scores = nbnc_all(
+    _, detail, skipped = metrics_stage(
         corpus,
         args.horizon,
         (args.start, args.end),
-        cocited_semantics=args.cocited_semantics,
-        gamma_convention=args.gamma_convention,
+        args.cocited_semantics,
+        args.gamma_convention,
+        Path(args.out_dir),
     )
-    cds = cd_all(corpus, args.horizon, (args.start, args.end))
-    written = write_metrics_tables(Path(args.out_dir), corpus, scores, cds)
-    print(f"wrote {len(written)} yearly metric tables under {args.out_dir}")
-    return 0
+    return _report(detail, skipped, args.out_dir)
 
 
 def _add_select(sub: argparse._SubParsersAction) -> None:
@@ -130,11 +118,14 @@ def _add_select(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     corpus = CitationCorpus.load_snapshot(args.snapshot)
-    scores, cds = read_metrics_dir(Path(args.metrics_dir))
-    records = select_breakthroughs(corpus, scores, cds, args.top_fraction)
-    write_breakthrough_tables(Path(args.out_dir), records)
-    print(f"selected {len(records)} breakthroughs -> {args.out_dir}")
-    return 0
+    works, nbnc, cd = read_metrics_dir(Path(args.metrics_dir), corpus)
+    # the tables carry no analysis range: look for gaps between their years
+    scored = corpus.pub_years[works]
+    years = range(scored.min(), scored.max() + 1) if len(scored) else ()
+    _, detail, skipped = select_stage(
+        corpus, works, nbnc, cd, args.top_fraction, years, Path(args.out_dir)
+    )
+    return _report(detail, skipped, args.out_dir)
 
 
 def _add_panel(sub: argparse._SubParsersAction) -> None:
@@ -153,24 +144,19 @@ def _add_panel(sub: argparse._SubParsersAction) -> None:
 def _cmd_panel(args: argparse.Namespace) -> int:
     corpus = CitationCorpus.load_snapshot(args.snapshot)
     records = read_breakthrough_tables(Path(args.breakthroughs_dir))
-    out_dir = Path(args.out_dir)
-    years = range(args.start, args.end + 1)
-    series = subfield_series(records, corpus, years)
-    series = SeriesResult(
-        by_subfield={s: scaled_counts(v) for s, v in series.by_subfield.items()},
-        unlabeled=series.unlabeled,
-    )
-    write_series_table(out_dir, series)
+    allow = None
     if args.allowlist:
         allow = {int(s) for s in args.allowlist.split(",") if s.strip()}
-        records = [r for r in records if r.subfield_id in allow]
-    count = 0
-    for window in decade_windows(args.start, args.end, args.window_width):
-        for kind in (BreakthroughClass.CONSOLIDATING, BreakthroughClass.DISRUPTIVE):
-            write_panel(out_dir, country_subfield_counts(records, window, kind))
-            count += 1
-    print(f"wrote series and {count} panels under {args.out_dir}")
-    return 0
+    _, detail, skipped = panel_stage(
+        corpus,
+        records,
+        args.start,
+        args.end,
+        args.window_width,
+        allow,
+        Path(args.out_dir),
+    )
+    return _report(detail, skipped, args.out_dir)
 
 
 def _add_cluster(sub: argparse._SubParsersAction) -> None:
@@ -185,23 +171,17 @@ def _add_cluster(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     series = read_series_table(Path(args.series))
-    if not series.by_subfield:
-        print("no subfields in series file", file=sys.stderr)
-        return 1
-    grids = {s.years for s in series.by_subfield.values()}
-    years = sorted(set().union(*grids))
-    trajectories = trajectories_from_series(series.by_subfield, years)
-    distances = distance_matrix(trajectories, per_component=args.per_component)
-    sigma = args.sigma if args.sigma is not None else default_sigma(distances)
-    similarity = similarity_matrix(distances, sigma)
-    result = leiden_clusters(similarity, resolution=args.resolution, seed=args.seed)
-    means = cluster_mean_trajectory(result, trajectories)
-    write_cluster_outputs(Path(args.out_dir), distances, similarity, result, means)
-    print(
-        f"{len(result.cluster_members)} clusters, "
-        f"{len(result.singletons)} singletons -> {args.out_dir}"
+    years = sorted(set().union(*(s.years for s in series.by_subfield.values())))
+    _, detail, skipped = cluster_stage(
+        series,
+        years,
+        args.per_component,
+        args.sigma,
+        args.resolution,
+        args.seed,
+        Path(args.out_dir),
     )
-    return 0
+    return _report(detail, skipped, args.out_dir)
 
 
 def _add_rank(sub: argparse._SubParsersAction) -> None:
@@ -215,45 +195,29 @@ def _add_rank(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    done = 0
-    for path in args.panel:
-        panel = read_panel(Path(path))
-        if panel.counts.size == 0 or not (panel.counts > 0).any():
-            print(f"skipping empty panel {path}", file=sys.stderr)
-            continue
-        rca_matrix = rca(panel)
-        adjacency = binarize(rca_matrix, args.rca_threshold)
-        countries_result, subfields_result = genepy_scores(
-            adjacency, args.eigen_count
-        )
-        write_rank_outputs(
-            out_dir,
-            adjacency,
-            rca_matrix.values,
-            rca_matrix.countries,
-            rca_matrix.subfields,
-            countries_result,
-            subfields_result,
-        )
-        done += 1
-    print(f"ranked {done} panels -> {args.out_dir}")
-    return 0
+    panels = (read_panel(Path(path)) for path in args.panel)
+    _, detail, skipped = rank_stage(
+        panels, args.rca_threshold, args.eigen_count, Path(args.out_dir)
+    )
+    return _report(detail, skipped, args.out_dir)
+
+
+def _read_rows(path: str) -> Iterator[dict[str, str]]:
+    """Rows of a file with a header line; tab-separated if that line has a tab."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        delimiter = "\t" if "\t" in fh.readline() else ","
+        fh.seek(0)
+        yield from csv.DictReader(fh, delimiter=delimiter)
 
 
 def _read_columns(path: str, label_col: str, value_col: str) -> dict[str, float]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        sample = fh.readline()
-        delimiter = "\t" if "\t" in sample else ","
-        fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        out = {}
-        for row in reader:
-            try:
-                out[row[label_col]] = float(row[value_col])
-            except (KeyError, TypeError, ValueError):
-                continue
-        return out
+    out = {}
+    for row in _read_rows(path):
+        try:
+            out[row[label_col]] = float(row[value_col])
+        except (KeyError, TypeError, ValueError):
+            continue
+    return out
 
 
 def _add_correlate(sub: argparse._SubParsersAction) -> None:
@@ -283,19 +247,14 @@ def _add_fit(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    with open(args.data, newline="", encoding="utf-8") as fh:
-        sample = fh.readline()
-        delimiter = "\t" if "\t" in sample else ","
-        fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        xs = []
-        ys = []
-        for row in reader:
-            try:
-                xs.append(float(row[args.x_col]))
-                ys.append(float(row[args.y_col]))
-            except (KeyError, TypeError, ValueError):
-                continue
+    xs = []
+    ys = []
+    for row in _read_rows(args.data):
+        try:
+            xs.append(float(row[args.x_col]))
+            ys.append(float(row[args.y_col]))
+        except (KeyError, TypeError, ValueError):
+            continue
     fit = stats.loglog_fit(xs, ys)
     print(
         f"exponent={fit.exponent!r} prefactor={fit.prefactor!r} "

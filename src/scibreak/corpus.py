@@ -231,7 +231,6 @@ class CitationCorpus:
         self._out_indptr = np.asarray(out_indptr, dtype=np.int64)
         self._out_indices = np.asarray(out_indices, dtype=np.int32)
         self._build_transpose()
-        self._build_year_index()
 
     def _build_transpose(self) -> None:
         n = len(self._ids)
@@ -244,16 +243,6 @@ class CitationCorpus:
         counts = np.bincount(self._out_indices, minlength=n)
         self._in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self._in_indptr[1:])
-
-    def _build_year_index(self) -> None:
-        self._year_index: dict[int, np.ndarray] = {}
-        if not self._ids:
-            return
-        order = np.argsort(self._pub_year, kind="stable")
-        years = self._pub_year[order]
-        boundaries = np.nonzero(np.diff(years))[0] + 1
-        for chunk in np.split(order, boundaries):
-            self._year_index[int(self._pub_year[chunk[0]])] = chunk
 
     # -- basic accessors ---------------------------------------------------
 
@@ -293,9 +282,6 @@ class CitationCorpus:
 
     def citers_idx(self, idx: int) -> np.ndarray:
         return self._in_indices[self._in_indptr[idx] : self._in_indptr[idx + 1]]
-
-    def works_in_year(self, year: int) -> np.ndarray:
-        return self._year_index.get(year, np.empty(0, dtype=np.int64))
 
     @property
     def year_min(self) -> int | None:

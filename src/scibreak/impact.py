@@ -54,6 +54,11 @@ class BreakthroughClass(Enum):
     DISRUPTIVE = "DI"
     CONSOLIDATING = "CN"
 
+    @classmethod
+    def of(cls, cd_value: float) -> "BreakthroughClass":
+        """Disruptive iff CD > 0; zero (including flagged zeros) consolidates."""
+        return cls.DISRUPTIVE if cd_value > 0 else cls.CONSOLIDATING
+
 
 @dataclass(frozen=True)
 class NbncScore:
@@ -216,12 +221,8 @@ def cd_all(
 
 
 def classify(cd: CdScore) -> BreakthroughClass:
-    """Disruptive iff CD > 0; zero (including flagged zeros) consolidates."""
-    return (
-        BreakthroughClass.DISRUPTIVE
-        if cd.value > 0
-        else BreakthroughClass.CONSOLIDATING
-    )
+    """The breakthrough class of one work's CD score."""
+    return BreakthroughClass.of(cd.value)
 
 
 # -- kernels -------------------------------------------------------------------

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import CitationCorpus
-from .impact import BreakthroughClass, CdScore, NbncScore, classify
+from .impact import BreakthroughClass
 
 
 @dataclass(frozen=True)
@@ -73,44 +73,49 @@ class PanelMatrix:
 
 def select_breakthroughs(
     corpus: CitationCorpus,
-    scores: Mapping[str, NbncScore],
-    cds: Mapping[str, CdScore],
+    works: np.ndarray,
+    nbnc: np.ndarray,
+    cd: np.ndarray,
     top_fraction: float,
 ) -> list[BreakthroughRecord]:
     """Pick the top fraction of scored works per publication year.
 
-    Each year contributes max(1, ceil(top_fraction * n_scored)) records,
-    ordered by NBNC descending with ties broken by ascending work id.  Years
-    without scored works simply contribute nothing.  The returned list is
-    ordered by year, then rank.
+    ``works`` holds the corpus indexes of the scored works and ``nbnc`` and
+    ``cd`` their scores, row for row.  Each year contributes
+    max(1, ceil(top_fraction * n_scored)) records, ordered by NBNC
+    descending with ties broken by ascending work id.  Years without scored
+    works simply contribute nothing.  The returned list is ordered by year,
+    then rank.
     """
     if not (0.0 < top_fraction < 1.0):
         raise ValueError(f"top fraction must be in (0, 1), got {top_fraction}")
-    by_year: dict[int, list[str]] = {}
-    for wid in scores:
-        year = corpus.pub_year_of(corpus.work_index(wid))
-        by_year.setdefault(year, []).append(wid)
-
-    records: list[BreakthroughRecord] = []
-    for year in sorted(by_year):
-        pool = by_year[year]
-        pool.sort(key=lambda w: (-scores[w].value, w))
-        take = max(1, math.ceil(top_fraction * len(pool)))
-        for wid in pool[:take]:
-            idx = corpus.work_index(wid)
-            cd = cds[wid]
-            records.append(
-                BreakthroughRecord(
-                    work_id=wid,
-                    year=year,
-                    subfield_id=corpus.subfield_of(idx),
-                    country_codes=corpus.countries_of(idx),
-                    nbnc_value=scores[wid].value,
-                    cd_value=cd.value,
-                    klass=classify(cd),
-                )
-            )
-    return records
+    ids = corpus.ids
+    wids = [ids[idx] for idx in works.tolist()]
+    id_rank = np.empty(len(wids), dtype=np.int64)
+    id_rank[sorted(range(len(wids)), key=wids.__getitem__)] = np.arange(len(wids))
+    years = corpus.pub_years[works]
+    order = np.lexsort((id_rank, -nbnc, years))
+    pools = np.split(order, np.flatnonzero(np.diff(years[order])) + 1)
+    chosen = np.concatenate(
+        [pool[: max(1, math.ceil(top_fraction * len(pool)))] for pool in pools]
+    )
+    return [
+        BreakthroughRecord(
+            work_id=ids[idx],
+            year=year,
+            subfield_id=corpus.subfield_of(idx),
+            country_codes=corpus.countries_of(idx),
+            nbnc_value=value,
+            cd_value=cd_value,
+            klass=BreakthroughClass.of(cd_value),
+        )
+        for idx, year, value, cd_value in zip(
+            works[chosen].tolist(),
+            years[chosen].tolist(),
+            nbnc[chosen].tolist(),
+            cd[chosen].tolist(),
+        )
+    ]
 
 
 def subfield_series(

@@ -1,10 +1,12 @@
 """End-to-end pipeline: ingest, metrics, selection, panels, clusters, ranks.
 
-Every stage writes delimited text (or JSON for reports) under a run
-directory named by the config hash.  Identical config and inputs reproduce
-identical bytes for every output table; the manifest additionally records a
-checksum per output so two runs can be compared at a glance.  Stage timings
-in the manifest are informational and excluded from that contract.
+Each stage is one public function from explicit inputs to its result, and
+both :func:`run_pipeline` and the CLI subcommands call it.  Every stage
+writes delimited text (or JSON for reports) under a run directory named by
+the config hash.  Identical config and inputs reproduce identical bytes for
+every output table; the manifest additionally records a checksum per output
+so two runs can be compared at a glance.  Stage timings in the manifest are
+informational and excluded from that contract.
 """
 
 from __future__ import annotations
@@ -34,16 +36,8 @@ from .clustering import (
 )
 from .complexity import BinaryAdjacency, binarize, genepy_scores, rca, rank_table
 from .config import PipelineConfig
-from .corpus import CitationCorpus, ingest_files
-from .impact import (
-    BreakthroughClass,
-    CdScore,
-    CdTable,
-    NbncScore,
-    NbncTable,
-    cd_all,
-    nbnc_all,
-)
+from .corpus import CitationCorpus, FieldMap, ingest_files
+from .impact import BreakthroughClass, CdTable, NbncTable, cd_all, nbnc_all
 from .panel import (
     BreakthroughRecord,
     PanelMatrix,
@@ -160,30 +154,22 @@ def write_metrics_tables(
     return written
 
 
-def read_metrics_dir(metrics_dir: Path) -> tuple[dict[str, NbncScore], dict[str, CdScore]]:
-    """Rebuild minimal score objects from metrics tables (for stage reuse)."""
-    scores: dict[str, NbncScore] = {}
-    cds: dict[str, CdScore] = {}
+def read_metrics_dir(
+    metrics_dir: Path, corpus: CitationCorpus
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corpus indexes, NBNC and CD of every row of the metrics tables."""
+    works: list[int] = []
+    nbnc: list[float] = []
+    cd: list[float] = []
     for path in sorted(Path(metrics_dir).glob("metrics_*.tsv")):
         with open(path, encoding="utf-8") as fh:
             next(fh)
             for line in fh:
-                wid, nbnc_s, cd_s, flags = line.rstrip("\n").split("\t")
-                flagset = set(flags.split(",")) if flags != "-" else set()
-                scores[wid] = NbncScore(
-                    wid, -1, float(nbnc_s), (), "truncated_horizon" in flagset
-                )
-                cds[wid] = CdScore(
-                    wid,
-                    -1,
-                    float(cd_s),
-                    0,
-                    0,
-                    0,
-                    0,
-                    "cd_zero_denominator" in flagset,
-                )
-    return scores, cds
+                wid, nbnc_s, cd_s, _ = line.rstrip("\n").split("\t")
+                works.append(corpus.work_index(wid))
+                nbnc.append(float(nbnc_s))
+                cd.append(float(cd_s))
+    return np.array(works, dtype=np.int64), np.array(nbnc), np.array(cd)
 
 
 def write_breakthrough_tables(
@@ -439,6 +425,171 @@ def write_rank_outputs(
     return written
 
 
+# -- stages ------------------------------------------------------------------
+# Each stage takes explicit inputs, writes its tables under ``out_dir`` and
+# returns (result, manifest detail, skipped).  ``run_pipeline`` and the CLI
+# subcommands call the same functions.
+
+
+def ingest_stage(
+    paths: str | Iterable[str],
+    schema: FieldMap,
+    year_min: int,
+    year_max: int,
+    snapshot: str | Path,
+    report: str | Path | None,
+) -> tuple[CitationCorpus, str, bool]:
+    """Parse works into a corpus; write its snapshot and, if asked, the report."""
+    corpus, ingest_report = ingest_files(
+        paths, schema, year_min=year_min, year_max=year_max
+    )
+    corpus.save_snapshot(snapshot)
+    if report:
+        _write_json(Path(report), ingest_report.as_dict())
+    return corpus, f"{corpus.n_works} works, {corpus.n_edges} edges", False
+
+
+def metrics_stage(
+    corpus: CitationCorpus,
+    horizon: int,
+    year_range: tuple[int, int],
+    cocited_semantics: str,
+    gamma_convention: str,
+    out_dir: Path,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], str, bool]:
+    """NBNC and CD of every work in ``year_range``: (works, nbnc, cd) arrays."""
+    scores = nbnc_all(
+        corpus,
+        horizon,
+        year_range,
+        cocited_semantics=cocited_semantics,
+        gamma_convention=gamma_convention,
+    )
+    cds = cd_all(corpus, horizon, year_range)
+    write_metrics_tables(out_dir, corpus, scores, cds)
+    arrays = (scores.works, scores.value, cds.value)
+    return arrays, f"{len(scores)} works scored", False
+
+
+def select_stage(
+    corpus: CitationCorpus,
+    works: np.ndarray,
+    nbnc: np.ndarray,
+    cd: np.ndarray,
+    top_fraction: float,
+    years: Iterable[int],
+    out_dir: Path,
+) -> tuple[list[BreakthroughRecord], str, bool]:
+    """Top-fraction breakthroughs per year; the detail counts ``years`` unscored."""
+    records = select_breakthroughs(corpus, works, nbnc, cd, top_fraction)
+    write_breakthrough_tables(out_dir, records)
+    scored_years = set(np.unique(corpus.pub_years[works]).tolist())
+    missing = [y for y in years if y not in scored_years]
+    detail = f"{len(records)} breakthroughs"
+    if missing:
+        detail += f"; years without scored works: {len(missing)}"
+    return records, detail, False
+
+
+def panel_stage(
+    corpus: CitationCorpus,
+    records: list[BreakthroughRecord],
+    start: int,
+    end: int,
+    window_width: int,
+    allowlist: Iterable[int] | None,
+    out_dir: Path,
+) -> tuple[tuple[SeriesResult, list[PanelMatrix]], str, bool]:
+    """Scaled subfield series over start..end and a panel per window and class.
+
+    ``allowlist``, when given, restricts the panels (not the series) to
+    those subfields.
+    """
+    series = subfield_series(records, corpus, range(start, end + 1))
+    series = SeriesResult(
+        by_subfield={sub: scaled_counts(s) for sub, s in series.by_subfield.items()},
+        unlabeled=series.unlabeled,
+    )
+    write_series_table(out_dir, series)
+    if allowlist is not None:
+        allow = set(allowlist)
+        records = [r for r in records if r.subfield_id in allow]
+    panels: list[PanelMatrix] = []
+    for window in decade_windows(start, end, window_width):
+        for kind in (BreakthroughClass.CONSOLIDATING, BreakthroughClass.DISRUPTIVE):
+            panel = country_subfield_counts(records, window, kind)
+            write_panel(out_dir, panel)
+            panels.append(panel)
+    detail = f"{len(series.by_subfield)} subfields, {len(panels)} panels"
+    return (series, panels), detail, False
+
+
+def cluster_stage(
+    series: SeriesResult,
+    years: Iterable[int],
+    per_component: bool,
+    sigma: float | None,
+    resolution: float,
+    seed: int,
+    out_dir: Path,
+) -> tuple[ClusteringResult | None, str, bool]:
+    """Cluster the subfield trajectories on the ``years`` grid.
+
+    With fewer than two subfields nothing is written and the stage is
+    skipped.  ``sigma`` None picks the kernel width from the distances.
+    """
+    trajectories = trajectories_from_series(series.by_subfield, years)
+    if len(trajectories) < 2:
+        return None, "fewer than 2 subfields; clustering skipped", True
+    distances = distance_matrix(trajectories, per_component=per_component)
+    sigma = sigma if sigma is not None else default_sigma(distances)
+    similarity = similarity_matrix(distances, sigma)
+    result = with_mean_trajectories(
+        leiden_clusters(similarity, resolution=resolution, seed=seed), trajectories
+    )
+    write_cluster_outputs(
+        out_dir, distances, similarity, result, result.mean_trajectories
+    )
+    detail = (
+        f"{len(result.cluster_members)} clusters, "
+        f"{len(result.singletons)} singletons"
+    )
+    return result, detail, False
+
+
+def rank_stage(
+    panels: Iterable[PanelMatrix], rca_threshold: float, eigen_count: int, out_dir: Path
+) -> tuple[dict, str, bool]:
+    """RCA-filter and GENEPY-rank every panel with a positive count.
+
+    Returns {(kind, window): (countries result, subfields result)}; the
+    stage is skipped when no panel was ranked.
+    """
+    rankings = {}
+    skipped = []
+    for panel in panels:
+        if panel.counts.size == 0 or not (panel.counts > 0).any():
+            skipped.append(_panel_stem(panel.kind, panel.window))
+            continue
+        rca_matrix = rca(panel)
+        adjacency = binarize(rca_matrix, rca_threshold)
+        countries_result, subfields_result = genepy_scores(adjacency, eigen_count)
+        write_rank_outputs(
+            out_dir,
+            adjacency,
+            rca_matrix.values,
+            rca_matrix.countries,
+            rca_matrix.subfields,
+            countries_result,
+            subfields_result,
+        )
+        rankings[(panel.kind, panel.window)] = (countries_result, subfields_result)
+    detail = f"{len(rankings)} window/kind rankings"
+    if skipped:
+        detail += f"; empty panels skipped: {','.join(skipped)}"
+    return rankings, detail, not rankings
+
+
 # -- the orchestrator --------------------------------------------------------
 
 
@@ -456,199 +607,57 @@ def run_pipeline(config: PipelineConfig) -> dict:
         shutil.rmtree(run_dir)
     run_dir.mkdir(parents=True)
     stages: list[StageOutcome] = []
-    state: dict[str, object] = {}
 
-    plan = (
-        ("ingest", _stage_ingest),
-        ("metrics", _stage_metrics),
-        ("select", _stage_select),
-        ("panel", _stage_panel),
-        ("cluster", _stage_cluster),
-        ("rank", _stage_rank),
-        ("analyses", _stage_analyses),
-    )
-    for name, runner in plan:
+    def stage(name: str, runner, *args):
         started = time.monotonic()
         try:
-            detail, skipped = runner(config, run_dir, state)
+            result, detail, skipped = runner(*args)
         except Exception as exc:
             stages.append(
                 StageOutcome(name, "error", time.monotonic() - started, str(exc))
             )
             _write_manifest(config, run_dir, stages, complete=False)
             raise StageError(name, exc) from exc
-        stages.append(
-            StageOutcome(
-                name,
-                "skipped" if skipped else "ok",
-                time.monotonic() - started,
-                detail,
-            )
-        )
+        status = "skipped" if skipped else "ok"
+        stages.append(StageOutcome(name, status, time.monotonic() - started, detail))
+        return result
+
+    start, end = config.analysis_start, config.analysis_end
+    years = range(start, end + 1)
+    corpus = stage(
+        "ingest", ingest_stage, config.corpus_path, config.field_map(),
+        config.year_min, config.year_max, run_dir / "corpus.snap",
+        run_dir / "ingest_report.json",
+    )
+    works, nbnc, cd = stage(
+        "metrics", metrics_stage, corpus, config.horizon, (start, end),
+        config.cocited_semantics, config.gamma_convention, run_dir,
+    )
+    records = stage(
+        "select", select_stage, corpus, works, nbnc, cd, config.top_fraction,
+        years, run_dir,
+    )
+    series, panels = stage(
+        "panel", panel_stage, corpus, records, start, end, config.window_width,
+        config.subfield_allowlist or None, run_dir,
+    )
+    stage(
+        "cluster", cluster_stage, series, years, config.dtw_per_component,
+        config.sigma, config.leiden_resolution, config.leiden_seed, run_dir,
+    )
+    rankings = stage(
+        "rank", rank_stage, panels, config.rca_threshold, config.eigen_count, run_dir
+    )
+    stage("analyses", _analyses_stage, config, records, rankings, run_dir)
     return _write_manifest(config, run_dir, stages, complete=True)
 
 
-def _stage_ingest(
-    config: PipelineConfig, run_dir: Path, state: dict
-) -> tuple[str, bool]:
-    corpus, report = ingest_files(
-        config.corpus_path,
-        config.field_map(),
-        year_min=config.year_min,
-        year_max=config.year_max,
-    )
-    corpus.save_snapshot(run_dir / "corpus.snap")
-    _write_json(run_dir / "ingest_report.json", report.as_dict())
-    state["corpus"] = corpus
-    state["report"] = report
-    return f"{corpus.n_works} works, {corpus.n_edges} edges", False
-
-
-def _stage_metrics(
-    config: PipelineConfig, run_dir: Path, state: dict
-) -> tuple[str, bool]:
-    corpus: CitationCorpus = state["corpus"]
-    year_range = (config.analysis_start, config.analysis_end)
-    scores = nbnc_all(
-        corpus,
-        config.horizon,
-        year_range,
-        cocited_semantics=config.cocited_semantics,
-        gamma_convention=config.gamma_convention,
-    )
-    cds = cd_all(corpus, config.horizon, year_range)
-    write_metrics_tables(run_dir, corpus, scores, cds)
-    state["scores"] = scores
-    state["cds"] = cds
-    return f"{len(scores)} works scored", False
-
-
-def _stage_select(
-    config: PipelineConfig, run_dir: Path, state: dict
-) -> tuple[str, bool]:
-    corpus: CitationCorpus = state["corpus"]
-    records = select_breakthroughs(
-        corpus, state["scores"], state["cds"], config.top_fraction
-    )
-    write_breakthrough_tables(run_dir, records)
-    state["records"] = records
-    scored_years = {
-        corpus.pub_year_of(corpus.work_index(w)) for w in state["scores"]
-    }
-    missing = [
-        y
-        for y in range(config.analysis_start, config.analysis_end + 1)
-        if y not in scored_years
-    ]
-    detail = f"{len(records)} breakthroughs"
-    if missing:
-        detail += f"; years without scored works: {len(missing)}"
-    return detail, False
-
-
-def _stage_panel(
-    config: PipelineConfig, run_dir: Path, state: dict
-) -> tuple[str, bool]:
-    corpus: CitationCorpus = state["corpus"]
-    records: list[BreakthroughRecord] = state["records"]
-    years = range(config.analysis_start, config.analysis_end + 1)
-    series = subfield_series(records, corpus, years)
-    series = SeriesResult(
-        by_subfield={
-            sub: scaled_counts(s) for sub, s in series.by_subfield.items()
-        },
-        unlabeled=series.unlabeled,
-    )
-    write_series_table(run_dir, series)
-    state["series"] = series
-
-    allow = (
-        set(config.subfield_allowlist) if config.subfield_allowlist else None
-    )
-    panel_records = (
-        records
-        if allow is None
-        else [r for r in records if r.subfield_id in allow]
-    )
-    windows = decade_windows(
-        config.analysis_start, config.analysis_end, config.window_width
-    )
-    panels: list[PanelMatrix] = []
-    for window in windows:
-        for kind in (BreakthroughClass.CONSOLIDATING, BreakthroughClass.DISRUPTIVE):
-            panel = country_subfield_counts(panel_records, window, kind)
-            write_panel(run_dir, panel)
-            panels.append(panel)
-    state["panels"] = panels
-    return f"{len(series.by_subfield)} subfields, {len(panels)} panels", False
-
-
-def _stage_cluster(
-    config: PipelineConfig, run_dir: Path, state: dict
-) -> tuple[str, bool]:
-    series: SeriesResult = state["series"]
-    years = range(config.analysis_start, config.analysis_end + 1)
-    trajectories = trajectories_from_series(series.by_subfield, years)
-    if len(trajectories) < 2:
-        return "fewer than 2 subfields; clustering skipped", True
-    distances = distance_matrix(
-        trajectories, per_component=config.dtw_per_component
-    )
-    sigma = config.sigma if config.sigma is not None else default_sigma(distances)
-    similarity = similarity_matrix(distances, sigma)
-    result = with_mean_trajectories(
-        leiden_clusters(
-            similarity, resolution=config.leiden_resolution, seed=config.leiden_seed
-        ),
-        trajectories,
-    )
-    write_cluster_outputs(
-        run_dir, distances, similarity, result, result.mean_trajectories
-    )
-    state["clusters"] = result
-    return (
-        f"{len(result.cluster_members)} clusters, "
-        f"{len(result.singletons)} singletons"
-    ), False
-
-
-def _stage_rank(
-    config: PipelineConfig, run_dir: Path, state: dict
-) -> tuple[str, bool]:
-    panels: list[PanelMatrix] = state["panels"]
-    rankings = {}
-    skipped = []
-    for panel in panels:
-        key = (panel.kind, panel.window)
-        if panel.counts.size == 0 or not (panel.counts > 0).any():
-            skipped.append(_panel_stem(panel.kind, panel.window))
-            continue
-        rca_matrix = rca(panel)
-        adjacency = binarize(rca_matrix, config.rca_threshold)
-        countries_result, subfields_result = genepy_scores(
-            adjacency, config.eigen_count
-        )
-        write_rank_outputs(
-            run_dir,
-            adjacency,
-            rca_matrix.values,
-            rca_matrix.countries,
-            rca_matrix.subfields,
-            countries_result,
-            subfields_result,
-        )
-        rankings[key] = (countries_result, subfields_result)
-    state["rankings"] = rankings
-    detail = f"{len(rankings)} window/kind rankings"
-    if skipped:
-        detail += f"; empty panels skipped: {','.join(skipped)}"
-    return detail, not rankings
-
-
-def _stage_analyses(
-    config: PipelineConfig, run_dir: Path, state: dict
-) -> tuple[str, bool]:
-    rankings = state.get("rankings") or {}
+def _analyses_stage(
+    config: PipelineConfig,
+    records: list[BreakthroughRecord],
+    rankings: dict,
+    run_dir: Path,
+) -> tuple[None, str, bool]:
     notes = []
     wrote_any = False
 
@@ -693,7 +702,6 @@ def _stage_analyses(
         rd = stats.read_indicator_file(config.rd_share_path)
         gdp = stats.read_indicator_file(config.gdp_path)
         gerd = stats.gerd_means(rd, gdp, config.gerd_window)
-        records: list[BreakthroughRecord] = state["records"]
         lo, hi = config.gerd_window
         rows = []
         for kind in (BreakthroughClass.CONSOLIDATING, BreakthroughClass.DISRUPTIVE):
@@ -765,8 +773,8 @@ def _stage_analyses(
     if not config.comparator_rank_path and not (
         config.rd_share_path and config.gdp_path
     ):
-        return "no external indicators configured", True
-    return "; ".join(notes) if notes else "analyses written", not wrote_any
+        return None, "no external indicators configured", True
+    return None, "; ".join(notes) if notes else "analyses written", not wrote_any
 
 
 def _write_manifest(

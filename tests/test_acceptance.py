@@ -113,7 +113,9 @@ def test_c03_breakthrough_identity_and_selection_size():
         corpus = build(records_in)
         scores = nbnc_all(corpus, 6)
         cds = cd_all(corpus, 6)
-        chosen = select_breakthroughs(corpus, scores, cds, 0.05)
+        chosen = select_breakthroughs(
+            corpus, scores.works, scores.value, cds.value, 0.05
+        )
 
         pool: dict[int, int] = {}
         for wid in scores:

@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scibreak.impact import (
-    BreakthroughClass,
-    CdScore,
-    NbncScore,
-    cd_all,
-    nbnc_all,
-)
+from scibreak.impact import BreakthroughClass, cd_all, nbnc_all
 from scibreak.panel import (
     BreakthroughRecord,
     country_subfield_counts,
@@ -25,10 +19,9 @@ from conftest import build, make_records, random_citation_records
 
 
 def _scores(corpus, values):
-    """NbncScore/CdScore stubs keyed by work id from plain floats."""
-    scores = {w: NbncScore(w, 10, v, (), False) for w, v in values.items()}
-    cds = {w: CdScore(w, 10, 0.5, 1, 0, 1, 1, False) for w in values}
-    return scores, cds
+    """(works, nbnc, cd) arrays from NBNC values keyed by work id; CD 0.5."""
+    works = np.array([corpus.work_index(w) for w in values], dtype=np.int64)
+    return works, np.array(list(values.values()), dtype=float), np.full(len(works), 0.5)
 
 
 def _uniform_corpus(n, year=2000, subfield=3100, country="AA"):
@@ -45,22 +38,26 @@ def _uniform_corpus(n, year=2000, subfield=3100, country="AA"):
 class TestSelection:
     def test_top_five_percent_of_hundred(self):
         corpus = _uniform_corpus(100)
-        scores, cds = _scores(corpus, {f"W{i}": float(i) for i in range(100)})
-        records = select_breakthroughs(corpus, scores, cds, 0.05)
+        arrays = _scores(corpus, {f"W{i}": float(i) for i in range(100)})
+        records = select_breakthroughs(corpus, *arrays, 0.05)
         assert len(records) == 5
         assert [r.work_id for r in records] == ["W99", "W98", "W97", "W96", "W95"]
 
     def test_ceiling_keeps_small_years_nonempty(self):
         corpus = _uniform_corpus(10)
-        scores, cds = _scores(corpus, {f"W{i}": float(i) for i in range(10)})
-        assert len(select_breakthroughs(corpus, scores, cds, 0.05)) == 1
+        arrays = _scores(corpus, {f"W{i}": float(i) for i in range(10)})
+        assert len(select_breakthroughs(corpus, *arrays, 0.05)) == 1
 
     def test_tie_at_cut_prefers_smaller_id(self):
         corpus = _uniform_corpus(4)
         values = {"W0": 5.0, "W1": 1.0, "W2": 1.0, "W3": 0.0}
-        scores, cds = _scores(corpus, values)
-        records = select_breakthroughs(corpus, scores, cds, 0.5)
+        records = select_breakthroughs(corpus, *_scores(corpus, values), 0.5)
         assert [r.work_id for r in records] == ["W0", "W1"]
+        # the tie goes by id, not by corpus index: "W10" sorts before "W2"
+        corpus = _uniform_corpus(11)
+        values = {"W2": 1.0, "W10": 1.0, "W0": 0.0}
+        records = select_breakthroughs(corpus, *_scores(corpus, values), 0.3)
+        assert [r.work_id for r in records] == ["W10"]
 
     def test_raising_fraction_is_monotone(self):
         rng = np.random.default_rng(31)
@@ -68,9 +65,10 @@ class TestSelection:
         corpus = build(records_in)
         scores = nbnc_all(corpus, 5)
         cds = cd_all(corpus, 5)
+        arrays = (scores.works, scores.value, cds.value)
         previous: set[str] = set()
         for q in (0.02, 0.05, 0.1, 0.3, 0.6):
-            chosen = {r.work_id for r in select_breakthroughs(corpus, scores, cds, q)}
+            chosen = {r.work_id for r in select_breakthroughs(corpus, *arrays, q)}
             assert previous <= chosen
             previous = chosen
 
@@ -79,8 +77,9 @@ class TestSelection:
         corpus = build(random_citation_records(rng, 100))
         scores = nbnc_all(corpus, 5)
         cds = cd_all(corpus, 5)
-        first = select_breakthroughs(corpus, scores, cds, 0.1)
-        second = select_breakthroughs(corpus, scores, cds, 0.1)
+        arrays = (scores.works, scores.value, cds.value)
+        first = select_breakthroughs(corpus, *arrays, 0.1)
+        second = select_breakthroughs(corpus, *arrays, 0.1)
         assert first == second
 
     def test_classes_match_cd_sign(self):
@@ -88,7 +87,9 @@ class TestSelection:
         corpus = build(random_citation_records(rng, 120))
         scores = nbnc_all(corpus, 5)
         cds = cd_all(corpus, 5)
-        for record in select_breakthroughs(corpus, scores, cds, 0.2):
+        for record in select_breakthroughs(
+            corpus, scores.works, scores.value, cds.value, 0.2
+        ):
             expected = (
                 BreakthroughClass.DISRUPTIVE
                 if record.cd_value > 0
@@ -98,11 +99,11 @@ class TestSelection:
 
     def test_bad_fraction(self):
         corpus = _uniform_corpus(3)
-        scores, cds = _scores(corpus, {"W0": 1.0})
+        arrays = _scores(corpus, {"W0": 1.0})
         with pytest.raises(ValueError):
-            select_breakthroughs(corpus, scores, cds, 0.0)
+            select_breakthroughs(corpus, *arrays, 0.0)
         with pytest.raises(ValueError):
-            select_breakthroughs(corpus, scores, cds, 1.0)
+            select_breakthroughs(corpus, *arrays, 1.0)
 
 
 def _record(wid, year, subfield, countries, klass):
@@ -155,7 +156,9 @@ class TestSubfieldSeries:
         corpus = build(random_citation_records(rng, 200))
         scores = nbnc_all(corpus, 5)
         cds = cd_all(corpus, 5)
-        records = select_breakthroughs(corpus, scores, cds, 0.2)
+        records = select_breakthroughs(
+            corpus, scores.works, scores.value, cds.value, 0.2
+        )
         years = range(1990, 2011)
         result = subfield_series(records, corpus, years)
         for series in result.by_subfield.values():
@@ -232,7 +235,9 @@ class TestCountrySubfieldCounts:
         corpus = build(random_citation_records(rng, 200))
         scores = nbnc_all(corpus, 5)
         cds = cd_all(corpus, 5)
-        records = select_breakthroughs(corpus, scores, cds, 0.3)
+        records = select_breakthroughs(
+            corpus, scores.works, scores.value, cds.value, 0.3
+        )
         window = (1990, 2010)
         for kind in BreakthroughClass:
             panel = country_subfield_counts(records, window, kind)
@@ -274,7 +279,9 @@ class TestSelectionSizeIdentity:
         corpus = build(records_in)
         scores = nbnc_all(corpus, 5)
         cds = cd_all(corpus, 5)
-        chosen = select_breakthroughs(corpus, scores, cds, 0.05)
+        chosen = select_breakthroughs(
+            corpus, scores.works, scores.value, cds.value, 0.05
+        )
         per_year_pool: dict[int, int] = {}
         for wid in scores:
             year = corpus.pub_year_of(corpus.work_index(wid))

@@ -1,8 +1,11 @@
 """Config handling, stage artifacts, CLI subcommands, and pipeline runs."""
 
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scibreak.cli import main as cli_main
@@ -187,8 +190,14 @@ class TestPipelineRun:
         manifest = run_pipeline(config)
         run_dir = Path(config.out_root) / manifest["config_hash"]
 
-        scores, cds = read_metrics_dir(run_dir / "metrics")
-        assert scores and set(scores) == set(cds)
+        corpus = CitationCorpus.load_snapshot(run_dir / "corpus.snap")
+        assert corpus.n_works == 200
+
+        works, nbnc, cd = read_metrics_dir(run_dir / "metrics", corpus)
+        assert len(works) and len(nbnc) == len(cd) == len(works)
+        years = corpus.pub_years
+        in_range = np.nonzero((1975 <= years) & (years <= 2000))[0]
+        assert sorted(works.tolist()) == in_range.tolist()
 
         records = read_breakthrough_tables(run_dir / "breakthroughs")
         assert records
@@ -203,9 +212,6 @@ class TestPipelineRun:
         assert panel_paths
         panel = read_panel(panel_paths[0])
         assert panel.counts.ndim == 2
-
-        corpus = CitationCorpus.load_snapshot(run_dir / "corpus.snap")
-        assert corpus.n_works == 200
 
     def test_subfield_allowlist_restricts_panels(self, tmp_path):
         config = small_config(tmp_path, subfield_allowlist=(3100, 3101, 3102))
@@ -439,6 +445,20 @@ class TestCliStages:
         for rel in from_run:
             assert from_run[rel] == from_cli[rel], rel
 
+    def test_cluster_single_subfield_is_skipped(self, tmp_path, capsys):
+        series = tmp_path / "subfield_series.tsv"
+        series.write_text(
+            "subfield\tyear\tn_total\tn_bt\tn_cn\tn_di\tscaled_cn\tscaled_di\tflags\n"
+            "3100\t2000\t4\t1\t1\t0\t0.25\t0.0\t-\n"
+            "3100\t2001\t2\t1\t0\t1\t0.0\t0.5\t-\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1"]
+        assert cli_main(argv) == 1
+        assert "fewer than 2 subfields; clustering skipped" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_correlate_and_fit_commands(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         a.write_text(
@@ -490,3 +510,15 @@ class TestCliStages:
             )
             == 2
         )
+
+
+def test_bench_tracing_targets_resolve():
+    # bench/tracing.py wraps these names by getattr; a missing one fails
+    # every traced benchmark round
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, *_ in tracing._TARGETS:
+        module = importlib.import_module(f"scibreak.{module_name}")
+        assert callable(getattr(module, attr, None)), f"scibreak.{module_name}.{attr}"
