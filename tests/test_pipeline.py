@@ -255,6 +255,79 @@ class TestPipelineRun:
         assert by_name["analyses"]["status"] == "ok"
         assert (run_dir / "analysis" / "gerd_fit.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "case,status,detail,written",
+        [
+            ("none", "skipped", "no external indicators configured", set()),
+            (
+                "comparator_without_rankings",
+                "skipped",
+                "comparator given but no rankings to compare",
+                set(),
+            ),
+            (
+                "comparator_without_periods",
+                "ok",
+                "comparator given but no comparable periods",
+                {"gerd_fit.tsv"},
+            ),
+            (
+                "gerd_too_few_countries",
+                "skipped",
+                "GERD inputs given but too few overlapping countries",
+                set(),
+            ),
+            ("both", "ok", "analyses written", {"spearman.tsv", "gerd_fit.tsv"}),
+        ],
+    )
+    def test_analyses_stage_outcomes(self, tmp_path, case, status, detail, written):
+        # the synthetic generator's countries are AA, AB, ...; ZA.. never occur
+        ours = [f"{chr(65 + i // 26)}{chr(65 + i % 26)}" for i in range(52)]
+        foreign = ["ZA", "ZB", "ZC", "ZD"]
+
+        def indicator(name, codes, years):
+            lines = ["country\tperiod\tvalue"] + [
+                f"{code}\t{year}\t{1.0 + i}"
+                for i, code in enumerate(codes)
+                for year in years
+            ]
+            path = tmp_path / name
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return str(path)
+
+        gerd_years = range(1985, 1995)
+        comparator = indicator("comparator.tsv", ours, [2005])
+        gerd = dict(
+            rd_share_path=indicator("rd.tsv", ours, gerd_years),
+            gdp_path=indicator("gdp.tsv", ours, gerd_years),
+            gerd_window=(1985, 1994),
+        )
+        overrides = {
+            "none": {},
+            # no subfield 1 exists, so every panel is empty and nothing ranks
+            "comparator_without_rankings": dict(
+                comparator_rank_path=comparator, subfield_allowlist=(1,)
+            ),
+            "comparator_without_periods": dict(
+                comparator_rank_path=indicator("foreign.tsv", foreign, [2005]),
+                **gerd,
+            ),
+            "gerd_too_few_countries": dict(
+                rd_share_path=indicator("rd_foreign.tsv", foreign, gerd_years),
+                gdp_path=indicator("gdp_foreign.tsv", foreign, gerd_years),
+                gerd_window=(1985, 1994),
+            ),
+            "both": dict(comparator_rank_path=comparator, **gerd),
+        }[case]
+        config = small_config(tmp_path, n_works=400, **overrides)
+        manifest = run_pipeline(config)
+        run_dir = Path(config.out_root) / manifest["config_hash"]
+        analyses = manifest["stages"][-1]
+        assert analyses["name"] == "analyses"
+        assert (analyses["status"], analyses["detail"]) == (status, detail)
+        for name in ("spearman.tsv", "gerd_fit.tsv"):
+            assert (run_dir / "analysis" / name).exists() == (name in written), name
+
 
 class TestIngestionRobustness:
     def test_openalex_shaped_file_with_noise(self, tmp_path):
