@@ -103,47 +103,52 @@ def loglog_fit(
     return PowerLawFit(float(slope), float(math.exp(intercept)), residual)
 
 
+def read_delimited(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
+    """Header names and rows of a delimited text file with a header line.
+
+    The delimiter is the first of tab, comma and semicolon found in the
+    header line, tab if it holds none of them.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline()
+        fh.seek(0)
+        delimiter = next((d for d in "\t,;" if d in header), "\t")
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        return list(reader.fieldnames or ()), list(reader)
+
+
 def read_indicator_file(path: str | Path) -> list[IndicatorValue]:
     """Read (country, period, value) rows from delimited text.
 
-    The delimiter is sniffed from the header (tab, comma, or semicolon);
-    a header row naming the columns is required.  Rows with unparseable
-    periods or values are skipped.
+    The delimiter follows :func:`read_delimited`; a header row naming the
+    columns is required.  Rows with unparseable periods or values are
+    skipped.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        sample = fh.readline()
-        delimiter = "\t"
-        for candidate in ("\t", ",", ";"):
-            if candidate in sample:
-                delimiter = candidate
-                break
-        fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None:
-            return []
-        fields = {name.strip().lower(): name for name in reader.fieldnames}
+    fieldnames, records = read_delimited(path)
+    if not fieldnames:
+        return []
+    fields = {name.strip().lower(): name for name in fieldnames}
+    try:
+        country_col = fields["country"]
+        period_col = fields["period"]
+        value_col = fields["value"]
+    except KeyError as exc:
+        raise ValueError(
+            f"{path}: indicator file must have country/period/value "
+            f"columns, found {fieldnames}"
+        ) from exc
+    rows: list[IndicatorValue] = []
+    for row in records:
         try:
-            country_col = fields["country"]
-            period_col = fields["period"]
-            value_col = fields["value"]
-        except KeyError as exc:
-            raise ValueError(
-                f"{path}: indicator file must have country/period/value "
-                f"columns, found {reader.fieldnames}"
-            ) from exc
-        rows: list[IndicatorValue] = []
-        for row in reader:
-            try:
-                rows.append(
-                    IndicatorValue(
-                        country=row[country_col].strip().upper(),
-                        period=int(row[period_col]),
-                        value=float(row[value_col]),
-                    )
+            rows.append(
+                IndicatorValue(
+                    country=row[country_col].strip().upper(),
+                    period=int(row[period_col]),
+                    value=float(row[value_col]),
                 )
-            except (TypeError, ValueError, AttributeError):
-                continue
+            )
+        except (TypeError, ValueError, AttributeError):
+            continue
     return rows
 
 

@@ -10,14 +10,12 @@ file.  See the README for the config schema and output layout.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
-from typing import Iterator
 
 from . import analysis as stats
 from .config import ConfigError, PipelineConfig, with_overrides
-from .corpus import CitationCorpus, FieldMap
+from .corpus import CitationCorpus, FieldMap, UnknownWorkError
 from .pipeline import (
     StageError,
     cluster_stage,
@@ -202,17 +200,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return _report(detail, skipped, args.out_dir)
 
 
-def _read_rows(path: str) -> Iterator[dict[str, str]]:
-    """Rows of a file with a header line; tab-separated if that line has a tab."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        delimiter = "\t" if "\t" in fh.readline() else ","
-        fh.seek(0)
-        yield from csv.DictReader(fh, delimiter=delimiter)
-
-
 def _read_columns(path: str, label_col: str, value_col: str) -> dict[str, float]:
     out = {}
-    for row in _read_rows(path):
+    for row in stats.read_delimited(path)[1]:
         try:
             out[row[label_col]] = float(row[value_col])
         except (KeyError, TypeError, ValueError):
@@ -249,12 +239,13 @@ def _add_fit(sub: argparse._SubParsersAction) -> None:
 def _cmd_fit(args: argparse.Namespace) -> int:
     xs = []
     ys = []
-    for row in _read_rows(args.data):
+    for row in stats.read_delimited(args.data)[1]:
         try:
-            xs.append(float(row[args.x_col]))
-            ys.append(float(row[args.y_col]))
+            x, y = float(row[args.x_col]), float(row[args.y_col])
         except (KeyError, TypeError, ValueError):
             continue
+        xs.append(x)
+        ys.append(y)
     fit = stats.loglog_fit(xs, ys)
     print(
         f"exponent={fit.exponent!r} prefactor={fit.prefactor!r} "
@@ -313,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UnknownWorkError as exc:
+        print(f"error: unknown work id {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, StageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

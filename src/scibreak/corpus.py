@@ -594,45 +594,10 @@ def yearly_citation_series(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     focal = corpus.work_index(work_id)
     year = corpus.pub_year_of(focal)
-    gamma = [0] * (horizon + 1)
-    noise = 0
-    for citer in corpus.citers_idx(focal):
-        off = corpus.pub_year_of(int(citer)) - year
-        if off < 0:
-            noise += 1
-        elif off <= horizon:
-            gamma[off] += 1
-    return YearlyCitationSeries(work_id, horizon, tuple(gamma), noise)
-
-
-def cocited_member_indices(
-    corpus: CitationCorpus,
-    focal_idx: int,
-    offset: int,
-    semantics: str = "multiset",
-) -> list[int]:
-    """Indices co-cited with the focal work by citers at one year offset.
-
-    Multiset semantics repeats a member once per citing reference list that
-    contains it; set semantics keeps each member once.  Output is sorted by
-    work index either way.
-    """
-    if semantics not in ("multiset", "set"):
-        raise ValueError(f"unknown co-citation semantics: {semantics!r}")
-    target_year = corpus.pub_year_of(focal_idx) + offset
-    members: list[int] = []
-    for citer in corpus.citers_idx(focal_idx):
-        citer = int(citer)
-        if corpus.pub_year_of(citer) != target_year:
-            continue
-        for ref in corpus.references_idx(citer):
-            ref = int(ref)
-            if ref != focal_idx:
-                members.append(ref)
-    if semantics == "set":
-        return sorted(set(members))
-    members.sort()
-    return members
+    calendar = year + np.arange(horizon + 1)
+    gamma = corpus.citations_in_years(focal, calendar, calendar)
+    noise = corpus.citations_in_years(focal, corpus.year_min, year - 1)
+    return YearlyCitationSeries(work_id, horizon, tuple(gamma.tolist()), int(noise))
 
 
 def cocited_bag(
@@ -642,11 +607,19 @@ def cocited_bag(
     *,
     semantics: str = "multiset",
 ) -> CocitedBag:
-    """Collect the co-cited bag of a focal work at one year offset."""
+    """Collect the co-cited bag of a focal work at one year offset.
+
+    Multiset semantics repeats a member once per citing reference list that
+    contains it; set semantics keeps each member once.
+    """
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
     focal = corpus.work_index(focal_id)
-    members = cocited_member_indices(corpus, focal, offset, semantics)
-    return CocitedBag(
-        focal_id, offset, tuple(corpus.work_id(m) for m in members)
-    )
+    if semantics not in ("multiset", "set"):
+        raise ValueError(f"unknown co-citation semantics: {semantics!r}")
+    _, citers = corpus.citer_pairs(np.array([focal]))
+    citers = citers[corpus.pub_years[citers] == corpus.pub_year_of(focal) + offset]
+    _, members = corpus.reference_pairs(citers)
+    members = members[members != focal]
+    members = np.unique(members) if semantics == "set" else np.sort(members)
+    return CocitedBag(focal_id, offset, tuple(map(corpus.work_id, members.tolist())))

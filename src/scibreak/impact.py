@@ -35,13 +35,13 @@ Citing works dated before the focal year are corpus noise and never count.
 
 Both kernels take an array of focal works and process it in blocks of one
 publication year, so the expanded edges of only one year are held at a
-time.  Results are read-only mappings over per-work arrays; the per-work
-score objects are built only when looked up.
+time.  Results are tables of arrays with one row per focal work, in the
+order of ``works``; the one-work calls :func:`nbnc` and :func:`cd_index`
+read row 0 of a one-work table into a score object.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,69 +93,38 @@ class CdScore:
     zero_denominator: bool
 
 
-class _ScoreTable(Mapping):
-    """Scores of a set of works, one array row per work in index order."""
+@dataclass(frozen=True, eq=False)
+class NbncTable:
+    """NBNC of a set of works, one array row per work of ``works``.
 
-    def __init__(self, corpus: CitationCorpus, works: np.ndarray, horizon: int):
-        self.works = works
-        self.horizon = horizon
-        ids = corpus.ids
-        self._rows = {ids[idx]: row for row, idx in enumerate(works.tolist())}
+    ``terms`` is (works, horizon + 1) and ``value`` adds each row's terms
+    left to right; ``truncated`` is the ``truncated_horizon`` flag.
+    """
+
+    works: np.ndarray
+    horizon: int
+    terms: np.ndarray
+    value: np.ndarray
+    truncated: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._rows)
+        return len(self.works)
 
 
-class NbncTable(_ScoreTable):
-    """NBNC of a set of works: ``terms`` is (works, horizon + 1)."""
+@dataclass(frozen=True, eq=False)
+class CdTable:
+    """CD of a set of works with its integer components, one row per work."""
 
-    def __init__(self, corpus, works, horizon, terms, truncated):
-        super().__init__(corpus, works, horizon)
-        self.terms = terms
-        self.value = np.zeros(len(works))
-        for column in terms.T:
-            self.value += column  # left to right, as sum() adds the terms
-        self.truncated = truncated
+    works: np.ndarray
+    horizon: int
+    c_x: np.ndarray
+    c_y: np.ndarray
+    c_refs: np.ndarray
+    value: np.ndarray
+    zero_denominator: np.ndarray
 
-    def __getitem__(self, work_id: str) -> NbncScore:
-        row = self._rows[work_id]
-        return NbncScore(
-            work_id,
-            self.horizon,
-            self.value.item(row),
-            tuple(self.terms[row].tolist()),
-            self.truncated.item(row),
-        )
-
-
-class CdTable(_ScoreTable):
-    """CD of a set of works with its integer components as arrays."""
-
-    def __init__(self, corpus, works, horizon, c_x, c_y, c_refs):
-        super().__init__(corpus, works, horizon)
-        self.c_x, self.c_y, self.c_refs = c_x, c_y, c_refs
-        denom = c_x + c_y + c_refs
-        self.zero_denominator = denom == 0
-        self.value = np.divide(
-            c_x - c_y, denom, out=np.zeros(len(works)), where=denom > 0
-        )
-
-    def __getitem__(self, work_id: str) -> CdScore:
-        row = self._rows[work_id]
-        c_x, c_y = self.c_x.item(row), self.c_y.item(row)
-        return CdScore(
-            work_id,
-            self.horizon,
-            self.value.item(row),
-            c_x,
-            c_y,
-            c_x + c_y,
-            self.c_refs.item(row),
-            self.zero_denominator.item(row),
-        )
+    def __len__(self) -> int:
+        return len(self.works)
 
 
 def nbnc(
@@ -175,7 +144,13 @@ def nbnc(
     """
     works = np.array([corpus.work_index(work_id)])
     table = _nbnc_table(corpus, works, horizon, cocited_semantics, gamma_convention)
-    return table[work_id]
+    return NbncScore(
+        work_id,
+        horizon,
+        table.value.item(0),
+        tuple(table.terms[0].tolist()),
+        table.truncated.item(0),
+    )
 
 
 def nbnc_all(
@@ -188,8 +163,8 @@ def nbnc_all(
 ) -> NbncTable:
     """NBNC for every work published in ``year_range`` (whole corpus if None).
 
-    Equals calling :func:`nbnc` per work; iteration order is work index, so
-    the result is deterministic regardless of how the corpus was built up.
+    Row i equals calling :func:`nbnc` on ``works[i]``; rows are in work-index
+    order, so the result is deterministic however the corpus was built up.
     """
     return _nbnc_table(
         corpus,
@@ -208,7 +183,18 @@ def cd_index(corpus: CitationCorpus, work_id: str, horizon: int) -> CdScore:
     and ignored.  Reference citations are counted per citing edge.
     """
     works = np.array([corpus.work_index(work_id)])
-    return _cd_table(corpus, works, horizon)[work_id]
+    table = _cd_table(corpus, works, horizon)
+    c_x, c_y = table.c_x.item(0), table.c_y.item(0)
+    return CdScore(
+        work_id,
+        horizon,
+        table.value.item(0),
+        c_x,
+        c_y,
+        c_x + c_y,
+        table.c_refs.item(0),
+        table.zero_denominator.item(0),
+    )
 
 
 def cd_all(
@@ -284,8 +270,11 @@ def _nbnc_table(
         terms[rows] = _nbnc_terms(
             corpus, works[rows], year, horizon, semantics, convention
         )
+    value = np.zeros(len(works))
+    for column in terms.T:
+        value += column  # left to right, as sum() adds the terms
     truncated = corpus.pub_years[works] + horizon > (corpus.year_max or 0)
-    return NbncTable(corpus, works, horizon, terms, truncated)
+    return NbncTable(works, horizon, terms, value, truncated)
 
 
 def _nbnc_terms(
@@ -327,7 +316,10 @@ def _cd_table(corpus: CitationCorpus, works: np.ndarray, horizon: int) -> CdTabl
     parts = np.zeros((3, len(works)), dtype=np.int64)
     for year, rows in _year_blocks(corpus, works):
         parts[:, rows] = _cd_parts(corpus, works[rows], year, horizon)
-    return CdTable(corpus, works, horizon, *parts)
+    c_x, c_y, c_refs = parts
+    denom = c_x + c_y + c_refs
+    value = np.divide(c_x - c_y, denom, out=np.zeros(len(works)), where=denom > 0)
+    return CdTable(works, horizon, c_x, c_y, c_refs, value, denom == 0)
 
 
 def _cd_parts(

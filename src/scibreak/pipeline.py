@@ -652,19 +652,27 @@ def run_pipeline(config: PipelineConfig) -> dict:
     return _write_manifest(config, run_dir, stages, complete=True)
 
 
+def _country_ranks(rankings: dict, key: tuple) -> dict[str, float]:
+    """Rank of every unpruned country in the countries ranking under ``key``."""
+    return {e.label: float(e.rank) for e in rankings[key][0].ranking if not e.pruned}
+
+
 def _analyses_stage(
     config: PipelineConfig,
     records: list[BreakthroughRecord],
     rankings: dict,
     run_dir: Path,
 ) -> tuple[None, str, bool]:
+    comparator = config.comparator_rank_path
+    gerd_inputs = config.rd_share_path and config.gdp_path
+    if not comparator and not gerd_inputs:
+        return None, "no external indicators configured", True
     notes = []
     wrote_any = False
 
-    if config.comparator_rank_path and rankings:
-        comparator = stats.read_indicator_file(config.comparator_rank_path)
+    if comparator and rankings:
         by_period: dict[int, dict[str, float]] = {}
-        for row in comparator:
+        for row in stats.read_indicator_file(comparator):
             by_period.setdefault(row.period, {})[row.country] = row.value
         rows = []
         for kind in (BreakthroughClass.DISRUPTIVE, BreakthroughClass.CONSOLIDATING):
@@ -672,11 +680,7 @@ def _analyses_stage(
             if not windows:
                 continue
             last = windows[-1]
-            ours = {
-                e.label: float(e.rank)
-                for e in rankings[(kind, last)][0].ranking
-                if not e.pruned
-            }
+            ours = _country_ranks(rankings, (kind, last))
             for period in sorted(by_period):
                 try:
                     rho = stats.spearman(ours, by_period[period])
@@ -695,10 +699,10 @@ def _analyses_stage(
             wrote_any = True
         else:
             notes.append("comparator given but no comparable periods")
-    elif config.comparator_rank_path:
+    elif comparator:
         notes.append("comparator given but no rankings to compare")
 
-    if config.rd_share_path and config.gdp_path:
+    if gerd_inputs:
         rd = stats.read_indicator_file(config.rd_share_path)
         gdp = stats.read_indicator_file(config.gdp_path)
         gerd = stats.gerd_means(rd, gdp, config.gerd_window)
@@ -710,56 +714,23 @@ def _analyses_stage(
                 if record.klass is kind and lo <= record.year <= hi:
                     for code in record.country_codes:
                         counts[code] = counts.get(code, 0) + 1
-            xs = []
-            ys = []
-            for country in sorted(counts):
-                if country in gerd and counts[country] > 0 and gerd[country].value > 0:
-                    xs.append(gerd[country].value)
-                    ys.append(float(counts[country]))
-            if len(xs) >= 3:
-                fit = stats.loglog_fit(xs, ys)
-                rows.append(
-                    (
-                        kind.value,
-                        "counts",
-                        len(xs),
-                        fit.exponent,
-                        fit.prefactor,
-                        fit.residual,
-                    )
-                )
-            window_key = next(
-                (
-                    (kind, w)
-                    for k, w in rankings
-                    if k is kind and w[0] <= lo and hi <= w[1]
-                ),
-                None,
-            )
-            if window_key in rankings:
-                ranks = {
-                    e.label: float(e.rank)
-                    for e in rankings[window_key][0].ranking
-                    if not e.pruned
-                }
-                xs = []
-                ys = []
-                for country in sorted(ranks):
-                    if country in gerd and gerd[country].value > 0:
-                        xs.append(gerd[country].value)
-                        ys.append(ranks[country])
-                if len(xs) >= 3:
-                    fit = stats.loglog_fit(xs, ys)
-                    rows.append(
-                        (
-                            kind.value,
-                            "rank",
-                            len(xs),
-                            fit.exponent,
-                            fit.prefactor,
-                            fit.residual,
-                        )
-                    )
+            targets = [("counts", counts)]
+            covering = [
+                w for k, w in rankings if k is kind and w[0] <= lo and hi <= w[1]
+            ]
+            if covering:
+                targets.append(("rank", _country_ranks(rankings, (kind, covering[0]))))
+            # counts and ranks are >= 1, so only the GERD side can be non-positive
+            for target, values in targets:
+                pairs = [
+                    (gerd[country].value, values[country])
+                    for country in sorted(values)
+                    if country in gerd and gerd[country].value > 0
+                ]
+                if len(pairs) >= 3:
+                    fit = stats.loglog_fit(*zip(*pairs))
+                    cells = (fit.exponent, fit.prefactor, fit.residual)
+                    rows.append((kind.value, target, len(pairs), *cells))
         if rows:
             _write_tsv(
                 run_dir / "analysis" / "gerd_fit.tsv",
@@ -770,10 +741,6 @@ def _analyses_stage(
         else:
             notes.append("GERD inputs given but too few overlapping countries")
 
-    if not config.comparator_rank_path and not (
-        config.rd_share_path and config.gdp_path
-    ):
-        return None, "no external indicators configured", True
     return None, "; ".join(notes) if notes else "analyses written", not wrote_any
 
 

@@ -53,11 +53,12 @@ def test_c01_nbnc_oracle_equivalence():
             )
             corpus = build(records)
             batch = nbnc_all(corpus, 8)
+            assert batch.works.tolist() == list(range(corpus.n_works))
             for record in records:
                 expected, terms = naive_nbnc(records, record["id"], 8)
-                mine = batch[record["id"]]
-                assert mine.value == expected
-                assert mine.yearly_terms == tuple(terms)
+                row = corpus.work_index(record["id"])
+                assert batch.value[row] == expected
+                assert tuple(batch.terms[row].tolist()) == tuple(terms)
         fixture = build(
             make_records(
                 [
@@ -118,8 +119,8 @@ def test_c03_breakthrough_identity_and_selection_size():
         )
 
         pool: dict[int, int] = {}
-        for wid in scores:
-            year = corpus.pub_year_of(corpus.work_index(wid))
+        for idx in scores.works.tolist():
+            year = corpus.pub_year_of(idx)
             pool[year] = pool.get(year, 0) + 1
         sizes: dict[int, int] = {}
         for record in chosen:

@@ -20,6 +20,24 @@ from conftest import build, make_records, random_citation_records
 from oracles import brute_cd, naive_nbnc
 
 
+def assert_nbnc_row(table, row, score):
+    """Row ``row`` of an NBNC table holds the one-work ``score``, field by field."""
+    assert table.horizon == score.horizon
+    assert table.value[row] == score.value
+    assert tuple(table.terms[row].tolist()) == score.yearly_terms
+    assert table.truncated[row] == score.truncated_horizon
+
+
+def assert_cd_row(table, row, score):
+    """Row ``row`` of a CD table holds the one-work ``score``, field by field."""
+    assert table.horizon == score.horizon
+    assert table.value[row] == score.value
+    assert table.c_x[row] == score.c_x
+    assert table.c_y[row] == score.c_y
+    assert table.c_refs[row] == score.c_refs
+    assert table.zero_denominator[row] == score.zero_denominator
+
+
 class TestNbncFixtures:
     def test_six_work_fixture(self, six_work_corpus):
         score = nbnc(six_work_corpus, "f", 10)
@@ -140,13 +158,16 @@ class TestNbncProperties:
         records = random_citation_records(rng, 120)
         corpus = build(records)
         batch = nbnc_all(corpus, 5, (1995, 2005))
-        assert batch  # non-trivial range
-        for wid, score in batch.items():
-            assert score == nbnc(corpus, wid, 5)
+        assert len(batch)  # non-trivial range
+        for row, idx in enumerate(batch.works.tolist()):
+            assert_nbnc_row(batch, row, nbnc(corpus, corpus.work_id(idx), 5))
 
     def test_empty_range(self):
         corpus = build(make_records([("f", 2000, [])]))
-        assert nbnc_all(corpus, 5, (1900, 1901)) == {}
+        table = nbnc_all(corpus, 5, (1900, 1901))
+        assert len(table) == 0
+        assert table.terms.shape == (0, 6)
+        assert len(table.value) == len(table.truncated) == 0
 
     def test_nonnegative_and_zero_terms_characterized(self):
         rng = np.random.default_rng(24)
@@ -277,10 +298,13 @@ class TestCdProperties:
         rng = np.random.default_rng(26)
         records = random_citation_records(rng, 200)
         corpus = build(records)
-        for score in cd_all(corpus, 10).values():
-            assert -1.0 <= score.value <= 1.0
-            if not score.zero_denominator:
-                assert np.sign(score.value) == np.sign(score.c_x - score.c_y)
+        cds = cd_all(corpus, 10)
+        assert len(cds) == len(records)
+        assert ((-1.0 <= cds.value) & (cds.value <= 1.0)).all()
+        live = ~cds.zero_denominator
+        assert (np.sign(cds.value[live]) == np.sign(cds.c_x - cds.c_y)[live]).all()
+        for record in records:
+            score = cd_index(corpus, record["id"], 10)
             assert score.c_total == score.c_x + score.c_y
 
     def test_pure_citer_never_decreases_cd(self):
@@ -367,27 +391,37 @@ class TestKernelsAgainstOracles:
         scores = nbnc_all(corpus, horizon, **options)
         cds = cd_all(corpus, horizon)
         assert len(scores) == len(cds) == len(records)
+        assert scores.works.tolist() == cds.works.tolist() == list(range(len(records)))
         for record in records:
             wid = record["id"]
+            row = corpus.work_index(wid)
             value, terms = naive_nbnc(records, wid, horizon, semantics, convention)
-            assert scores[wid].value == value
-            assert scores[wid].yearly_terms == tuple(terms)
-            assert scores[wid] == nbnc(corpus, wid, horizon, **options)
+            assert scores.value[row] == value
+            assert tuple(scores.terms[row].tolist()) == tuple(terms)
+            assert_nbnc_row(scores, row, nbnc(corpus, wid, horizon, **options))
             cd_value, parts = brute_cd(records, wid, horizon)
-            assert cds[wid].value == cd_value
-            assert (cds[wid].c_x, cds[wid].c_y, cds[wid].c_refs) == parts
-            assert cds[wid].zero_denominator == (sum(parts) == 0)
-            assert cds[wid] == cd_index(corpus, wid, horizon)
+            assert cds.value[row] == cd_value
+            assert (cds.c_x[row], cds.c_y[row], cds.c_refs[row]) == parts
+            assert cds.zero_denominator[row] == (sum(parts) == 0)
+            assert_cd_row(cds, row, cd_index(corpus, wid, horizon))
 
         # year blocks are an evaluation detail: a sub-range scores the same
         lo, hi = bounds
         year = {r["id"]: r["publication_year"] for r in records}
-        inside = [wid for wid in scores if lo <= year[wid] <= hi]
+        inside = [
+            row
+            for row, idx in enumerate(scores.works.tolist())
+            if lo <= year[corpus.work_id(idx)] <= hi
+        ]
         sub_scores = nbnc_all(corpus, horizon, (lo, hi), **options)
         sub_cds = cd_all(corpus, horizon, (lo, hi))
-        assert list(sub_scores) == list(sub_cds) == inside
-        assert sub_scores == {wid: scores[wid] for wid in inside}
-        assert sub_cds == {wid: cds[wid] for wid in inside}
+        assert sub_scores.works.tolist() == sub_cds.works.tolist()
+        assert sub_scores.works.tolist() == scores.works[inside].tolist()
+        assert sub_scores.horizon == sub_cds.horizon == horizon
+        for name in ("terms", "value", "truncated"):
+            assert np.array_equal(getattr(sub_scores, name), getattr(scores, name)[inside])
+        for name in ("c_x", "c_y", "c_refs", "value", "zero_denominator"):
+            assert np.array_equal(getattr(sub_cds, name), getattr(cds, name)[inside])
 
 
 class TestClassify:

@@ -283,8 +283,8 @@ class TestSelectionSizeIdentity:
             corpus, scores.works, scores.value, cds.value, 0.05
         )
         per_year_pool: dict[int, int] = {}
-        for wid in scores:
-            year = corpus.pub_year_of(corpus.work_index(wid))
+        for idx in scores.works.tolist():
+            year = corpus.pub_year_of(idx)
             per_year_pool[year] = per_year_pool.get(year, 0) + 1
         per_year_chosen: dict[int, int] = {}
         for record in chosen:

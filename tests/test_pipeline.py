@@ -552,6 +552,40 @@ class TestCliStages:
         out = capsys.readouterr().out
         assert "exponent=1.5" in out
 
+    def test_correlate_semicolon_files(self, tmp_path, capsys):
+        # the delimiter rule is the indicator files' one: tab, comma or semicolon
+        a = tmp_path / "a.csv"
+        a.write_text("label;rank\nAA;1\nBB;2\nCC;3\n", encoding="utf-8")
+        b = tmp_path / "b.csv"
+        b.write_text("label;rank\nAA;1\nBB;3\nCC;2\n", encoding="utf-8")
+        assert cli_main(["correlate", str(a), str(b)]) == 0
+        assert "spearman=0.5 n_common=3" in capsys.readouterr().out
+
+    def test_fit_skips_rows_with_a_blank_value(self, tmp_path, capsys):
+        # a blank y once left x one value longer than y: "length mismatch"
+        data = tmp_path / "data.tsv"
+        rows = ["x\ty"] + [f"{x}\t{2 * x ** 1.5}" for x in (1.0, 2.0, 4.0, 8.0)]
+        data.write_text("\n".join(rows + ["16.0\t"]) + "\n", encoding="utf-8")
+        assert cli_main(["fit", str(data), "--x-col", "x", "--y-col", "y"]) == 0
+        out = capsys.readouterr().out
+        assert "exponent=1.5" in out and "n=4" in out
+
+    def test_select_unknown_work_id_is_an_input_error(self, tmp_path, capsys):
+        works = tmp_path / "works.jsonl"
+        write_jsonl(synthetic_records(30, seed=3, year_start=1990, year_end=2000), works)
+        snap = tmp_path / "corpus.snap"
+        assert cli_main(["ingest", "--input", str(works), "--snapshot", str(snap)]) == 0
+        metrics = tmp_path / "metrics"
+        metrics.mkdir()
+        (metrics / "metrics_1995.tsv").write_text(
+            "work_id\tnbnc\tcd\tflags\nNOPE\t1.0\t0.5\t-\n", encoding="utf-8"
+        )
+        argv = ["select", "--snapshot", str(snap), "--metrics-dir", str(metrics),
+                "--out-dir", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NOPE" in err
+
     def test_run_command(self, tmp_path, capsys):
         works = tmp_path / "works.jsonl"
         write_jsonl(
