@@ -4,13 +4,14 @@ Each subfield traces a yearly trajectory in the (scaled consolidating,
 scaled disruptive) plane.  Pairwise dynamic time warping distances over
 those 2-d trajectories feed a Gaussian-kernel similarity matrix, which is
 clustered with Leiden community detection on the weighted complete graph.
+Every DTW distance, one pair or all pairs, comes from one numpy kernel that
+advances a batch of pairs one anti-diagonal of the DP at a time.
 Size-1 communities are flagged as singletons and excluded from cluster
 numbering.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -111,59 +112,113 @@ def dtw_distance(
     Classic unconstrained DP over match/insert/delete steps with Euclidean
     local cost on the 2-d points; no path normalization.  With
     ``per_component`` the two coordinates are warped independently (absolute
-    local cost) and the costs summed.
+    local cost) and the costs summed.  This is a one-pair call of the batched
+    kernel behind :func:`distance_matrix`, so both give the same bits.
     """
-    if len(a.points) == 0 or len(b.points) == 0:
-        raise ValueError("cannot warp an empty trajectory")
-    if per_component:
-        return _dtw_1d(a.points[:, 0], b.points[:, 0]) + _dtw_1d(
-            a.points[:, 1], b.points[:, 1]
-        )
-    pa, pb = a.points, b.points
-    n, m = len(pa), len(pb)
-    inf = math.inf
-    prev = [inf] * (m + 1)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = [inf] * (m + 1)
-        ax, ay = pa[i - 1]
-        for j in range(1, m + 1):
-            cost = math.hypot(ax - pb[j - 1, 0], ay - pb[j - 1, 1])
-            cur[j] = cost + min(prev[j - 1], prev[j], cur[j - 1])
-        prev = cur
-    return prev[m]
-
-
-def _dtw_1d(a: np.ndarray, b: np.ndarray) -> float:
-    n, m = len(a), len(b)
-    inf = math.inf
-    prev = [inf] * (m + 1)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = [inf] * (m + 1)
-        av = a[i - 1]
-        for j in range(1, m + 1):
-            cur[j] = abs(av - b[j - 1]) + min(prev[j - 1], prev[j], cur[j - 1])
-        prev = cur
-    return prev[m]
+    first, second = np.array([0]), np.array([1])
+    return float(_pair_distances((a, b), first, second, per_component)[0])
 
 
 def distance_matrix(
     trajectories: Sequence[Trajectory], *, per_component: bool = False
 ) -> DistanceMatrix:
-    """Pairwise DTW distances, labels ordered by subfield id."""
+    """Pairwise DTW distances, labels ordered by subfield id.
+
+    All pairs go through one batched wavefront kernel (see
+    :func:`_wavefront`); each entry equals :func:`dtw_distance` of its pair.
+    """
     ordered = sorted(trajectories, key=lambda t: t.subfield_id)
     labels = tuple(t.subfield_id for t in ordered)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate trajectory labels")
     n = len(ordered)
+    first, second = np.triu_indices(n, 1)
+    distances = _pair_distances(ordered, first, second, per_component)
     matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dtw_distance(ordered[i], ordered[j], per_component=per_component)
-            matrix[i, j] = d
-            matrix[j, i] = d
+    matrix[first, second] = distances
+    matrix[second, first] = distances
     return DistanceMatrix(labels, matrix)
+
+
+# Pairs per kernel call.  At 64 years the three diagonal buffers and the
+# gathered inputs of a batch take about 1 MiB, whatever the pair count.
+_BATCH = 256
+
+
+def _pair_distances(
+    trajectories: Sequence[Trajectory],
+    first: np.ndarray,
+    second: np.ndarray,
+    per_component: bool,
+) -> np.ndarray:
+    """DTW cost of every pair ``(trajectories[first[k]], trajectories[second[k]])``.
+
+    Pairs are grouped by their two lengths and fed to :func:`_wavefront` in
+    batches of ``_BATCH``, each stacked as (coordinate, time, pair) with the
+    second side reversed in time.
+    """
+    lengths = np.array([len(t.points) for t in trajectories], dtype=np.int64)
+    if len(first) and not (lengths[first].all() and lengths[second].all()):
+        raise ValueError("cannot warp an empty trajectory")
+    out = np.empty(len(first))
+    groups = lengths[first] * (lengths.max(initial=0) + 1) + lengths[second]
+    for key in np.unique(groups):
+        pairs = np.flatnonzero(groups == key)
+        for start in range(0, len(pairs), _BATCH):
+            batch = pairs[start : start + _BATCH]
+            a = _time_major([trajectories[i].points for i in first[batch]])
+            b = _time_major([trajectories[j].points[::-1] for j in second[batch]])
+            if per_component:
+                out[batch] = _wavefront(a[:1], b[:1]) + _wavefront(a[1:], b[1:])
+            else:
+                out[batch] = _wavefront(a, b)
+    return out
+
+
+def _time_major(points: list[np.ndarray]) -> np.ndarray:
+    """Stack ``(n, c)`` point arrays as one contiguous ``(c, n, pairs)`` array."""
+    return np.ascontiguousarray(np.array(points).T)
+
+
+def _wavefront(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unconstrained DTW cost of P pairs at once, one anti-diagonal per step.
+
+    ``a`` is ``(c, n, P)``: c coordinates, n time steps, one column per pair.
+    ``b`` is ``(c, m, P)`` with time reversed.  The local cost is ``|a - b|``
+    for one coordinate and the Euclidean distance for two; each cell is
+    ``cost + min(diagonal, up, left)``, as in the textbook row-by-row DP.
+
+    Cell (i, j) (1-based) lies on diagonal k = i + j.  The cells of diagonal
+    k are i = lo..hi, which read the contiguous rows ``a[:, lo-1:hi]`` and,
+    thanks to the reversal, ``b[:, m-k+lo:m-k+hi+1]``.  Three rotating
+    ``(n + 1, P)`` buffers hold diagonals k-2, k-1 and k, indexed by i;
+    every entry outside a diagonal's cells is inf, the DP's boundary.
+    Steps: n + m - 1 per batch, whatever P is.
+    """
+    n, pairs = a.shape[1:]
+    m = b.shape[1]
+    diagonals = np.full((3, n + 1, pairs), np.inf)
+    diagonals[0, 0] = 0.0  # D[0, 0], read only by cell (1, 1)
+    cost = np.empty((n, pairs))
+    scratch = np.empty((n, pairs))
+    for k in range(2, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        rows = hi - lo + 1
+        c, t = cost[:rows], scratch[:rows]
+        a_rows, b_rows = slice(lo - 1, hi), slice(m - k + lo, m - k + hi + 1)
+        np.subtract(a[0, a_rows], b[0, b_rows], out=c)
+        if len(a) == 1:
+            np.abs(c, out=c)
+        else:
+            np.subtract(a[1, a_rows], b[1, b_rows], out=t)
+            np.hypot(c, t, out=c)
+        diag, prev, cur = (diagonals[(k - d) % 3] for d in (2, 1, 0))
+        np.minimum(prev[lo - 1 : hi], prev[lo : hi + 1], out=t)
+        np.minimum(diag[lo - 1 : hi], t, out=t)
+        np.add(c, t, out=cur[lo : hi + 1])
+        if k == 2:
+            diag[0] = np.inf  # that buffer holds diagonal 3 next
+    return diagonals[(n + m) % 3, n].copy()
 
 
 def default_sigma(distances: DistanceMatrix) -> float:

@@ -154,6 +154,21 @@ def write_metrics_tables(
     return written
 
 
+def _table_paths(directory: Path, pattern: str) -> list[Path]:
+    """The files of ``directory`` matching ``pattern``, in name order.
+
+    A missing directory or one without a match is an input error, not an
+    empty table: a mistyped path must not read as "no rows".
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"no such directory: {directory}")
+    paths = sorted(directory.glob(pattern))
+    if not paths:
+        raise FileNotFoundError(f"no {pattern} files in {directory}")
+    return paths
+
+
 def read_metrics_dir(
     metrics_dir: Path, corpus: CitationCorpus
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +176,7 @@ def read_metrics_dir(
     works: list[int] = []
     nbnc: list[float] = []
     cd: list[float] = []
-    for path in sorted(Path(metrics_dir).glob("metrics_*.tsv")):
+    for path in _table_paths(metrics_dir, "metrics_*.tsv"):
         with open(path, encoding="utf-8") as fh:
             next(fh)
             for line in fh:
@@ -201,7 +216,7 @@ def write_breakthrough_tables(
 
 def read_breakthrough_tables(directory: Path) -> list[BreakthroughRecord]:
     records: list[BreakthroughRecord] = []
-    for path in sorted(Path(directory).glob("breakthroughs_*.tsv")):
+    for path in _table_paths(directory, "breakthroughs_*.tsv"):
         with open(path, encoding="utf-8") as fh:
             next(fh)
             for line in fh:

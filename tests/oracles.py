@@ -104,14 +104,34 @@ def exhaustive_dtw(pa, pb):
     """Minimum alignment cost over every monotone warping path."""
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    n, m = len(pa), len(pb)
-    best = math.inf
 
     def cost(i, j):
         dx = pa[i, 0] - pb[j, 0]
         dy = pa[i, 1] - pb[j, 1]
         return math.hypot(dx, dy)
 
+    return _min_path_cost(len(pa), len(pb), cost)
+
+
+def exhaustive_dtw_per_component(pa, pb):
+    """Each coordinate warped on its own over every monotone path, summed.
+
+    The local cost on a coordinate is the absolute difference.
+    """
+    pa = np.asarray(pa, dtype=float)
+    pb = np.asarray(pb, dtype=float)
+    total = 0.0
+    for c in range(pa.shape[1]):
+        xa, xb = pa[:, c].tolist(), pb[:, c].tolist()
+        total += _min_path_cost(
+            len(xa), len(xb), lambda i, j: abs(xa[i] - xb[j])
+        )
+    return total
+
+
+def _min_path_cost(n, m, cost):
+    """Smallest summed ``cost(i, j)`` over monotone paths (0,0) → (n-1,m-1)."""
+    best = math.inf
     stack = [(0, 0, cost(0, 0))]
     while stack:
         i, j, acc = stack.pop()

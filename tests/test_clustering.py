@@ -22,7 +22,7 @@ from scibreak.clustering import (
 from scibreak.leiden import leiden_communities, modularity
 from scibreak.panel import SubfieldSeries
 
-from oracles import exhaustive_dtw
+from oracles import exhaustive_dtw, exhaustive_dtw_per_component
 
 
 def _traj(label, points):
@@ -90,6 +90,19 @@ class TestDtw:
         # each x-series warps for free, y differs by 1 at both steps
         assert dtw_distance(a, b, per_component=True) == pytest.approx(2.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.lists(st.floats(-1, 1, allow_nan=False), min_size=24, max_size=24),
+    )
+    def test_per_component_matches_exhaustive_oracle(self, n, m, values):
+        a = _traj(1, np.reshape(values[: 2 * n], (n, 2)))
+        b = _traj(2, np.reshape(values[12 : 12 + 2 * m], (m, 2)))
+        assert dtw_distance(a, b, per_component=True) == pytest.approx(
+            exhaustive_dtw_per_component(a.points, b.points), abs=1e-12
+        )
+
 
 class TestDistanceMatrix:
     def test_symmetric_zero_diagonal(self):
@@ -103,6 +116,37 @@ class TestDistanceMatrix:
     def test_duplicate_labels_rejected(self):
         trajs = [_traj(1, [[0, 0]]), _traj(1, [[1, 1]])]
         with pytest.raises(ValueError):
+            distance_matrix(trajs)
+
+    @pytest.mark.parametrize("per_component", [False, True])
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [64] * 40,  # 780 pairs: more than one batch of pairs
+            [5, 9, 5, 1, 9, 7, 5, 1, 9, 7, 3],  # several (n, m) groups
+        ],
+        ids=["one-grid", "mixed-lengths"],
+    )
+    def test_batch_equals_one_pair_call(self, lengths, per_component):
+        rng = np.random.default_rng(len(lengths))
+        # labels out of order, so the matrix order is not the input order
+        trajs = [
+            _traj(label, rng.random((n, 2)))
+            for label, n in zip(rng.permutation(len(lengths)), lengths)
+        ]
+        D = distance_matrix(trajs, per_component=per_component)
+        ordered = sorted(trajs, key=lambda t: t.subfield_id)
+        assert D.labels == tuple(t.subfield_id for t in ordered)
+        for i, a in enumerate(ordered):
+            assert D.matrix[i, i] == 0.0
+            for j in range(i + 1, len(ordered)):
+                expected = dtw_distance(a, ordered[j], per_component=per_component)
+                assert D.matrix[i, j] == expected
+                assert D.matrix[j, i] == expected
+
+    def test_empty_trajectory_rejected(self):
+        trajs = [_traj(1, [[0, 0]]), Trajectory(2, (), np.zeros((0, 2)))]
+        with pytest.raises(ValueError, match="empty"):
             distance_matrix(trajs)
 
 

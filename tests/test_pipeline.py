@@ -586,6 +586,31 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "NOPE" in err
 
+    @pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
+    @pytest.mark.parametrize(
+        "command, flag", [("select", "--metrics-dir"), ("panel", "--breakthroughs-dir")]
+    )
+    def test_input_dir_without_tables_is_an_input_error(
+        self, tmp_path, capsys, command, flag, make_dir
+    ):
+        # a mistyped directory once read as "no rows" and exited 0
+        works = tmp_path / "works.jsonl"
+        write_jsonl(synthetic_records(30, seed=3, year_start=1990, year_end=2000), works)
+        snap = tmp_path / "corpus.snap"
+        assert cli_main(["ingest", "--input", str(works), "--snapshot", str(snap)]) == 0
+        tables = tmp_path / "tables"
+        if make_dir:
+            tables.mkdir()
+            (tables / "notes.txt").write_text("not a table\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--snapshot", str(snap), flag, str(tables), "--out-dir", str(out)]
+        if command == "panel":
+            argv += ["--start", "1990", "--end", "2000"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tables) in err
+        assert not out.exists()
+
     def test_run_command(self, tmp_path, capsys):
         works = tmp_path / "works.jsonl"
         write_jsonl(
