@@ -212,3 +212,84 @@ def spearman_no_ties(a, b):
     rank_b = {v: i + 1 for i, v in enumerate(sorted(b))}
     d2 = sum((rank_a[x] - rank_b[y]) ** 2 for x, y in zip(a, b))
     return 1 - 6 * d2 / (n * (n * n - 1))
+
+
+def _labels(records):
+    """Year, subfield (None if absent) and countries of each work id.
+
+    Countries are flattened over authorships, upper-cased and deduplicated
+    in first-seen order, as ingestion does for two-letter codes.
+    """
+    out = {}
+    for r in records:
+        subfield = (r.get("primary_topic") or {}).get("subfield", {}).get("id")
+        codes = []
+        for authorship in r.get("authorships", []):
+            for code in authorship.get("countries", []):
+                if code.upper() not in codes:
+                    codes.append(code.upper())
+        out[r["id"]] = (r["publication_year"], subfield, codes)
+    return out
+
+
+def brute_series(records, chosen, years):
+    """Series counts by visiting every work; ``chosen`` maps work id -> CD.
+
+    Returns three dicts without zero entries: totals[(subfield, year)] over
+    all labeled works of a grid year, counts[(subfield, year, "CN"|"DI")]
+    over chosen works (DI iff CD > 0), and unlabeled[year] for chosen works
+    without a subfield.  Works of years off the grid count nowhere.
+    """
+    labels = _labels(records)
+    totals = defaultdict(int)
+    counts = defaultdict(int)
+    unlabeled = defaultdict(int)
+    for year, subfield, _ in labels.values():
+        if subfield is not None and year in years:
+            totals[(subfield, year)] += 1
+    for wid, cd in chosen.items():
+        year, subfield, _ = labels[wid]
+        if year not in years:
+            continue
+        if subfield is None:
+            unlabeled[year] += 1
+        else:
+            counts[(subfield, year, "DI" if cd > 0 else "CN")] += 1
+    return dict(totals), dict(counts), dict(unlabeled)
+
+
+def brute_panel(records, chosen, window, kind):
+    """Full counting of chosen works of class ``kind`` published in ``window``.
+
+    Returns (cells, unattributed, unlabeled): cells[(country, subfield)]
+    without zero entries; a work without a subfield is unlabeled, else one
+    without a country is unattributed.
+    """
+    labels = _labels(records)
+    cells = defaultdict(int)
+    unattributed = unlabeled = 0
+    for wid, cd in chosen.items():
+        year, subfield, codes = labels[wid]
+        if ("DI" if cd > 0 else "CN") != kind or not window[0] <= year <= window[1]:
+            continue
+        if subfield is None:
+            unlabeled += 1
+        elif not codes:
+            unattributed += 1
+        else:
+            for code in codes:
+                cells[(code, subfield)] += 1
+    return dict(cells), unattributed, unlabeled
+
+
+def brute_country_counts(records, chosen, window, kind):
+    """Full count per country of chosen works of ``kind`` in ``window``,
+    with or without a subfield."""
+    labels = _labels(records)
+    counts = defaultdict(int)
+    for wid, cd in chosen.items():
+        year, _, codes = labels[wid]
+        if ("DI" if cd > 0 else "CN") == kind and window[0] <= year <= window[1]:
+            for code in codes:
+                counts[code] += 1
+    return dict(counts)

@@ -1,9 +1,13 @@
 """Breakthrough selection, subfield series, and country panels."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scibreak.impact import BreakthroughClass, cd_all, nbnc_all
 from scibreak.panel import (
@@ -14,8 +18,10 @@ from scibreak.panel import (
     select_breakthroughs,
     subfield_series,
 )
+from scibreak.pipeline import panel_stage
 
 from conftest import build, make_records, random_citation_records
+from oracles import brute_panel, brute_series
 
 
 def _scores(corpus, values):
@@ -291,3 +297,80 @@ class TestSelectionSizeIdentity:
             per_year_chosen[record.year] = per_year_chosen.get(record.year, 0) + 1
         for year, pool in per_year_pool.items():
             assert per_year_chosen[year] == max(1, math.ceil(0.05 * pool))
+
+
+@st.composite
+def labelled_corpora(draw):
+    """Records with and without subfields and countries, some with several
+    countries, over years that reach past both ends of the 1998-2003 grid;
+    plus NBNC (with ties) and CD (with zeros) for every work."""
+    n = draw(st.integers(1, 30))
+    records = []
+    for i in range(n):
+        record = {
+            "id": f"W{i}",
+            "publication_year": draw(st.integers(1995, 2006)),
+            "referenced_works": [],
+        }
+        subfield = draw(st.sampled_from([None, 3100, 3101, 3102]))
+        if subfield is not None:
+            record["primary_topic"] = {"subfield": {"id": subfield}}
+        record["authorships"] = [
+            {"countries": draw(st.lists(st.sampled_from(["AA", "BB", "CC", "dd"]), max_size=2))}
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        records.append(record)
+    nbnc = draw(st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n))
+    cd = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25]), min_size=n, max_size=n))
+    return records, np.array(nbnc), np.array(cd)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        drawn=labelled_corpora(),
+        top_fraction=st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+        width=st.integers(1, 4),
+    )
+    def test_series_and_panels_match_per_work_counts(self, drawn, top_fraction, width):
+        records, nbnc, cd = drawn
+        corpus = build(records)
+        works = np.arange(corpus.n_works)
+        chosen = select_breakthroughs(corpus, works, nbnc, cd, top_fraction)
+        picked = {r.work_id: r.cd_value for r in chosen}
+        start, end = 1998, 2003
+        with tempfile.TemporaryDirectory() as out:
+            (series, panels), _, _ = panel_stage(
+                corpus, chosen, start, end, width, None, Path(out)
+            )
+
+        totals, counts, unlabeled = brute_series(records, picked, range(start, end + 1))
+        got_totals, got_counts = {}, {}
+        for sub, s in series.by_subfield.items():
+            for i, year in enumerate(s.years):
+                assert s.n_bt[i] == s.n_cn[i] + s.n_di[i]
+                for key, value in (
+                    ((sub, year), s.n_total[i]),
+                    ((sub, year, "CN"), s.n_cn[i]),
+                    ((sub, year, "DI"), s.n_di[i]),
+                ):
+                    if value:
+                        (got_totals if len(key) == 2 else got_counts)[key] = value
+        assert got_totals == totals
+        assert got_counts == counts
+        assert {y: c for y, c in series.unlabeled.items() if c} == unlabeled
+
+        windows = decade_windows(start, end, width)
+        assert len(panels) == 2 * len(windows)
+        for panel in panels:
+            cells, unattributed, unlabeled = brute_panel(
+                records, picked, panel.window, panel.kind.value
+            )
+            got = {
+                (c, s): int(panel.counts[i, j])
+                for i, c in enumerate(panel.countries)
+                for j, s in enumerate(panel.subfields)
+                if panel.counts[i, j]
+            }
+            assert got == cells
+            assert (panel.unattributed, panel.unlabeled) == (unattributed, unlabeled)
