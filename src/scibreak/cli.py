@@ -23,9 +23,8 @@ from .pipeline import (
     metrics_stage,
     panel_stage,
     rank_stage,
-    read_breakthrough_tables,
-    read_metrics_dir,
     read_panel,
+    read_scored_tables,
     read_series_table,
     run_pipeline,
     select_stage,
@@ -116,12 +115,12 @@ def _add_select(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     corpus = CitationCorpus.load_snapshot(args.snapshot)
-    works, nbnc, cd = read_metrics_dir(Path(args.metrics_dir), corpus)
+    scored = read_scored_tables(Path(args.metrics_dir), "metrics_*.tsv", corpus)
     # the tables carry no analysis range: look for gaps between their years
-    scored = corpus.pub_years[works]
-    years = range(scored.min(), scored.max() + 1) if len(scored) else ()
+    found = corpus.pub_years[scored.works]
+    years = range(found.min(), found.max() + 1) if len(found) else ()
     _, detail, skipped = select_stage(
-        corpus, works, nbnc, cd, args.top_fraction, years, Path(args.out_dir)
+        corpus, scored, args.top_fraction, years, Path(args.out_dir)
     )
     return _report(detail, skipped, args.out_dir)
 
@@ -141,18 +140,13 @@ def _add_panel(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_panel(args: argparse.Namespace) -> int:
     corpus = CitationCorpus.load_snapshot(args.snapshot)
-    records = read_breakthrough_tables(Path(args.breakthroughs_dir))
+    # year, subfield and countries of each breakthrough come from the snapshot
+    chosen = read_scored_tables(Path(args.breakthroughs_dir), "breakthroughs_*.tsv", corpus)
     allow = None
     if args.allowlist:
         allow = {int(s) for s in args.allowlist.split(",") if s.strip()}
     _, detail, skipped = panel_stage(
-        corpus,
-        records,
-        args.start,
-        args.end,
-        args.window_width,
-        allow,
-        Path(args.out_dir),
+        corpus, chosen, args.start, args.end, args.window_width, allow, Path(args.out_dir)
     )
     return _report(detail, skipped, args.out_dir)
 
@@ -169,15 +163,8 @@ def _add_cluster(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     series = read_series_table(Path(args.series))
-    years = sorted(set().union(*(s.years for s in series.by_subfield.values())))
     _, detail, skipped = cluster_stage(
-        series,
-        years,
-        args.per_component,
-        args.sigma,
-        args.resolution,
-        args.seed,
-        Path(args.out_dir),
+        series, args.per_component, args.sigma, args.resolution, args.seed, Path(args.out_dir)
     )
     return _report(detail, skipped, args.out_dir)
 

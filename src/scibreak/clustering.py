@@ -1,9 +1,11 @@
 """Subfield growth-trajectory clustering.
 
 Each subfield traces a yearly trajectory in the (scaled consolidating,
-scaled disruptive) plane.  Pairwise dynamic time warping distances over
-those 2-d trajectories feed a Gaussian-kernel similarity matrix, which is
-clustered with Leiden community detection on the weighted complete graph.
+scaled disruptive) plane: its row of the ``scaled_cn`` and ``scaled_di``
+arrays of a :class:`~scibreak.panel.SeriesTable`, over the table's year
+grid.  Pairwise dynamic time warping distances over those 2-d trajectories
+feed a Gaussian-kernel similarity matrix, which is clustered with Leiden
+community detection on the weighted complete graph.
 Every DTW distance, one pair or all pairs, comes from one numpy kernel that
 advances a batch of pairs one anti-diagonal of the DP at a time.
 Size-1 communities are flagged as singletons and excluded from cluster
@@ -13,25 +15,21 @@ numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .leiden import leiden_communities
-from .panel import SubfieldSeries
+from .panel import SeriesTable
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered 2-d points of one subfield (or one cluster mean).
-
-    ``filled_years`` lists grid years that had no data and were zero-filled.
-    """
+    """Time-ordered 2-d points of one subfield (or one cluster mean)."""
 
     subfield_id: int
     years: tuple[int, ...]
     points: np.ndarray  # shape (n, 2)
-    filled_years: tuple[int, ...] = ()
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -74,34 +72,19 @@ class ClusteringResult:
     mean_trajectories: dict[int, Trajectory] | None = None
 
 
-def trajectories_from_series(
-    series_by_subfield: Mapping[int, SubfieldSeries],
-    years: Sequence[int],
-) -> list[Trajectory]:
-    """Build (scaled CN, scaled DI) trajectories on a common year grid.
+def trajectories_from_series(series: SeriesTable) -> list[Trajectory]:
+    """(scaled CN, scaled DI) trajectory of every subfield row of ``series``.
 
-    Series must already carry scaled counts.  Grid years missing from a
-    series are filled with 0 and flagged on the trajectory.
+    The series must already carry scaled counts.
     """
-    years = tuple(int(y) for y in years)
-    out: list[Trajectory] = []
-    for sub in sorted(series_by_subfield):
-        series = series_by_subfield[sub]
-        if series.scaled_cn is None or series.scaled_di is None:
-            raise ValueError(f"series for subfield {sub} lacks scaled counts")
-        have = {
-            y: (cn, di)
-            for y, cn, di in zip(series.years, series.scaled_cn, series.scaled_di)
-        }
-        points = np.zeros((len(years), 2))
-        filled = []
-        for i, y in enumerate(years):
-            if y in have:
-                points[i] = have[y]
-            else:
-                filled.append(y)
-        out.append(Trajectory(sub, years, points, tuple(filled)))
-    return out
+    if series.scaled_cn is None or series.scaled_di is None:
+        raise ValueError("series lacks scaled counts")
+    years = tuple(series.years.tolist())
+    points = np.stack([series.scaled_cn, series.scaled_di], axis=-1)
+    return [
+        Trajectory(sub, years, row)
+        for sub, row in zip(series.subfields.tolist(), points)
+    ]
 
 
 def dtw_distance(

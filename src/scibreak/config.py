@@ -143,6 +143,8 @@ class PipelineConfig:
             text = text.strip()
             if key not in known or key.startswith("_"):
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
             values[key] = _coerce(cls, key, text, f"{path}:{lineno}")
         return cls(**values)  # type: ignore[arg-type]
 
@@ -158,18 +160,16 @@ def _render(value: object) -> str:
 
 
 def _coerce(cls: type, key: str, text: str, where: str) -> object:
-    if key in PipelineConfig._LIST_KEYS:
-        if not text:
-            return None
+    if key in PipelineConfig._LIST_KEYS + PipelineConfig._PAIR_KEYS:
         try:
-            return tuple(int(part) for part in text.split(",") if part.strip())
+            parts = tuple(int(part) for part in text.split(",") if part.strip())
         except ValueError as exc:
             raise ConfigError(f"{where}: bad integer list for {key}") from exc
-    if key in PipelineConfig._PAIR_KEYS:
-        parts = [p for p in text.split(",") if p.strip()]
+        if key in PipelineConfig._LIST_KEYS:
+            return parts or None
         if len(parts) != 2:
             raise ConfigError(f"{where}: {key} needs two comma-separated years")
-        return (int(parts[0]), int(parts[1]))
+        return parts
     blank_is_none = {
         "sigma",
         "leiden_seed",

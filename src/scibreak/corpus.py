@@ -303,6 +303,13 @@ class CitationCorpus:
         view.flags.writeable = False
         return view
 
+    @property
+    def subfields(self) -> np.ndarray:
+        """Subfield of every work, -1 where absent (read-only view)."""
+        view = self._subfield.view()
+        view.flags.writeable = False
+        return view
+
     def reference_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every reference of the works ``rows``, row by row.
 

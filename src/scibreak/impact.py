@@ -56,8 +56,13 @@ class BreakthroughClass(Enum):
 
     @classmethod
     def of(cls, cd_value: float) -> "BreakthroughClass":
-        """Disruptive iff CD > 0; zero (including flagged zeros) consolidates."""
-        return cls.DISRUPTIVE if cd_value > 0 else cls.CONSOLIDATING
+        """The class of one CD value, by the rule of :meth:`holds`."""
+        return cls.DISRUPTIVE if cls.DISRUPTIVE.holds(cd_value) else cls.CONSOLIDATING
+
+    def holds(self, cd: np.ndarray | float) -> np.ndarray:
+        """Whether each CD value is of this class: disruptive iff CD > 0, so
+        zero (including flagged zeros) consolidates."""
+        return (np.asarray(cd) > 0) == (self is BreakthroughClass.DISRUPTIVE)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,21 @@
 """Breakthrough selection and aggregation into series and country panels.
 
-Breakthroughs are the works whose NBNC score ranks in the top fraction of
-their publication year; each carries the sign class of its CD index.  Counts
-are aggregated two ways: per-subfield yearly series (with totals taken from
-the full corpus, enabling scaled shares), and country x subfield count
+Scores travel as :class:`ScoredWorks`, arrays of corpus indexes with their
+NBNC and CD row for row.  Breakthroughs are the rows whose NBNC ranks in the
+top fraction of their publication year; their year, subfield and countries
+are read from the corpus by index and their class is the sign of CD
+(:meth:`BreakthroughClass.holds`).  Counts are aggregated two ways: a
+:class:`SeriesTable` of (subfield x year) count arrays, with totals taken
+from the full corpus, enabling scaled shares; and country x subfield count
 matrices over year windows using full counting — every listed country of a
-record receives credit 1.
+breakthrough receives credit 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,42 +23,42 @@ from .corpus import CitationCorpus
 from .impact import BreakthroughClass
 
 
-@dataclass(frozen=True)
-class BreakthroughRecord:
-    work_id: str
-    year: int
-    subfield_id: int | None
-    country_codes: tuple[str, ...]
-    nbnc_value: float
-    cd_value: float
-    klass: BreakthroughClass
+@dataclass(frozen=True, eq=False)
+class ScoredWorks:
+    """NBNC and CD of a set of works, one array row per work of ``works``."""
+
+    works: np.ndarray  # corpus indexes
+    nbnc: np.ndarray
+    cd: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.works)
+
+    def take(self, rows: np.ndarray) -> "ScoredWorks":
+        """The rows picked by an index array or a boolean mask."""
+        return ScoredWorks(self.works[rows], self.nbnc[rows], self.cd[rows])
 
 
-@dataclass(frozen=True)
-class SubfieldSeries:
-    """Yearly breakthrough counts of one subfield on a fixed year grid.
+@dataclass(frozen=True, eq=False)
+class SeriesTable:
+    """Yearly breakthrough counts of every subfield on one year grid.
 
-    ``n_total`` counts all corpus works of the subfield per year, not only
-    breakthroughs.  The scaled shares are None until filled by
-    :func:`scaled_counts`; years with a zero total are flagged there and
-    their shares set to 0.
+    The count arrays are (subfield, year), rows in ``subfields`` order and
+    columns in ``years`` order.  ``n_total`` counts all corpus works of the
+    subfield per year, not only breakthroughs.  ``unlabeled`` counts, per
+    year, the breakthroughs without a subfield, which no row holds.  The
+    scaled shares are None until filled by :func:`scaled_counts`.
     """
 
-    subfield_id: int
-    years: tuple[int, ...]
-    n_total: tuple[int, ...]
-    n_bt: tuple[int, ...]
-    n_cn: tuple[int, ...]
-    n_di: tuple[int, ...]
-    scaled_cn: tuple[float, ...] | None = None
-    scaled_di: tuple[float, ...] | None = None
-    zero_total_years: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    by_subfield: dict[int, SubfieldSeries]
-    unlabeled: dict[int, int]  # year -> selected records lacking a subfield
+    subfields: np.ndarray  # (S,) ascending
+    years: np.ndarray  # (Y,) ascending
+    n_total: np.ndarray
+    n_bt: np.ndarray
+    n_cn: np.ndarray
+    n_di: np.ndarray
+    unlabeled: np.ndarray  # (Y,)
+    scaled_cn: np.ndarray | None = None
+    scaled_di: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -67,178 +70,153 @@ class PanelMatrix:
     counts: np.ndarray  # int64, rows = countries, cols = subfields
     countries: tuple[str, ...]
     subfields: tuple[int, ...]
-    unattributed: int = 0  # in-window records with no country
-    unlabeled: int = 0  # in-window records with no subfield
+    unattributed: int = 0  # in-window breakthroughs with no country
+    unlabeled: int = 0  # in-window breakthroughs with no subfield
 
 
 def select_breakthroughs(
-    corpus: CitationCorpus,
-    works: np.ndarray,
-    nbnc: np.ndarray,
-    cd: np.ndarray,
-    top_fraction: float,
-) -> list[BreakthroughRecord]:
+    corpus: CitationCorpus, scored: ScoredWorks, top_fraction: float
+) -> ScoredWorks:
     """Pick the top fraction of scored works per publication year.
 
-    ``works`` holds the corpus indexes of the scored works and ``nbnc`` and
-    ``cd`` their scores, row for row.  Each year contributes
-    max(1, ceil(top_fraction * n_scored)) records, ordered by NBNC
-    descending with ties broken by ascending work id.  Years without scored
-    works simply contribute nothing.  The returned list is ordered by year,
-    then rank.
+    Each year contributes max(1, ceil(top_fraction * n_scored)) rows, ordered
+    by NBNC descending with ties broken by ascending work id.  Years without
+    scored works simply contribute nothing.  The chosen rows are ordered by
+    year, then rank.
     """
     if not (0.0 < top_fraction < 1.0):
         raise ValueError(f"top fraction must be in (0, 1), got {top_fraction}")
     ids = corpus.ids
-    wids = [ids[idx] for idx in works.tolist()]
+    wids = [ids[idx] for idx in scored.works.tolist()]
     id_rank = np.empty(len(wids), dtype=np.int64)
     id_rank[sorted(range(len(wids)), key=wids.__getitem__)] = np.arange(len(wids))
-    years = corpus.pub_years[works]
-    order = np.lexsort((id_rank, -nbnc, years))
+    years = corpus.pub_years[scored.works]
+    order = np.lexsort((id_rank, -scored.nbnc, years))
     pools = np.split(order, np.flatnonzero(np.diff(years[order])) + 1)
-    chosen = np.concatenate(
-        [pool[: max(1, math.ceil(top_fraction * len(pool)))] for pool in pools]
+    return scored.take(
+        np.concatenate(
+            [pool[: max(1, math.ceil(top_fraction * len(pool)))] for pool in pools]
+        )
     )
-    return [
-        BreakthroughRecord(
-            work_id=ids[idx],
-            year=year,
-            subfield_id=corpus.subfield_of(idx),
-            country_codes=corpus.countries_of(idx),
-            nbnc_value=value,
-            cd_value=cd_value,
-            klass=BreakthroughClass.of(cd_value),
-        )
-        for idx, year, value, cd_value in zip(
-            works[chosen].tolist(),
-            years[chosen].tolist(),
-            nbnc[chosen].tolist(),
-            cd[chosen].tolist(),
-        )
-    ]
+
+
+def _positions(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Index of each value in the ascending ``grid``; ``len(grid)`` if absent."""
+    pos = np.searchsorted(grid, values)
+    found = pos < len(grid)
+    found[found] = grid[pos[found]] == values[found]
+    return np.where(found, pos, len(grid))
+
+
+def _tally(corpus: CitationCorpus, works, subfields: np.ndarray, years: np.ndarray):
+    """(S + 1, Y + 1) counts of ``works`` by subfield and publication year;
+    the last row and column collect works off the subfields and year grid."""
+    rows = _positions(corpus.subfields[works], subfields)
+    cols = _positions(corpus.pub_years[works], years)
+    shape = (len(subfields) + 1, len(years) + 1)
+    flat = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1])
+    return flat.reshape(shape)
 
 
 def subfield_series(
-    records: Iterable[BreakthroughRecord],
-    corpus: CitationCorpus,
-    years: Sequence[int],
-) -> SeriesResult:
-    """Aggregate records into per-subfield yearly series over ``years``.
+    corpus: CitationCorpus, chosen: ScoredWorks, years: Sequence[int]
+) -> SeriesTable:
+    """Count the breakthroughs ``chosen`` into subfield series over ``years``.
 
     The subfield universe is every labeled subfield in the corpus, so
-    subfields without breakthroughs still get (all-zero) series.  Records
-    lacking a subfield are tallied per year under ``unlabeled`` and excluded
-    from the series.
+    subfields without breakthroughs still get (all-zero) rows.
+    Breakthroughs lacking a subfield are tallied per year under
+    ``unlabeled``; those of years off the grid count nowhere.
     """
-    years = tuple(int(y) for y in years)
-    year_pos = {y: i for i, y in enumerate(years)}
-    universe = corpus.subfield_universe()
-
-    totals = {s: [0] * len(years) for s in universe}
-    for idx in range(corpus.n_works):
-        sub = corpus.subfield_of(idx)
-        if sub is None:
-            continue
-        pos = year_pos.get(corpus.pub_year_of(idx))
-        if pos is not None:
-            totals[sub][pos] += 1
-
-    cn = {s: [0] * len(years) for s in universe}
-    di = {s: [0] * len(years) for s in universe}
-    unlabeled: dict[int, int] = {}
-    for record in records:
-        pos = year_pos.get(record.year)
-        if pos is None:
-            continue
-        if record.subfield_id is None or record.subfield_id not in totals:
-            unlabeled[record.year] = unlabeled.get(record.year, 0) + 1
-            continue
-        target = di if record.klass is BreakthroughClass.DISRUPTIVE else cn
-        target[record.subfield_id][pos] += 1
-
-    by_subfield = {
-        s: SubfieldSeries(
-            subfield_id=s,
-            years=years,
-            n_total=tuple(totals[s]),
-            n_bt=tuple(c + d for c, d in zip(cn[s], di[s])),
-            n_cn=tuple(cn[s]),
-            n_di=tuple(di[s]),
-        )
-        for s in universe
-    }
-    return SeriesResult(by_subfield=by_subfield, unlabeled=unlabeled)
-
-
-def scaled_counts(series: SubfieldSeries) -> SubfieldSeries:
-    """Fill scaled shares N_class / N_total; zero-total years flagged as 0."""
-    scaled_cn: list[float] = []
-    scaled_di: list[float] = []
-    flagged: list[int] = []
-    for year, total, n_cn, n_di in zip(
-        series.years, series.n_total, series.n_cn, series.n_di
-    ):
-        if total == 0:
-            scaled_cn.append(0.0)
-            scaled_di.append(0.0)
-            flagged.append(year)
-        else:
-            scaled_cn.append(n_cn / total)
-            scaled_di.append(n_di / total)
-    return replace(
-        series,
-        scaled_cn=tuple(scaled_cn),
-        scaled_di=tuple(scaled_di),
-        zero_total_years=tuple(flagged),
+    subfields = np.asarray(corpus.subfield_universe(), dtype=np.int64)
+    grid = np.asarray(years, dtype=np.int64)
+    disruptive = BreakthroughClass.DISRUPTIVE.holds(chosen.cd)
+    rows = (slice(None), chosen.works, chosen.works[~disruptive], chosen.works[disruptive])
+    total, bt, cn, di = (_tally(corpus, works, subfields, grid) for works in rows)
+    return SeriesTable(
+        subfields=subfields,
+        years=grid,
+        n_total=total[:-1, :-1],
+        n_bt=bt[:-1, :-1],
+        n_cn=cn[:-1, :-1],
+        n_di=di[:-1, :-1],
+        unlabeled=bt[-1, :-1],
     )
 
 
-def country_subfield_counts(
-    records: Iterable[BreakthroughRecord],
+def scaled_counts(series: SeriesTable) -> SeriesTable:
+    """Fill scaled shares N_class / N_total; zero-total cells get 0."""
+    total = series.n_total
+
+    def share(counts: np.ndarray) -> np.ndarray:
+        return np.divide(counts, total, out=np.zeros(total.shape), where=total > 0)
+
+    return replace(series, scaled_cn=share(series.n_cn), scaled_di=share(series.n_di))
+
+
+def _in_window(
+    corpus: CitationCorpus,
+    chosen: ScoredWorks,
     window: tuple[int, int],
     kind: BreakthroughClass,
-) -> PanelMatrix:
-    """Count records of one class in a window into a country x subfield matrix.
-
-    Full counting: a record with k countries adds 1 to k cells of its
-    subfield column.  Countryless records are tallied as unattributed and
-    subfieldless ones as unlabeled; neither enters the matrix.
-    """
+) -> np.ndarray:
+    """Corpus indexes of the ``kind`` breakthroughs published in ``window``."""
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
-    cells: dict[tuple[str, int], int] = {}
-    unattributed = 0
-    unlabeled = 0
-    for record in records:
-        if record.klass is not kind or not lo <= record.year <= hi:
-            continue
-        if record.subfield_id is None:
-            unlabeled += 1
-            continue
-        if not record.country_codes:
-            unattributed += 1
-            continue
-        for code in record.country_codes:
-            key = (code, record.subfield_id)
-            cells[key] = cells.get(key, 0) + 1
+    years = corpus.pub_years[chosen.works]
+    return chosen.works[kind.holds(chosen.cd) & (lo <= years) & (years <= hi)]
 
-    countries = tuple(sorted({c for c, _ in cells}))
-    subfields = tuple(sorted({s for _, s in cells}))
+
+def _credits(corpus: CitationCorpus, works: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full counting: (position in ``works``, country code) per listed country."""
+    lists = [corpus.countries_of(idx) for idx in works.tolist()]
+    owners = np.repeat(np.arange(len(lists)), [len(codes) for codes in lists])
+    return owners, np.array([code for codes in lists for code in codes], dtype=str)
+
+
+def country_subfield_counts(
+    corpus: CitationCorpus,
+    chosen: ScoredWorks,
+    window: tuple[int, int],
+    kind: BreakthroughClass,
+) -> PanelMatrix:
+    """Count breakthroughs of one class in a window into a country x subfield matrix.
+
+    Full counting: a breakthrough with k countries adds 1 to k cells of its
+    subfield column.  Countryless breakthroughs are tallied as unattributed
+    and subfieldless ones as unlabeled; neither enters the matrix.
+    """
+    works = _in_window(corpus, chosen, window, kind)
+    subs = corpus.subfields[works]
+    labeled = works[subs >= 0]
+    owners, codes = _credits(corpus, labeled)
+    countries, rows = np.unique(codes, return_inverse=True)
+    subfields, cols = np.unique(subs[subs >= 0][owners], return_inverse=True)
     counts = np.zeros((len(countries), len(subfields)), dtype=np.int64)
-    row = {c: i for i, c in enumerate(countries)}
-    col = {s: j for j, s in enumerate(subfields)}
-    for (code, sub), value in cells.items():
-        counts[row[code], col[sub]] = value
+    np.add.at(counts, (rows, cols), 1)
     return PanelMatrix(
-        window=(lo, hi),
+        window=tuple(window),
         kind=kind,
         counts=counts,
-        countries=countries,
-        subfields=subfields,
-        unattributed=unattributed,
-        unlabeled=unlabeled,
+        countries=tuple(countries.tolist()),
+        subfields=tuple(subfields.tolist()),
+        unattributed=len(labeled) - len(np.unique(owners)),
+        unlabeled=len(works) - len(labeled),
     )
+
+
+def country_counts(
+    corpus: CitationCorpus,
+    chosen: ScoredWorks,
+    window: tuple[int, int],
+    kind: BreakthroughClass,
+) -> dict[str, int]:
+    """Full count per country of the ``kind`` breakthroughs in ``window``,
+    which unlike the panels counts breakthroughs without a subfield too."""
+    _, codes = _credits(corpus, _in_window(corpus, chosen, window, kind))
+    countries, counts = np.unique(codes, return_counts=True)
+    return dict(zip(countries.tolist(), counts.tolist()))
 
 
 def decade_windows(

@@ -16,6 +16,7 @@ import json
 import shutil
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable
 
@@ -39,10 +40,10 @@ from .config import PipelineConfig
 from .corpus import CitationCorpus, FieldMap, ingest_files
 from .impact import BreakthroughClass, CdTable, NbncTable, cd_all, nbnc_all
 from .panel import (
-    BreakthroughRecord,
     PanelMatrix,
-    SeriesResult,
-    SubfieldSeries,
+    ScoredWorks,
+    SeriesTable,
+    country_counts,
     country_subfield_counts,
     decade_windows,
     scaled_counts,
@@ -115,6 +116,22 @@ def _flags(*pairs: tuple[str, bool]) -> str:
 # -- stage writers -----------------------------------------------------------
 
 
+def _write_yearly(
+    directory: Path, stem: str, header: Iterable[str], years: list, within, columns: list
+) -> list[Path]:
+    """One table per year, ``directory/{stem}_{year}.tsv``, from ``columns``.
+
+    Column entries are row-aligned with ``years``; within a year, rows are
+    ordered by the keys ``within``.
+    """
+    order = sorted(range(len(years)), key=lambda r: (years[r], within[r]))
+    written = []
+    for year, rows in groupby(order, key=years.__getitem__):
+        written.append(directory / f"{stem}_{year}.tsv")
+        _write_tsv(written[-1], header, ([column[r] for column in columns] for r in rows))
+    return written
+
+
 def write_metrics_tables(
     run_dir: Path, corpus: CitationCorpus, scores: NbncTable, cds: CdTable
 ) -> list[Path]:
@@ -126,38 +143,46 @@ def write_metrics_tables(
     if not np.array_equal(scores.works, cds.works):
         raise ValueError("NBNC and CD scores cover different works")
     ids = corpus.ids
-    nbnc_values = scores.value.tolist()
-    cd_values = cds.value.tolist()
+    wids = [ids[idx] for idx in scores.works.tolist()]
     flags = [
         _flags(("truncated_horizon", truncated), ("cd_zero_denominator", zero))
-        for truncated, zero in zip(
-            scores.truncated.tolist(), cds.zero_denominator.tolist()
-        )
+        for truncated, zero in zip(scores.truncated.tolist(), cds.zero_denominator.tolist())
     ]
-    by_year: dict[int, list[tuple[str, int]]] = {}
-    works = scores.works.tolist()
+    columns = [wids, scores.value.tolist(), cds.value.tolist(), flags]
     years = corpus.pub_years[scores.works].tolist()
-    for row, (idx, year) in enumerate(zip(works, years)):
-        by_year.setdefault(year, []).append((ids[idx], row))
-    written = []
-    for year in sorted(by_year):
-        path = run_dir / "metrics" / f"metrics_{year}.tsv"
-        _write_tsv(
-            path,
-            ("work_id", "nbnc", "cd", "flags"),
-            (
-                (wid, nbnc_values[row], cd_values[row], flags[row])
-                for wid, row in sorted(by_year[year])
-            ),
-        )
-        written.append(path)
-    return written
+    header = ("work_id", "nbnc", "cd", "flags")
+    return _write_yearly(run_dir / "metrics", "metrics", header, years, wids, columns)
 
 
-def _table_paths(directory: Path, pattern: str) -> list[Path]:
-    """The files of ``directory`` matching ``pattern``, in name order.
+def write_breakthrough_tables(
+    run_dir: Path, corpus: CitationCorpus, chosen: ScoredWorks
+) -> list[Path]:
+    """One file per publication year of the breakthroughs, in their order."""
+    works = chosen.works.tolist()
+    years = corpus.pub_years[chosen.works].tolist()
+    columns = [
+        [corpus.ids[idx] for idx in works],
+        years,
+        ["-" if sub < 0 else sub for sub in corpus.subfields[chosen.works].tolist()],
+        [",".join(corpus.countries_of(idx)) or "-" for idx in works],
+        chosen.nbnc.tolist(),
+        chosen.cd.tolist(),
+        [BreakthroughClass.of(cd).value for cd in chosen.cd.tolist()],
+    ]
+    header = ("work_id", "year", "subfield", "countries", "nbnc", "cd", "class")
+    return _write_yearly(
+        run_dir / "breakthroughs", "breakthroughs", header, years, range(len(works)), columns
+    )
 
-    A missing directory or one without a match is an input error, not an
+
+def read_scored_tables(
+    directory: Path, pattern: str, corpus: CitationCorpus
+) -> ScoredWorks:
+    """Every row of the ``pattern`` tables of ``directory``, in name order.
+
+    Only the ``work_id``, ``nbnc`` and ``cd`` columns are read, found by
+    header name; ids resolve to corpus indexes through ``corpus``.  A
+    missing directory or one without a match is an input error, not an
     empty table: a mistyped path must not read as "no rows".
     """
     directory = Path(directory)
@@ -166,149 +191,78 @@ def _table_paths(directory: Path, pattern: str) -> list[Path]:
     paths = sorted(directory.glob(pattern))
     if not paths:
         raise FileNotFoundError(f"no {pattern} files in {directory}")
-    return paths
-
-
-def read_metrics_dir(
-    metrics_dir: Path, corpus: CitationCorpus
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corpus indexes, NBNC and CD of every row of the metrics tables."""
     works: list[int] = []
     nbnc: list[float] = []
     cd: list[float] = []
-    for path in _table_paths(metrics_dir, "metrics_*.tsv"):
+    for path in paths:
         with open(path, encoding="utf-8") as fh:
-            next(fh)
+            header = fh.readline().rstrip("\n").split("\t")
+            try:
+                cols = [header.index(name) for name in ("work_id", "nbnc", "cd")]
+            except ValueError:
+                raise ValueError(f"{path}: header lacks work_id, nbnc or cd") from None
             for line in fh:
-                wid, nbnc_s, cd_s, _ = line.rstrip("\n").split("\t")
+                cells = line.rstrip("\n").split("\t")
+                wid, nbnc_s, cd_s = (cells[i] for i in cols)
                 works.append(corpus.work_index(wid))
                 nbnc.append(float(nbnc_s))
                 cd.append(float(cd_s))
-    return np.array(works, dtype=np.int64), np.array(nbnc), np.array(cd)
+    return ScoredWorks(np.array(works, dtype=np.int64), np.array(nbnc), np.array(cd))
 
 
-def write_breakthrough_tables(
-    run_dir: Path, records: list[BreakthroughRecord]
-) -> list[Path]:
-    header = ("work_id", "year", "subfield", "countries", "nbnc", "cd", "class")
-    by_year: dict[int, list[BreakthroughRecord]] = {}
-    for record in records:
-        by_year.setdefault(record.year, []).append(record)
-    written = []
-    for year in sorted(by_year):
-        rows = [
-            (
-                r.work_id,
-                r.year,
-                "-" if r.subfield_id is None else r.subfield_id,
-                ",".join(r.country_codes) if r.country_codes else "-",
-                r.nbnc_value,
-                r.cd_value,
-                r.klass.value,
-            )
-            for r in by_year[year]
-        ]
-        path = run_dir / "breakthroughs" / f"breakthroughs_{year}.tsv"
-        _write_tsv(path, header, rows)
-        written.append(path)
-    return written
-
-
-def read_breakthrough_tables(directory: Path) -> list[BreakthroughRecord]:
-    records: list[BreakthroughRecord] = []
-    for path in _table_paths(directory, "breakthroughs_*.tsv"):
-        with open(path, encoding="utf-8") as fh:
-            next(fh)
-            for line in fh:
-                wid, year, sub, countries, nbnc_s, cd_s, klass = line.rstrip(
-                    "\n"
-                ).split("\t")
-                records.append(
-                    BreakthroughRecord(
-                        work_id=wid,
-                        year=int(year),
-                        subfield_id=None if sub == "-" else int(sub),
-                        country_codes=()
-                        if countries == "-"
-                        else tuple(countries.split(",")),
-                        nbnc_value=float(nbnc_s),
-                        cd_value=float(cd_s),
-                        klass=BreakthroughClass(klass),
-                    )
-                )
-    return records
-
-
-def write_series_table(run_dir: Path, series: SeriesResult) -> Path:
-    header = (
-        "subfield",
-        "year",
-        "n_total",
-        "n_bt",
-        "n_cn",
-        "n_di",
-        "scaled_cn",
-        "scaled_di",
-        "flags",
-    )
-    rows = []
-    for sub in sorted(series.by_subfield):
-        s = series.by_subfield[sub]
-        zero_years = set(s.zero_total_years)
-        for i, year in enumerate(s.years):
-            rows.append(
-                (
-                    sub,
-                    year,
-                    s.n_total[i],
-                    s.n_bt[i],
-                    s.n_cn[i],
-                    s.n_di[i],
-                    s.scaled_cn[i] if s.scaled_cn else 0.0,
-                    s.scaled_di[i] if s.scaled_di else 0.0,
-                    _flags(("zero_total", year in zero_years)),
-                )
-            )
+def write_series_table(run_dir: Path, series: SeriesTable) -> Path:
+    """One row per subfield and grid year, subfields first; needs scaled shares."""
+    if series.scaled_cn is None or series.scaled_di is None:
+        raise ValueError("series lacks scaled counts")
+    values = (series.n_total, series.n_bt, series.n_cn, series.n_di)
+    columns = [
+        np.repeat(series.subfields, len(series.years)).tolist(),
+        np.tile(series.years, len(series.subfields)).tolist(),
+        *(array.ravel().tolist() for array in values + (series.scaled_cn, series.scaled_di)),
+        [_flags(("zero_total", zero)) for zero in (series.n_total == 0).ravel().tolist()],
+    ]
+    header = "subfield year n_total n_bt n_cn n_di scaled_cn scaled_di flags".split()
     path = run_dir / "series" / "subfield_series.tsv"
-    _write_tsv(path, header, rows)
+    _write_tsv(path, header, zip(*columns))
     return path
 
 
-def read_series_table(path: Path) -> SeriesResult:
-    """Rebuild per-subfield series from a subfield_series.tsv file."""
-    rows_by_subfield: dict[int, list[tuple]] = {}
+def read_series_table(path: Path) -> SeriesTable:
+    """Rebuild a series table from a subfield_series.tsv file.
+
+    Rows are placed on the grid of the subfields and years the file holds;
+    a grid cell without a row reads as zero.  A subfield/year pair given
+    twice is an error.
+    """
+    counts: list[int] = []
+    shares: list[float] = []
     with open(path, encoding="utf-8") as fh:
         next(fh)
         for line in fh:
-            cells = line.rstrip("\n").split("\t")
-            sub = int(cells[0])
-            rows_by_subfield.setdefault(sub, []).append(
-                (
-                    int(cells[1]),  # year
-                    int(cells[2]),  # n_total
-                    int(cells[3]),  # n_bt
-                    int(cells[4]),  # n_cn
-                    int(cells[5]),  # n_di
-                    float(cells[6]),
-                    float(cells[7]),
-                    cells[8] != "-",
-                )
-            )
-    by_subfield = {}
-    for sub, rows in rows_by_subfield.items():
-        rows.sort(key=lambda r: r[0])
-        by_subfield[sub] = SubfieldSeries(
-            subfield_id=sub,
-            years=tuple(r[0] for r in rows),
-            n_total=tuple(r[1] for r in rows),
-            n_bt=tuple(r[2] for r in rows),
-            n_cn=tuple(r[3] for r in rows),
-            n_di=tuple(r[4] for r in rows),
-            scaled_cn=tuple(r[5] for r in rows),
-            scaled_di=tuple(r[6] for r in rows),
-            zero_total_years=tuple(r[0] for r in rows if r[7]),
-        )
-    return SeriesResult(by_subfield=by_subfield, unlabeled={})
+            row = line.rstrip("\n").split("\t")
+            counts.extend(map(int, row[:6]))
+            shares.extend(map(float, row[6:8]))
+    keys = np.array(counts, dtype=np.int64).reshape(-1, 6)
+    subfields, years = (
+        np.array(sorted(set(keys[:, i].tolist())), dtype=np.int64) for i in (0, 1)
+    )
+    cells = np.searchsorted(subfields, keys[:, 0]) * len(years)
+    cells += np.searchsorted(years, keys[:, 1])
+    if len(set(cells.tolist())) < len(cells):
+        raise ValueError(f"{path}: a subfield/year row is given twice")
+
+    def grid(values: np.ndarray) -> np.ndarray:
+        """(column, subfield, year) array of the table columns ``values``."""
+        out = np.zeros((len(subfields) * len(years), values.shape[1]), dtype=values.dtype)
+        out[cells] = values
+        return out.T.reshape(-1, len(subfields), len(years))
+
+    n_total, n_bt, n_cn, n_di = grid(keys[:, 2:])
+    scaled_cn, scaled_di = grid(np.array(shares, dtype=float).reshape(-1, 2))
+    unlabeled = np.zeros(len(years), dtype=np.int64)  # the file does not keep it
+    return SeriesTable(
+        subfields, years, n_total, n_bt, n_cn, n_di, unlabeled, scaled_cn, scaled_di
+    )
 
 
 def _panel_stem(kind: BreakthroughClass, window: tuple[int, int]) -> str:
@@ -471,8 +425,8 @@ def metrics_stage(
     cocited_semantics: str,
     gamma_convention: str,
     out_dir: Path,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], str, bool]:
-    """NBNC and CD of every work in ``year_range``: (works, nbnc, cd) arrays."""
+) -> tuple[ScoredWorks, str, bool]:
+    """NBNC and CD of every work in ``year_range``."""
     scores = nbnc_all(
         corpus,
         horizon,
@@ -482,78 +436,69 @@ def metrics_stage(
     )
     cds = cd_all(corpus, horizon, year_range)
     write_metrics_tables(out_dir, corpus, scores, cds)
-    arrays = (scores.works, scores.value, cds.value)
-    return arrays, f"{len(scores)} works scored", False
+    scored = ScoredWorks(scores.works, scores.value, cds.value)
+    return scored, f"{len(scores)} works scored", False
 
 
 def select_stage(
     corpus: CitationCorpus,
-    works: np.ndarray,
-    nbnc: np.ndarray,
-    cd: np.ndarray,
+    scored: ScoredWorks,
     top_fraction: float,
     years: Iterable[int],
     out_dir: Path,
-) -> tuple[list[BreakthroughRecord], str, bool]:
+) -> tuple[ScoredWorks, str, bool]:
     """Top-fraction breakthroughs per year; the detail counts ``years`` unscored."""
-    records = select_breakthroughs(corpus, works, nbnc, cd, top_fraction)
-    write_breakthrough_tables(out_dir, records)
-    scored_years = set(np.unique(corpus.pub_years[works]).tolist())
-    missing = [y for y in years if y not in scored_years]
-    detail = f"{len(records)} breakthroughs"
-    if missing:
+    chosen = select_breakthroughs(corpus, scored, top_fraction)
+    write_breakthrough_tables(out_dir, corpus, chosen)
+    missing = np.setdiff1d(list(years), corpus.pub_years[scored.works])
+    detail = f"{len(chosen)} breakthroughs"
+    if len(missing):
         detail += f"; years without scored works: {len(missing)}"
-    return records, detail, False
+    return chosen, detail, False
 
 
 def panel_stage(
     corpus: CitationCorpus,
-    records: list[BreakthroughRecord],
+    chosen: ScoredWorks,
     start: int,
     end: int,
     window_width: int,
     allowlist: Iterable[int] | None,
     out_dir: Path,
-) -> tuple[tuple[SeriesResult, list[PanelMatrix]], str, bool]:
+) -> tuple[tuple[SeriesTable, list[PanelMatrix]], str, bool]:
     """Scaled subfield series over start..end and a panel per window and class.
 
     ``allowlist``, when given, restricts the panels (not the series) to
     those subfields.
     """
-    series = subfield_series(records, corpus, range(start, end + 1))
-    series = SeriesResult(
-        by_subfield={sub: scaled_counts(s) for sub, s in series.by_subfield.items()},
-        unlabeled=series.unlabeled,
-    )
+    series = scaled_counts(subfield_series(corpus, chosen, range(start, end + 1)))
     write_series_table(out_dir, series)
     if allowlist is not None:
-        allow = set(allowlist)
-        records = [r for r in records if r.subfield_id in allow]
+        chosen = chosen.take(np.isin(corpus.subfields[chosen.works], list(allowlist)))
     panels: list[PanelMatrix] = []
     for window in decade_windows(start, end, window_width):
         for kind in (BreakthroughClass.CONSOLIDATING, BreakthroughClass.DISRUPTIVE):
-            panel = country_subfield_counts(records, window, kind)
+            panel = country_subfield_counts(corpus, chosen, window, kind)
             write_panel(out_dir, panel)
             panels.append(panel)
-    detail = f"{len(series.by_subfield)} subfields, {len(panels)} panels"
+    detail = f"{len(series.subfields)} subfields, {len(panels)} panels"
     return (series, panels), detail, False
 
 
 def cluster_stage(
-    series: SeriesResult,
-    years: Iterable[int],
+    series: SeriesTable,
     per_component: bool,
     sigma: float | None,
     resolution: float,
     seed: int,
     out_dir: Path,
 ) -> tuple[ClusteringResult | None, str, bool]:
-    """Cluster the subfield trajectories on the ``years`` grid.
+    """Cluster the subfield trajectories on the series' year grid.
 
     With fewer than two subfields nothing is written and the stage is
     skipped.  ``sigma`` None picks the kernel width from the distances.
     """
-    trajectories = trajectories_from_series(series.by_subfield, years)
+    trajectories = trajectories_from_series(series)
     if len(trajectories) < 2:
         return None, "fewer than 2 subfields; clustering skipped", True
     distances = distance_matrix(trajectories, per_component=per_component)
@@ -562,13 +507,8 @@ def cluster_stage(
     result = with_mean_trajectories(
         leiden_clusters(similarity, resolution=resolution, seed=seed), trajectories
     )
-    write_cluster_outputs(
-        out_dir, distances, similarity, result, result.mean_trajectories
-    )
-    detail = (
-        f"{len(result.cluster_members)} clusters, "
-        f"{len(result.singletons)} singletons"
-    )
+    write_cluster_outputs(out_dir, distances, similarity, result, result.mean_trajectories)
+    detail = f"{len(result.cluster_members)} clusters, {len(result.singletons)} singletons"
     return result, detail, False
 
 
@@ -638,32 +578,31 @@ def run_pipeline(config: PipelineConfig) -> dict:
         return result
 
     start, end = config.analysis_start, config.analysis_end
-    years = range(start, end + 1)
     corpus = stage(
         "ingest", ingest_stage, config.corpus_path, config.field_map(),
         config.year_min, config.year_max, run_dir / "corpus.snap",
         run_dir / "ingest_report.json",
     )
-    works, nbnc, cd = stage(
+    scored = stage(
         "metrics", metrics_stage, corpus, config.horizon, (start, end),
         config.cocited_semantics, config.gamma_convention, run_dir,
     )
-    records = stage(
-        "select", select_stage, corpus, works, nbnc, cd, config.top_fraction,
-        years, run_dir,
+    chosen = stage(
+        "select", select_stage, corpus, scored, config.top_fraction,
+        range(start, end + 1), run_dir,
     )
     series, panels = stage(
-        "panel", panel_stage, corpus, records, start, end, config.window_width,
+        "panel", panel_stage, corpus, chosen, start, end, config.window_width,
         config.subfield_allowlist or None, run_dir,
     )
     stage(
-        "cluster", cluster_stage, series, years, config.dtw_per_component,
+        "cluster", cluster_stage, series, config.dtw_per_component,
         config.sigma, config.leiden_resolution, config.leiden_seed, run_dir,
     )
     rankings = stage(
         "rank", rank_stage, panels, config.rca_threshold, config.eigen_count, run_dir
     )
-    stage("analyses", _analyses_stage, config, records, rankings, run_dir)
+    stage("analyses", _analyses_stage, config, corpus, chosen, rankings, run_dir)
     return _write_manifest(config, run_dir, stages, complete=True)
 
 
@@ -674,7 +613,8 @@ def _country_ranks(rankings: dict, key: tuple) -> dict[str, float]:
 
 def _analyses_stage(
     config: PipelineConfig,
-    records: list[BreakthroughRecord],
+    corpus: CitationCorpus,
+    chosen: ScoredWorks,
     rankings: dict,
     run_dir: Path,
 ) -> tuple[None, str, bool]:
@@ -724,11 +664,7 @@ def _analyses_stage(
         lo, hi = config.gerd_window
         rows = []
         for kind in (BreakthroughClass.CONSOLIDATING, BreakthroughClass.DISRUPTIVE):
-            counts: dict[str, int] = {}
-            for record in records:
-                if record.klass is kind and lo <= record.year <= hi:
-                    for code in record.country_codes:
-                        counts[code] = counts.get(code, 0) + 1
+            counts = country_counts(corpus, chosen, (lo, hi), kind)
             targets = [("counts", counts)]
             covering = [
                 w for k, w in rankings if k is kind and w[0] <= lo and hi <= w[1]

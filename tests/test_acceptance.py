@@ -25,7 +25,7 @@ from scibreak.complexity import BinaryAdjacency, binarize, genepy_scores, rca
 from scibreak.config import PipelineConfig
 from scibreak.corpus import ingest_works
 from scibreak.impact import BreakthroughClass, cd_all, cd_index, nbnc, nbnc_all
-from scibreak.panel import PanelMatrix, select_breakthroughs, subfield_series
+from scibreak.panel import PanelMatrix, ScoredWorks, select_breakthroughs, subfield_series
 from scibreak.pipeline import run_pipeline
 from scibreak.synth import synthetic_records, write_jsonl
 
@@ -115,7 +115,7 @@ def test_c03_breakthrough_identity_and_selection_size():
         scores = nbnc_all(corpus, 6)
         cds = cd_all(corpus, 6)
         chosen = select_breakthroughs(
-            corpus, scores.works, scores.value, cds.value, 0.05
+            corpus, ScoredWorks(scores.works, scores.value, cds.value), 0.05
         )
 
         pool: dict[int, int] = {}
@@ -123,15 +123,19 @@ def test_c03_breakthrough_identity_and_selection_size():
             year = corpus.pub_year_of(idx)
             pool[year] = pool.get(year, 0) + 1
         sizes: dict[int, int] = {}
-        for record in chosen:
-            sizes[record.year] = sizes.get(record.year, 0) + 1
+        for idx in chosen.works.tolist():
+            year = corpus.pub_year_of(idx)
+            sizes[year] = sizes.get(year, 0) + 1
         for year, n_pool in pool.items():
             assert sizes[year] == max(1, math.ceil(0.05 * n_pool))
 
-        series = subfield_series(chosen, corpus, range(1990, 2011))
-        for s in series.by_subfield.values():
-            for bt, cn, di in zip(s.n_bt, s.n_cn, s.n_di):
+        series = subfield_series(corpus, chosen, range(1990, 2011))
+        for bts, cns, dis in zip(series.n_bt, series.n_cn, series.n_di):
+            for bt, cn, di in zip(bts.tolist(), cns.tolist(), dis.tolist()):
                 assert bt == cn + di
+        # every breakthrough of a grid year lands in one row or in unlabeled
+        for j, year in enumerate(series.years.tolist()):
+            assert int(series.n_bt[:, j].sum() + series.unlabeled[j]) == sizes.get(year, 0)
 
 
 def test_c04_dtw_exhaustive_oracle():

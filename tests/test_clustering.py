@@ -20,7 +20,7 @@ from scibreak.clustering import (
     trajectories_from_series,
 )
 from scibreak.leiden import leiden_communities, modularity
-from scibreak.panel import SubfieldSeries
+from scibreak.panel import SeriesTable
 
 from oracles import exhaustive_dtw, exhaustive_dtw_per_component
 
@@ -359,30 +359,33 @@ def _cluster_of(members):
 
 
 class TestTrajectoriesFromSeries:
-    def test_missing_years_zero_filled_and_flagged(self):
-        series = SubfieldSeries(
-            subfield_id=3101,
-            years=(2000, 2002),
-            n_total=(10, 10),
-            n_bt=(2, 2),
-            n_cn=(1, 1),
-            n_di=(1, 1),
-            scaled_cn=(0.1, 0.1),
-            scaled_di=(0.1, 0.1),
+    def test_one_trajectory_per_subfield_row(self):
+        series = SeriesTable(
+            subfields=np.array([3101, 3102]),
+            years=np.array([2000, 2001]),
+            n_total=np.full((2, 2), 10),
+            n_bt=np.full((2, 2), 2),
+            n_cn=np.ones((2, 2), dtype=int),
+            n_di=np.ones((2, 2), dtype=int),
+            unlabeled=np.zeros(2, dtype=int),
+            scaled_cn=np.array([[0.1, 0.2], [0.3, 0.4]]),
+            scaled_di=np.array([[0.5, 0.6], [0.7, 0.8]]),
         )
-        trajs = trajectories_from_series({3101: series}, [2000, 2001, 2002])
-        assert trajs[0].filled_years == (2001,)
-        assert trajs[0].points[1].tolist() == [0.0, 0.0]
-        assert trajs[0].points[0].tolist() == [0.1, 0.1]
+        trajs = trajectories_from_series(series)
+        assert [t.subfield_id for t in trajs] == [3101, 3102]
+        assert all(t.years == (2000, 2001) for t in trajs)
+        assert trajs[1].points.tolist() == [[0.3, 0.7], [0.4, 0.8]]
 
     def test_requires_scaled_counts(self):
-        series = SubfieldSeries(
-            subfield_id=3101,
-            years=(2000,),
-            n_total=(1,),
-            n_bt=(0,),
-            n_cn=(0,),
-            n_di=(0,),
+        ones = np.ones((1, 1), dtype=int)
+        series = SeriesTable(
+            subfields=np.array([3101]),
+            years=np.array([2000]),
+            n_total=ones,
+            n_bt=0 * ones,
+            n_cn=0 * ones,
+            n_di=0 * ones,
+            unlabeled=np.zeros(1, dtype=int),
         )
         with pytest.raises(ValueError):
-            trajectories_from_series({3101: series}, [2000])
+            trajectories_from_series(series)

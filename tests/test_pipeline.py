@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,15 @@ from scibreak.corpus import CitationCorpus
 from scibreak.impact import BreakthroughClass
 from scibreak.pipeline import (
     StageError,
-    read_breakthrough_tables,
-    read_metrics_dir,
     read_panel,
+    read_scored_tables,
     read_series_table,
     run_pipeline,
 )
 from scibreak.synth import synthetic_records, write_jsonl
+
+
+SERIES_HEADER = "subfield\tyear\tn_total\tn_bt\tn_cn\tn_di\tscaled_cn\tscaled_di\tflags\n"
 
 
 def small_config(tmp_path, n_works=200, seed=5, **overrides) -> PipelineConfig:
@@ -74,6 +77,22 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("horizon = soon\n")
         with pytest.raises(ConfigError):
+            PipelineConfig.from_file(path)
+
+    def test_bad_year_pair_names_its_line(self, tmp_path, capsys):
+        # a non-integer year once escaped as a bare int() error
+        path = tmp_path / "bad.cfg"
+        path.write_text("corpus_path = x\ngerd_window = 1990,abc\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: .*gerd_window"):
+            PipelineConfig.from_file(path)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+    def test_repeated_key_names_its_line(self, tmp_path):
+        # a second value for a key once silently replaced the first
+        path = tmp_path / "twice.cfg"
+        path.write_text("horizon = 5\ncorpus_path = x\nhorizon = 8\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: .*'horizon'"):
             PipelineConfig.from_file(path)
 
     def test_missing_corpus_fails_before_stages(self, tmp_path):
@@ -136,6 +155,12 @@ class TestPipelineRun:
         assert (run_dir / "manifest.json").exists()
         assert manifest["outputs"]  # checksums recorded
 
+    def test_select_detail_counts_years_without_scored_works(self, tmp_path):
+        # the corpus starts in 1970, so 1965-1969 have nothing to select from
+        manifest = run_pipeline(small_config(tmp_path, analysis_start=1965))
+        select = next(s for s in manifest["stages"] if s["name"] == "select")
+        assert select["detail"].endswith("; years without scored works: 5")
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         config_a = small_config(tmp_path, out_root=str(tmp_path / "ra"))
         config_b = small_config(tmp_path, out_root=str(tmp_path / "rb"))
@@ -193,20 +218,25 @@ class TestPipelineRun:
         corpus = CitationCorpus.load_snapshot(run_dir / "corpus.snap")
         assert corpus.n_works == 200
 
-        works, nbnc, cd = read_metrics_dir(run_dir / "metrics", corpus)
-        assert len(works) and len(nbnc) == len(cd) == len(works)
+        scored = read_scored_tables(run_dir / "metrics", "metrics_*.tsv", corpus)
+        assert len(scored) and len(scored.nbnc) == len(scored.cd) == len(scored)
         years = corpus.pub_years
         in_range = np.nonzero((1975 <= years) & (years <= 2000))[0]
-        assert sorted(works.tolist()) == in_range.tolist()
+        assert sorted(scored.works.tolist()) == in_range.tolist()
 
-        records = read_breakthrough_tables(run_dir / "breakthroughs")
-        assert records
-        assert all(r.klass in BreakthroughClass for r in records)
+        chosen = read_scored_tables(run_dir / "breakthroughs", "breakthroughs_*.tsv", corpus)
+        assert len(chosen)
+        assert set(chosen.works.tolist()) <= set(scored.works.tolist())
+        classes = [
+            line.split("\t")[6]
+            for path in sorted((run_dir / "breakthroughs").iterdir())
+            for line in path.read_text().splitlines()[1:]
+        ]
+        assert classes == [BreakthroughClass.of(cd).value for cd in chosen.cd.tolist()]
 
         series = read_series_table(run_dir / "series" / "subfield_series.tsv")
-        assert series.by_subfield
-        one = next(iter(series.by_subfield.values()))
-        assert one.scaled_cn is not None
+        assert len(series.subfields)
+        assert series.scaled_cn.shape == (len(series.subfields), len(series.years))
 
         panel_paths = sorted((run_dir / "panels").glob("*.tsv"))
         assert panel_paths
@@ -585,6 +615,64 @@ class TestCliStages:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "NOPE" in err
+
+    def test_panel_unknown_work_id_is_an_input_error(self, tmp_path, capsys):
+        # year, subfield and countries come from the snapshot, so an id it
+        # lacks cannot be counted
+        works = tmp_path / "works.jsonl"
+        write_jsonl(synthetic_records(30, seed=3, year_start=1990, year_end=2000), works)
+        snap = tmp_path / "corpus.snap"
+        assert cli_main(["ingest", "--input", str(works), "--snapshot", str(snap)]) == 0
+        tables = tmp_path / "breakthroughs"
+        tables.mkdir()
+        (tables / "breakthroughs_1995.tsv").write_text(
+            "work_id\tyear\tsubfield\tcountries\tnbnc\tcd\tclass\n"
+            "NOPE\t1995\t3100\tAA\t1.0\t0.5\tDI\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        argv = ["panel", "--snapshot", str(snap), "--breakthroughs-dir", str(tables),
+                "--out-dir", str(out), "--start", "1990", "--end", "2000"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown work id 'NOPE'\n"
+        assert not out.exists()
+
+    def test_series_table_with_a_repeated_row_is_an_input_error(self, tmp_path, capsys):
+        # the later of two rows for one subfield and year once silently won
+        series = tmp_path / "subfield_series.tsv"
+        series.write_text(
+            SERIES_HEADER
+            + "3100\t2000\t4\t1\t1\t0\t0.25\t0.0\t-\n"
+            + "3101\t2000\t2\t1\t0\t1\t0.0\t0.5\t-\n"
+            + "3100\t2000\t4\t2\t2\t0\t0.5\t0.0\t-\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="given twice"):
+            read_series_table(series)
+        out = tmp_path / "out"
+        argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {series}: ")
+        assert not out.exists()
+
+    def test_series_table_missing_cells_read_as_zero(self, tmp_path):
+        series = tmp_path / "subfield_series.tsv"
+        series.write_text(
+            SERIES_HEADER
+            + "3101\t2002\t10\t2\t1\t1\t0.1\t0.1\t-\n"
+            + "3100\t2001\t5\t1\t1\t0\t0.2\t0.0\t-\n"
+            + "3101\t2000\t10\t2\t1\t1\t0.1\t0.1\t-\n",
+            encoding="utf-8",
+        )
+        table = read_series_table(series)
+        assert table.subfields.tolist() == [3100, 3101]
+        assert table.years.tolist() == [2000, 2001, 2002]
+        assert table.n_total.tolist() == [[0, 5, 0], [10, 0, 10]]
+        assert table.n_bt.tolist() == [[0, 1, 0], [2, 0, 2]]
+        assert table.n_cn.tolist() == [[0, 1, 0], [1, 0, 1]]
+        assert table.n_di.tolist() == [[0, 0, 0], [1, 0, 1]]
+        assert table.scaled_cn.tolist() == [[0.0, 0.2, 0.0], [0.1, 0.0, 0.1]]
+        assert table.scaled_di.tolist() == [[0.0, 0.0, 0.0], [0.1, 0.0, 0.1]]
 
     @pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
     @pytest.mark.parametrize(
