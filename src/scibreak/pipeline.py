@@ -160,14 +160,15 @@ def write_breakthrough_tables(
     """One file per publication year of the breakthroughs, in their order."""
     works = chosen.works.tolist()
     years = corpus.pub_years[chosen.works].tolist()
+    cds = chosen.cd.tolist()
     columns = [
         [corpus.ids[idx] for idx in works],
         years,
         ["-" if sub < 0 else sub for sub in corpus.subfields[chosen.works].tolist()],
         [",".join(corpus.countries_of(idx)) or "-" for idx in works],
         chosen.nbnc.tolist(),
-        chosen.cd.tolist(),
-        [BreakthroughClass.of(cd).value for cd in chosen.cd.tolist()],
+        cds,
+        [BreakthroughClass.of(cd).value for cd in cds],
     ]
     header = ("work_id", "year", "subfield", "countries", "nbnc", "cd", "class")
     return _write_yearly(

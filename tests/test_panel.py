@@ -325,9 +325,9 @@ def labelled_corpora(draw):
         subfield = draw(st.sampled_from([None, 3100, 3101, 3102]))
         if subfield is not None:
             record["primary_topic"] = {"subfield": {"id": subfield}}
+        codes = st.lists(st.sampled_from(["AA", "BB", "CC", "dd"]), max_size=2)
         record["authorships"] = [
-            {"countries": draw(st.lists(st.sampled_from(["AA", "BB", "CC", "dd"]), max_size=2))}
-            for _ in range(draw(st.integers(0, 2)))
+            {"countries": draw(codes)} for _ in range(draw(st.integers(0, 2)))
         ]
         records.append(record)
     nbnc = draw(st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n))
@@ -374,7 +374,10 @@ class TestAgainstOracles:
         got_unlabeled = dict(zip(series.years.tolist(), series.unlabeled.tolist()))
         assert {y: c for y, c in got_unlabeled.items() if c} == unlabeled
 
-        subfield = {r["id"]: r.get("primary_topic", {}).get("subfield", {}).get("id") for r in records}
+        subfield = {
+            r["id"]: r.get("primary_topic", {}).get("subfield", {}).get("id")
+            for r in records
+        }
         admitted = {
             wid: value
             for wid, value in picked.items()
