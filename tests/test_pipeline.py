@@ -637,6 +637,17 @@ class TestCliStages:
         assert capsys.readouterr().err == "error: unknown work id 'NOPE'\n"
         assert not out.exists()
 
+    def test_panel_bad_allowlist_names_the_flag_and_value(self, tmp_path, capsys):
+        # a bare int() once reported "invalid literal for int()" without the flag
+        argv = ["panel", "--snapshot", str(tmp_path / "corpus.snap"),
+                "--breakthroughs-dir", str(tmp_path), "--out-dir", str(tmp_path / "out"),
+                "--start", "1990", "--end", "2000", "--allowlist", "3100,abc"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --allowlist:" in err and "'abc'" in err
+
     def test_series_table_with_a_repeated_row_is_an_input_error(self, tmp_path, capsys):
         # the later of two rows for one subfield and year once silently won
         series = tmp_path / "subfield_series.tsv"
