@@ -125,6 +125,14 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return _report(detail, skipped, args.out_dir)
 
 
+def _subfield_ids(text: str) -> set[int]:
+    """``--allowlist`` value: comma-separated subfield ids."""
+    try:
+        return {int(s) for s in text.split(",") if s.strip()}
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_panel(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("panel", help="build subfield series and country panels")
     p.add_argument("--snapshot", required=True)
@@ -134,7 +142,9 @@ def _add_panel(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--end", type=int, required=True)
     p.add_argument("--window-width", type=int, default=10)
     p.add_argument(
-        "--allowlist", help="comma-separated subfield ids admitted to panels"
+        "--allowlist",
+        type=_subfield_ids,
+        help="comma-separated subfield ids admitted to panels",
     )
 
 
@@ -142,11 +152,9 @@ def _cmd_panel(args: argparse.Namespace) -> int:
     corpus = CitationCorpus.load_snapshot(args.snapshot)
     # year, subfield and countries of each breakthrough come from the snapshot
     chosen = read_scored_tables(Path(args.breakthroughs_dir), "breakthroughs_*.tsv", corpus)
-    allow = None
-    if args.allowlist:
-        allow = {int(s) for s in args.allowlist.split(",") if s.strip()}
     _, detail, skipped = panel_stage(
-        corpus, chosen, args.start, args.end, args.window_width, allow, Path(args.out_dir)
+        corpus, chosen, args.start, args.end, args.window_width, args.allowlist or None,
+        Path(args.out_dir),
     )
     return _report(detail, skipped, args.out_dir)
 

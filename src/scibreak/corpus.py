@@ -18,16 +18,17 @@ import hashlib
 import json
 import re
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 SNAPSHOT_MAGIC = b"SCBKSNP1"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _TRAILING_DIGITS = re.compile(r"(\d+)\s*$")
 
@@ -115,80 +116,76 @@ class CocitedBag:
         return len(self.member_ids)
 
 
-def _extract(value: Any, path: str) -> Any:
-    """Walk a dotted path through nested dicts, mapping over lists."""
-    for part in path.split("."):
-        if value is None:
-            return None
-        if isinstance(value, list):
+def _extract(value: Any, parts: Sequence[str]) -> Any:
+    """Walk dotted-path ``parts`` through nested dicts, mapping over lists."""
+    for part in parts:
+        if isinstance(value, dict):
+            value = value.get(part)
+        elif isinstance(value, list):
             collected: list[Any] = []
             for element in value:
-                got = _extract(element, part)
+                if isinstance(element, dict):
+                    got = element.get(part)
+                else:
+                    got = _extract(element, (part,))
                 if isinstance(got, list):
-                    collected.extend(g for g in got if g is not None)
+                    collected += [g for g in got if g is not None]
                 elif got is not None:
                     collected.append(got)
             value = collected
-        elif isinstance(value, dict):
-            value = value.get(part)
         else:
             return None
     return value
 
 
-def _parse_year(raw: Any) -> int | None:
+def _getter(path: str) -> Callable[[dict], Any]:
+    """``_extract`` of a dotted ``path`` from a dict record, split once; a
+    one-segment path is a single lookup."""
+    parts = tuple(path.split("."))
+    if len(parts) == 1:
+        key = parts[0]
+        return lambda record: record.get(key)
+    return lambda record: _extract(record, parts)
+
+
+def _as_int(raw: Any) -> int | None:
+    """An int, or an integral float as an int; bools and the rest are None."""
     if isinstance(raw, bool):
         return None
     if isinstance(raw, int):
         return raw
     if isinstance(raw, float) and raw.is_integer():
         return int(raw)
+    return None
+
+
+def _parse_year(raw: Any) -> int | None:
     if isinstance(raw, str):
         try:
             return int(raw.strip())
         except ValueError:
             return None
-    return None
+    return _as_int(raw)
 
 
 def _parse_subfield(raw: Any) -> int | None:
     """Accept plain integers or ids with a trailing number (OpenAlex URLs)."""
     if isinstance(raw, list):
         raw = raw[0] if raw else None
-    if raw is None or isinstance(raw, bool):
-        return None
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, float) and raw.is_integer():
-        return int(raw)
     if isinstance(raw, str):
         match = _TRAILING_DIGITS.search(raw.strip())
-        if match:
-            return int(match.group(1))
-    return None
+        return int(match.group(1)) if match else None
+    return _as_int(raw)
 
 
-def _parse_countries(raw: Any) -> tuple[tuple[str, ...], int]:
-    """Normalize to unique upper-case ASCII alpha-2 codes, first-seen order."""
-    if raw is None:
-        return (), 0
-    if not isinstance(raw, list):
-        raw = [raw]
-    seen: list[str] = []
-    invalid = 0
-    for item in raw:
-        if (
-            isinstance(item, str)
-            and len(item) == 2
-            and item.isascii()
-            and item.isalpha()
-        ):
-            code = item.upper()
-            if code not in seen:
-                seen.append(code)
-        else:
-            invalid += 1
-    return tuple(seen), invalid
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys`` ascending, as ``np.unique`` gives them,
+    from one sort and a neighbour mask (``np.unique`` is far slower on large
+    integer arrays)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _gather_rows(
@@ -208,10 +205,12 @@ class CitationCorpus:
     """Immutable citation graph with per-work year, subfield, country labels.
 
     Adjacency rows are sorted by work index; ``citers_idx`` is the exact
-    transpose of ``references_idx``.  Construction is single-writer.  The
-    only state built after construction is the sorted citation-year key
-    behind :meth:`citations_in_years`, made on first use so that corpora
-    that are never scored do not pay for it.
+    transpose of ``references_idx``.  Countries are a CSR too: row ``i``
+    holds indexes into the ascending ``country_table``, in the order the
+    codes were first seen in work ``i``'s record.  Construction is
+    single-writer.  The only state built after construction is the sorted
+    citation-year key behind :meth:`citations_in_years`, made on first use so
+    that corpora that are never scored do not pay for it.
     """
 
     def __init__(
@@ -219,7 +218,9 @@ class CitationCorpus:
         ids: Sequence[str],
         pub_year: np.ndarray,
         subfield: np.ndarray,
-        countries: Sequence[tuple[str, ...]],
+        country_table: Sequence[str],
+        country_indptr: np.ndarray,
+        country_codes: np.ndarray,
         out_indptr: np.ndarray,
         out_indices: np.ndarray,
     ):
@@ -227,22 +228,22 @@ class CitationCorpus:
         self._index = {wid: i for i, wid in enumerate(self._ids)}
         self._pub_year = np.asarray(pub_year, dtype=np.int32)
         self._subfield = np.asarray(subfield, dtype=np.int32)
-        self._countries = [tuple(c) for c in countries]
+        self._country_table = tuple(country_table)
+        self._country_indptr = np.asarray(country_indptr, dtype=np.int64)
+        self._country_codes = np.asarray(country_codes, dtype=np.uint16)
         self._out_indptr = np.asarray(out_indptr, dtype=np.int64)
         self._out_indices = np.asarray(out_indices, dtype=np.int32)
         self._build_transpose()
 
     def _build_transpose(self) -> None:
         n = len(self._ids)
-        sources = np.repeat(
-            np.arange(n, dtype=np.int32), np.diff(self._out_indptr)
-        )
-        # stable sort by target keeps sources ascending within each row
-        order = np.argsort(self._out_indices, kind="stable")
-        self._in_indices = sources[order]
-        counts = np.bincount(self._out_indices, minlength=n)
-        self._in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._in_indptr[1:])
+        # one sort of target * n + source orders by target, then source
+        key = self._out_indices.astype(np.int64)
+        key *= n
+        key += _owners(np.diff(self._out_indptr))
+        key.sort()
+        self._in_indices = (key % max(n, 1)).astype(np.int32)
+        self._in_indptr = _indptr(self._out_indices, n)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -275,7 +276,13 @@ class CitationCorpus:
         return None if value < 0 else value
 
     def countries_of(self, idx: int) -> tuple[str, ...]:
-        return self._countries[idx]
+        row = self._country_codes[self._country_indptr[idx] : self._country_indptr[idx + 1]]
+        return tuple(self._country_table[c] for c in row.tolist())
+
+    @property
+    def country_table(self) -> tuple[str, ...]:
+        """Every country code of the corpus, ascending."""
+        return self._country_table
 
     def references_idx(self, idx: int) -> np.ndarray:
         return self._out_indices[self._out_indptr[idx] : self._out_indptr[idx + 1]]
@@ -293,7 +300,7 @@ class CitationCorpus:
 
     def subfield_universe(self) -> list[int]:
         """Distinct subfield ids present, ascending."""
-        present = np.unique(self._subfield)
+        present = sorted_unique(self._subfield)
         return [int(s) for s in present if s >= 0]
 
     @property
@@ -321,6 +328,11 @@ class CitationCorpus:
     def citer_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every citer of the works ``rows`` as (position in ``rows``, citer)."""
         return _gather_rows(self._in_indptr, self._in_indices, rows)
+
+    def country_pairs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every country of the works ``rows`` as (position in ``rows``,
+        index into :attr:`country_table`)."""
+        return _gather_rows(self._country_indptr, self._country_codes, rows)
 
     @cached_property
     def _citation_year_key(self) -> np.ndarray:
@@ -362,84 +374,86 @@ class CitationCorpus:
     def save_snapshot(self, path: str | Path) -> None:
         """Write a versioned binary snapshot (little-endian, checksummed).
 
-        Layout: magic(8) | version u32 | n_works u64 | year_min i32 |
-        year_max i32 | ids (u32 length + utf-8 each) | pub_year i32[n] |
-        subfield i32[n] (-1 = missing) | countries (u8 count + 2 ascii bytes
-        each) | out_indptr u64[n+1] | out_indices u32[m] | sha256(32).
+        Layout (version 2): magic(8) | version u32 | n_works u64 |
+        year_min i32 | year_max i32 | id byte lengths u32[n] | ids, utf-8,
+        concatenated | pub_year i32[n] | subfield i32[n] (-1 = missing) |
+        country table size u16 | country table (2 ascii bytes each,
+        ascending) | country counts u16[n] | country codes u16[k] (table
+        indexes, each work's in first-seen order) | out_indptr u64[n+1] |
+        out_indices u32[m] | sha256(32).
         """
-        buf = bytearray()
-        buf += SNAPSHOT_MAGIC
-        buf += struct.pack("<IQ", SNAPSHOT_VERSION, self.n_works)
+        encoded = [wid.encode("utf-8") for wid in self._ids]
         y_lo = self.year_min if self.year_min is not None else 0
         y_hi = self.year_max if self.year_max is not None else -1
-        buf += struct.pack("<ii", y_lo, y_hi)
-        for wid in self._ids:
-            raw = wid.encode("utf-8")
-            buf += struct.pack("<I", len(raw))
-            buf += raw
-        buf += self._pub_year.astype("<i4").tobytes()
-        buf += self._subfield.astype("<i4").tobytes()
-        for codes in self._countries:
-            buf += struct.pack("<B", len(codes))
-            for code in codes:
-                buf += code.encode("ascii")
-        buf += self._out_indptr.astype("<u8").tobytes()
-        buf += self._out_indices.astype("<u4").tobytes()
-        buf += hashlib.sha256(buf).digest()
-        Path(path).write_bytes(bytes(buf))
+        parts = [
+            SNAPSHOT_MAGIC,
+            struct.pack("<IQii", SNAPSHOT_VERSION, self.n_works, y_lo, y_hi),
+            np.array([len(raw) for raw in encoded], dtype="<u4").tobytes(),
+            b"".join(encoded),
+            self._pub_year.astype("<i4").tobytes(),
+            self._subfield.astype("<i4").tobytes(),
+            struct.pack("<H", len(self._country_table)),
+            "".join(self._country_table).encode("ascii"),
+            np.diff(self._country_indptr).astype("<u2").tobytes(),
+            self._country_codes.astype("<u2").tobytes(),
+            self._out_indptr.astype("<u8").tobytes(),
+            self._out_indices.astype("<u4").tobytes(),
+        ]
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for part in parts:
+                digest.update(part)
+                fh.write(part)
+            fh.write(digest.digest())
 
     @classmethod
     def load_snapshot(cls, path: str | Path) -> "CitationCorpus":
         raw = Path(path).read_bytes()
         if len(raw) < len(SNAPSHOT_MAGIC) + 12 + 8 + 32:
             raise SnapshotError(f"snapshot too short: {path}")
-        body, digest = raw[:-32], raw[-32:]
+        body, digest = memoryview(raw)[:-32], raw[-32:]
         if hashlib.sha256(body).digest() != digest:
             raise SnapshotError(f"snapshot checksum mismatch: {path}")
         if body[:8] != SNAPSHOT_MAGIC:
             raise SnapshotError(f"bad snapshot magic: {path}")
-        pos = 8
-        version, n = struct.unpack_from("<IQ", body, pos)
-        pos += 12
+        version, n = struct.unpack_from("<IQ", body, 8)
         if version != SNAPSHOT_VERSION:
-            raise SnapshotError(f"unsupported snapshot version {version}")
-        pos += 8  # observed year range, derivable from pub_year
-        ids: list[str] = []
-        for _ in range(n):
-            (length,) = struct.unpack_from("<I", body, pos)
-            pos += 4
-            ids.append(body[pos : pos + length].decode("utf-8"))
-            pos += length
-        pub_year = np.frombuffer(body, dtype="<i4", count=n, offset=pos).astype(
-            np.int32
-        )
-        pos += 4 * n
-        subfield = np.frombuffer(body, dtype="<i4", count=n, offset=pos).astype(
-            np.int32
-        )
-        pos += 4 * n
-        countries: list[tuple[str, ...]] = []
-        for _ in range(n):
-            count = body[pos]
-            pos += 1
-            codes = tuple(
-                body[pos + 2 * k : pos + 2 * k + 2].decode("ascii")
-                for k in range(count)
-            )
-            pos += 2 * count
-            countries.append(codes)
-        out_indptr = np.frombuffer(body, dtype="<u8", count=n + 1, offset=pos).astype(
-            np.int64
-        )
-        pos += 8 * (n + 1)
-        m = int(out_indptr[-1])
-        out_indices = np.frombuffer(body, dtype="<u4", count=m, offset=pos).astype(
-            np.int32
-        )
-        pos += 4 * m
+            raise SnapshotError(f"unsupported snapshot version {version}: {path}")
+        pos = 8 + 12 + 8  # the observed year range is derivable from pub_year
+
+        def take(dtype: str, count: int) -> np.ndarray:
+            nonlocal pos
+            values = np.frombuffer(body, dtype=dtype, count=count, offset=pos)
+            pos += values.nbytes
+            return values
+
+        id_ends = np.cumsum(take("<u4", n), dtype=np.int64)
+        blob = take("u1", int(id_ends[-1]) if n else 0)
+        # a byte offset less the continuation bytes before it is a char offset
+        continuation = np.concatenate(([0], np.cumsum((blob & 0xC0) == 0x80)))
+        bounds = [0, *(id_ends - continuation[id_ends]).tolist()]
+        text = blob.tobytes().decode("utf-8")
+        ids = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        pub_year = take("<i4", n)
+        subfield = take("<i4", n)
+        (n_codes,) = take("<u2", 1)
+        table = take("u1", 2 * int(n_codes)).tobytes().decode("ascii")
+        country_indptr = np.concatenate(([0], np.cumsum(take("<u2", n))))
+        country_codes = take("<u2", int(country_indptr[-1]))
+        out_indptr = take("<u8", n + 1).astype(np.int64)
+        out_indices = take("<u4", int(out_indptr[-1]))
         if pos != len(body):
             raise SnapshotError(f"trailing bytes in snapshot: {path}")
-        return cls(ids, pub_year, subfield, countries, out_indptr, out_indices)
+        return cls(
+            ids,
+            pub_year,
+            subfield,
+            [table[k : k + 2] for k in range(0, len(table), 2)],
+            country_indptr,
+            country_codes,
+            out_indptr,
+            out_indices,
+        )
 
 
 def ingest_works(
@@ -457,14 +471,26 @@ def ingest_works(
     References to ids absent from the stream are dropped and counted, as are
     self references and per-record duplicate references.  Edges whose citer
     predates the cited work stay in the graph but are tallied as noise.
+
+    One pass over the records keeps per-work columns; each reference id and
+    country code is interned to an int key as it streams, so references
+    resolve and deduplicate afterwards in array passes over the keys.
     """
     report = IngestReport()
-    ids: list[str] = []
-    years: list[int] = []
-    subfields: list[int] = []
-    countries: list[tuple[str, ...]] = []
-    raw_refs: list[tuple[str, ...]] = []
-    index: dict[str, int] = {}
+    get_id, get_year, get_refs, get_subfield, get_countries = map(
+        _getter,
+        (schema.work_id, schema.pub_year, schema.references, schema.subfield,
+         schema.countries),
+    )
+    index: dict[str, int] = {}  # work id -> work index, in stream order
+    years = array("i")
+    subfields = array("i")
+    ref_ids: dict[str, int] = {}  # reference id -> key, in first-seen order
+    ref_keys = array("q")
+    ref_counts = array("q")
+    codes: dict[str, int] = {}  # country code -> key, in first-seen order
+    code_keys = array("q")
+    code_counts = array("q")
 
     for raw in records:
         report.records_seen += 1
@@ -480,13 +506,13 @@ def ingest_works(
             report.rejected["not_object"] += 1
             continue
 
-        wid_raw = _extract(record, schema.work_id)
+        wid_raw = get_id(record)
         if wid_raw is None or (isinstance(wid_raw, str) and not wid_raw.strip()):
             report.rejected["missing_id"] += 1
             continue
         wid = str(wid_raw)
 
-        year_raw = _extract(record, schema.pub_year)
+        year_raw = get_year(record)
         if year_raw is None:
             report.rejected["missing_year"] += 1
             continue
@@ -504,63 +530,110 @@ def ingest_works(
             report.rejected["duplicate_id"] += 1
             continue
 
-        sub_raw = _extract(record, schema.subfield)
+        sub_raw = get_subfield(record)
         sub = _parse_subfield(sub_raw)
         if sub is None and sub_raw is not None:
             report.invalid_subfields += 1
 
-        codes, bad_codes = _parse_countries(_extract(record, schema.countries))
-        report.invalid_countries += bad_codes
-
-        refs_raw = _extract(record, schema.references)
-        refs: list[str] = []
-        if isinstance(refs_raw, list):
-            seen: set[str] = set()
-            for ref in refs_raw:
-                if ref is None:
-                    continue
-                ref_id = str(ref)
-                if ref_id in seen:
-                    report.duplicate_refs += 1
+        listed = get_countries(record)
+        before = len(code_keys)
+        if listed is not None:
+            for item in listed if isinstance(listed, list) else (listed,):
+                if (
+                    isinstance(item, str)
+                    and len(item) == 2
+                    and item.isascii()
+                    and item.isalpha()
+                ):
+                    code_keys.append(codes.setdefault(item.upper(), len(codes)))
                 else:
-                    seen.add(ref_id)
-                    refs.append(ref_id)
+                    report.invalid_countries += 1
+        code_counts.append(len(code_keys) - before)
 
-        index[wid] = len(ids)
-        ids.append(wid)
+        listed = get_refs(record)
+        keys = [] if not isinstance(listed, list) else [
+            ref_ids.setdefault(str(ref), len(ref_ids)) for ref in listed if ref is not None
+        ]
+        ref_keys.extend(keys)
+        ref_counts.append(len(keys))
+
+        index[wid] = len(index)
         years.append(year)
         subfields.append(-1 if sub is None else sub)
-        countries.append(codes)
-        raw_refs.append(tuple(refs))
 
-    indptr = [0]
-    indices: list[int] = []
-    for i, refs in enumerate(raw_refs):
-        row: list[int] = []
-        for ref_id in refs:
-            j = index.get(ref_id)
-            if j is None:
-                report.dangling_refs += 1
-            elif j == i:
-                report.self_refs += 1
-            else:
-                row.append(j)
-                if years[i] < years[j]:
-                    report.backward_edges += 1
-        row.sort()
-        indices.extend(row)
-        indptr.append(len(indices))
-
+    year_of = np.frombuffer(years, dtype=np.int32)
+    table, country_indptr, country_codes = _country_csr(codes, code_keys, code_counts)
     corpus = CitationCorpus(
-        ids,
-        np.array(years, dtype=np.int32),
-        np.array(subfields, dtype=np.int32),
-        countries,
-        np.array(indptr, dtype=np.int64),
-        np.array(indices, dtype=np.int32),
+        list(index),
+        year_of,
+        np.frombuffer(subfields, dtype=np.int32),
+        table,
+        country_indptr,
+        country_codes,
+        *_reference_csr(index, ref_ids, ref_keys, ref_counts, year_of, report),
     )
     report.works_ingested = corpus.n_works
     return corpus, report
+
+
+def _owners(counts: Sequence[int]) -> np.ndarray:
+    """The row of each entry of a CSR whose rows hold ``counts`` entries."""
+    return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """The row pointer of an ``n``-row CSR whose entries are in rows ``rows``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _reference_csr(
+    index: dict[str, int],
+    ref_ids: dict[str, int],
+    keys: array,
+    counts: array,
+    years: np.ndarray,
+    report: IngestReport,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reference CSR from each work's interned reference keys.
+
+    A key maps to its work index, or to ``n + key`` for an id that is not a
+    work, so one sort of ``owner * (n + K) + target`` drops per-record
+    duplicates and leaves every row ascending.  Fills the report's
+    reference tallies.
+    """
+    n = len(index)
+    stride = n + len(ref_ids)
+    target = np.array([index.get(ref, n + k) for k, ref in enumerate(ref_ids)], np.int64)
+    keys = np.frombuffer(keys, dtype=np.int64)
+    owner, target = np.divmod(sorted_unique(_owners(counts) * stride + target[keys]), stride)
+    report.duplicate_refs = len(keys) - len(owner)
+    dangling = target >= n
+    self_ref = target == owner
+    report.dangling_refs = int(dangling.sum())
+    report.self_refs = int(self_ref.sum())
+    kept = ~(dangling | self_ref)
+    owner, target = owner[kept], target[kept]
+    report.backward_edges = int((years[owner] < years[target]).sum())
+    return _indptr(owner, n), target.astype(np.int32)
+
+
+def _country_csr(
+    codes: dict[str, int], keys: array, counts: array
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(ascending code table, indptr, table indexes) of the works' countries,
+    from each work's interned code keys; a code repeated within a work keeps
+    only its first place."""
+    keys = np.frombuffer(keys, dtype=np.int64)
+    owner = _owners(counts)
+    pair = owner * len(codes) + keys
+    order = np.argsort(pair, kind="stable")
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = pair[order[1:]] != pair[order[:-1]]
+    kept = np.sort(order[first])
+    table = sorted(codes)
+    rank = np.empty(len(codes), dtype=np.int64)
+    rank[[codes[code] for code in table]] = np.arange(len(table))
+    return table, _indptr(owner[kept], len(counts)), rank[keys[kept]]
 
 
 def iter_json_lines(path: str | Path) -> Iterable[str]:
@@ -628,5 +701,5 @@ def cocited_bag(
     citers = citers[corpus.pub_years[citers] == corpus.pub_year_of(focal) + offset]
     _, members = corpus.reference_pairs(citers)
     members = members[members != focal]
-    members = np.unique(members) if semantics == "set" else np.sort(members)
+    members = sorted_unique(members) if semantics == "set" else np.sort(members)
     return CocitedBag(focal_id, offset, tuple(map(corpus.work_id, members.tolist())))

@@ -47,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import CitationCorpus
+from .corpus import CitationCorpus, sorted_unique
 
 
 class BreakthroughClass(Enum):
@@ -301,7 +301,7 @@ def _nbnc_terms(
     member_cell = cell[edge[bagged]]
     member = member[bagged]
     if semantics == "set":
-        unique = np.unique(member_cell * corpus.n_works + member)
+        unique = sorted_unique(member_cell * corpus.n_works + member)
         member_cell, member = np.divmod(unique, corpus.n_works)
     member_year = corpus.pub_years[member]
     calendar = (member_year if convention == "own_age" else year) + (

@@ -168,13 +168,6 @@ def _in_window(
     return chosen.works[kind.holds(chosen.cd) & (lo <= years) & (years <= hi)]
 
 
-def _credits(corpus: CitationCorpus, works: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full counting: (position in ``works``, country code) per listed country."""
-    lists = [corpus.countries_of(idx) for idx in works.tolist()]
-    owners = np.repeat(np.arange(len(lists)), [len(codes) for codes in lists])
-    return owners, np.array([code for codes in lists for code in codes], dtype=str)
-
-
 def country_subfield_counts(
     corpus: CitationCorpus,
     chosen: ScoredWorks,
@@ -190,16 +183,16 @@ def country_subfield_counts(
     works = _in_window(corpus, chosen, window, kind)
     subs = corpus.subfields[works]
     labeled = works[subs >= 0]
-    owners, codes = _credits(corpus, labeled)
+    owners, codes = corpus.country_pairs(labeled)
     countries, rows = np.unique(codes, return_inverse=True)
     subfields, cols = np.unique(subs[subs >= 0][owners], return_inverse=True)
-    counts = np.zeros((len(countries), len(subfields)), dtype=np.int64)
-    np.add.at(counts, (rows, cols), 1)
+    shape = (len(countries), len(subfields))
+    cells = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1])
     return PanelMatrix(
         window=tuple(window),
         kind=kind,
-        counts=counts,
-        countries=tuple(countries.tolist()),
+        counts=cells.reshape(shape),
+        countries=tuple(corpus.country_table[c] for c in countries.tolist()),
         subfields=tuple(subfields.tolist()),
         unattributed=len(labeled) - len(np.unique(owners)),
         unlabeled=len(works) - len(labeled),
@@ -214,9 +207,9 @@ def country_counts(
 ) -> dict[str, int]:
     """Full count per country of the ``kind`` breakthroughs in ``window``,
     which unlike the panels counts breakthroughs without a subfield too."""
-    _, codes = _credits(corpus, _in_window(corpus, chosen, window, kind))
+    _, codes = corpus.country_pairs(_in_window(corpus, chosen, window, kind))
     countries, counts = np.unique(codes, return_counts=True)
-    return dict(zip(countries.tolist(), counts.tolist()))
+    return {corpus.country_table[c]: n for c, n in zip(countries.tolist(), counts.tolist())}
 
 
 def decade_windows(

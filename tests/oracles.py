@@ -6,7 +6,9 @@ nested loops, deliberately sharing no code with the package internals.
 
 from __future__ import annotations
 
+import json
 import math
+import string
 from collections import defaultdict
 
 import numpy as np
@@ -293,3 +295,178 @@ def brute_country_counts(records, chosen, window, kind):
             for code in codes:
                 counts[code] += 1
     return dict(counts)
+
+
+def _walk(value, parts):
+    """Follow dotted-path ``parts`` through dicts; over a list, follow each
+    element and flatten list results, dropping None entries."""
+    for part in parts:
+        if isinstance(value, dict):
+            value = value.get(part)
+        elif isinstance(value, list):
+            flat = []
+            for element in value:
+                got = _walk(element, [part])
+                if isinstance(got, list):
+                    flat += [g for g in got if g is not None]
+                elif got is not None:
+                    flat.append(got)
+            value = flat
+        else:
+            return None
+    return value
+
+
+def _whole_number(raw):
+    """An int from an int or an integral float; bools are not numbers here."""
+    if isinstance(raw, bool):
+        return None
+    if isinstance(raw, int):
+        return raw
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    return None
+
+
+def _oracle_year(raw):
+    if isinstance(raw, str):
+        try:
+            return int(raw.strip())
+        except ValueError:
+            return None
+    return _whole_number(raw)
+
+
+def _oracle_subfield(raw):
+    if isinstance(raw, list):
+        raw = raw[0] if raw else None
+    if isinstance(raw, str):
+        text = raw.strip()
+        end = len(text)
+        start = end
+        while start > 0 and text[start - 1].isdecimal():
+            start -= 1
+        return int(text[start:end]) if start < end else None
+    return _whole_number(raw)
+
+
+def naive_ingest(records, schema, year_min=None, year_max=None):
+    """The per-record ingest loop, written out record by record.
+
+    Returns ``(ids, years, subfields, countries, references, citers,
+    report)``: subfields use -1 for a missing label, countries are tuples of
+    upper-case codes in first-seen order, ``references[i]`` and
+    ``citers[i]`` are ascending work indexes, and ``report`` has the layout
+    of ``IngestReport.as_dict()``.
+    """
+    paths = {
+        name: getattr(schema, name).split(".")
+        for name in ("work_id", "pub_year", "references", "subfield", "countries")
+    }
+    rejected = defaultdict(int)
+    tally = defaultdict(int)
+    seen = 0
+    ids, years, subfields, countries, ref_ids = [], [], [], [], []
+    position = {}
+    for raw in records:
+        seen += 1
+        record = raw
+        if isinstance(raw, (str, bytes)):
+            try:
+                record = json.loads(raw)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                rejected["parse_error"] += 1
+                continue
+        if not isinstance(record, dict):
+            rejected["not_object"] += 1
+            continue
+        wid = _walk(record, paths["work_id"])
+        if wid is None or (isinstance(wid, str) and wid.strip() == ""):
+            rejected["missing_id"] += 1
+            continue
+        year_raw = _walk(record, paths["pub_year"])
+        if year_raw is None:
+            rejected["missing_year"] += 1
+            continue
+        year = _oracle_year(year_raw)
+        if year is None:
+            rejected["invalid_year"] += 1
+            continue
+        if (year_min is not None and year < year_min) or (
+            year_max is not None and year > year_max
+        ):
+            rejected["year_out_of_range"] += 1
+            continue
+        wid = str(wid)
+        if wid in position:
+            rejected["duplicate_id"] += 1
+            continue
+
+        sub_raw = _walk(record, paths["subfield"])
+        sub = _oracle_subfield(sub_raw)
+        if sub is None and sub_raw is not None:
+            tally["invalid_subfields"] += 1
+
+        codes = []
+        listed = _walk(record, paths["countries"])
+        if listed is not None:
+            for item in listed if isinstance(listed, list) else [listed]:
+                if not (
+                    isinstance(item, str)
+                    and len(item) == 2
+                    and all(ch in string.ascii_letters for ch in item)
+                ):
+                    tally["invalid_countries"] += 1
+                elif item.upper() not in codes:
+                    codes.append(item.upper())
+
+        refs = []
+        listed = _walk(record, paths["references"])
+        if isinstance(listed, list):
+            for ref in listed:
+                if ref is None:
+                    continue
+                if str(ref) in refs:
+                    tally["duplicate_refs"] += 1
+                else:
+                    refs.append(str(ref))
+
+        position[wid] = len(ids)
+        ids.append(wid)
+        years.append(year)
+        subfields.append(-1 if sub is None else sub)
+        countries.append(tuple(codes))
+        ref_ids.append(refs)
+
+    references = []
+    citers = [[] for _ in ids]
+    for i, refs in enumerate(ref_ids):
+        row = []
+        for ref in refs:
+            if ref not in position:
+                tally["dangling_refs"] += 1
+            elif position[ref] == i:
+                tally["self_refs"] += 1
+            else:
+                j = position[ref]
+                row.append(j)
+                citers[j].append(i)
+                tally["backward_edges"] += years[i] < years[j]
+        references.append(sorted(row))
+    report = {
+        "records_seen": seen,
+        "works_ingested": len(ids),
+        "rejected": dict(sorted(rejected.items())),
+        **{
+            name: tally[name]
+            for name in (
+                "dangling_refs",
+                "self_refs",
+                "duplicate_refs",
+                "backward_edges",
+                "invalid_subfields",
+                "invalid_countries",
+            )
+        },
+    }
+    return ids, years, subfields, countries, references, citers, report

@@ -1,10 +1,15 @@
 """Corpus ingestion, temporal queries, and snapshot persistence."""
 
 import gzip
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scibreak.corpus import (
     CitationCorpus,
@@ -18,6 +23,7 @@ from scibreak.corpus import (
 )
 
 from conftest import build, make_records, random_citation_records
+from oracles import naive_ingest
 
 
 class TestIngestion:
@@ -331,8 +337,144 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             CitationCorpus.load_snapshot(path)
 
+    def test_version_one_file_names_its_version(self, tmp_path):
+        corpus = build(make_records([("A", 2000, [])]))
+        path = tmp_path / "c.snap"
+        corpus.save_snapshot(path)
+        body = bytearray(path.read_bytes()[:-32])
+        body[8:12] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        with pytest.raises(SnapshotError, match="version 1"):
+            CitationCorpus.load_snapshot(path)
+
+    def test_empty_corpus_round_trip(self, tmp_path):
+        corpus, _ = ingest_works([])
+        path = tmp_path / "empty.snap"
+        corpus.save_snapshot(path)
+        loaded = CitationCorpus.load_snapshot(path)
+        assert loaded.n_works == 0 and loaded.n_edges == 0
+        assert loaded.ids == [] and loaded.country_table == ()
+        assert loaded.year_min is None
+
+    def test_non_ascii_ids_round_trip(self, tmp_path):
+        # ids are stored as one utf-8 blob cut by byte lengths
+        ids = ["Ω7", "é", "日本語", "W🎉", "plain"]
+        corpus = build(
+            make_records([(wid, 2000 + k, ids[:k]) for k, wid in enumerate(ids)])
+        )
+        path = tmp_path / "c.snap"
+        corpus.save_snapshot(path)
+        loaded = CitationCorpus.load_snapshot(path)
+        assert loaded.ids == ids
+        assert _columns(loaded) == _columns(corpus)
+        assert loaded.work_index("W🎉") == 3
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.snap"
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(SnapshotError):
             CitationCorpus.load_snapshot(path)
+
+
+CUSTOM_MAP = FieldMap(
+    work_id="meta.key",
+    pub_year="yr",
+    references="links.to",
+    subfield="topic.sf",
+    countries="people.affil.geo",
+)
+IDS = ["W1", "W2", "W3", "1", "Ω7", "é"]
+COUNTRY_ITEMS = ["US", "us", "Us", "DE", "fr", "ÉÉ", "ßa", "USA", "X1", "", "E-", 7, None]
+JUNK_LINES = ["{not json", "[1, 2]", "3", "null", b"\x80{}", b'{"id": "W9"}']
+
+
+def _put(record, path, value):
+    *parents, leaf = path.split(".")
+    for part in parents:
+        record = record.setdefault(part, {})
+    record[leaf] = value
+
+
+@st.composite
+def noisy_records(draw, schema):
+    """Records and raw lines with every kind of noise that ingestion absorbs."""
+    ref = st.one_of(st.sampled_from(IDS + ["Z9"]), st.integers(1, 3), st.none())
+    codes = st.lists(st.sampled_from(COUNTRY_ITEMS), max_size=3)
+    # countries sit in a list of authorships, as in OpenAlex: the path's
+    # last segment is read from each element of the list at its parent
+    parent, leaf = schema.countries.rsplit(".", 1)
+    authorship = st.fixed_dictionaries(
+        {leaf: st.one_of(codes, st.sampled_from(COUNTRY_ITEMS))}
+    )
+    fields = {
+        "work_id": st.sampled_from(IDS + [1, 2, 3, "", "  "]),
+        # few years, so that references between works of one year are common
+        "pub_year": st.one_of(
+            st.integers(1988, 1992),
+            st.integers(1988, 1992).map(str),
+            st.sampled_from([" 1991 ", "1990.0", "x", 1991.0, 1991.5, True, [1991], 2015]),
+        ),
+        "references": st.one_of(st.lists(ref, max_size=6), st.sampled_from(["W1", 5])),
+        "subfield": st.one_of(
+            st.integers(3100, 3103),
+            st.sampled_from(
+                ["https://openalex.org/subfields/3101", " sf 3102 ", "none", "",
+                 3100.0, 3100.5, True, [], [3101, 3102], ["x"], {"id": 3}]
+            ),
+        ),
+        "countries": st.one_of(
+            authorship,
+            st.lists(st.one_of(authorship, st.lists(authorship, max_size=2)), max_size=3),
+        ),
+    }
+    out = []
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 9)) == 0:
+            out.append(draw(st.sampled_from(JUNK_LINES)))
+            continue
+        record = {}
+        for name, values in fields.items():
+            if draw(st.integers(0, 5)):  # a field is missing one time in six
+                path = parent if name == "countries" else getattr(schema, name)
+                _put(record, path, draw(values))
+        form = draw(st.sampled_from(["dict", "str", "bytes"]))
+        if form == "dict":
+            out.append(record)
+        else:
+            line = json.dumps(record)
+            out.append(line if form == "str" else line.encode("utf-8"))
+    return out
+
+
+def _columns(corpus):
+    n = corpus.n_works
+    return (
+        corpus.ids,
+        corpus.pub_years.tolist(),
+        corpus.subfields.tolist(),
+        [corpus.countries_of(i) for i in range(n)],
+        [corpus.references_idx(i).tolist() for i in range(n)],
+        [corpus.citers_idx(i).tolist() for i in range(n)],
+    )
+
+
+class TestAgainstNaiveIngest:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        schema=st.sampled_from([FieldMap(), CUSTOM_MAP]),
+        bounds=st.sampled_from([(None, None), (1990, 2010)]),
+    )
+    def test_equal_to_the_per_record_loop(self, data, schema, bounds):
+        records = data.draw(noisy_records(schema))
+        corpus, report = ingest_works(
+            records, schema, year_min=bounds[0], year_max=bounds[1]
+        )
+        *expected, expected_report = naive_ingest(records, schema, *bounds)
+        assert _columns(corpus) == tuple(expected)
+        assert report.as_dict() == expected_report
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.snap"
+            corpus.save_snapshot(path)
+            loaded = CitationCorpus.load_snapshot(path)
+        assert _columns(loaded) == tuple(expected)
