@@ -561,12 +561,12 @@ def ingest_works(
         years.append(year)
         subfields.append(-1 if sub is None else sub)
 
-    year_of = np.frombuffer(years, dtype=np.int32)
+    year_of = np.asarray(years, dtype=np.int32)
     table, country_indptr, country_codes = _country_csr(codes, code_keys, code_counts)
     corpus = CitationCorpus(
         list(index),
         year_of,
-        np.frombuffer(subfields, dtype=np.int32),
+        np.asarray(subfields, dtype=np.int32),
         table,
         country_indptr,
         country_codes,
@@ -604,7 +604,7 @@ def _reference_csr(
     n = len(index)
     stride = n + len(ref_ids)
     target = np.array([index.get(ref, n + k) for k, ref in enumerate(ref_ids)], np.int64)
-    keys = np.frombuffer(keys, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.int64)
     owner, target = np.divmod(sorted_unique(_owners(counts) * stride + target[keys]), stride)
     report.duplicate_refs = len(keys) - len(owner)
     dangling = target >= n
@@ -623,7 +623,7 @@ def _country_csr(
     """(ascending code table, indptr, table indexes) of the works' countries,
     from each work's interned code keys; a code repeated within a work keeps
     only its first place."""
-    keys = np.frombuffer(keys, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.int64)
     owner = _owners(counts)
     pair = owner * len(codes) + keys
     order = np.argsort(pair, kind="stable")
