@@ -9,11 +9,16 @@ composite score combines the leading eigenpairs of its proximity matrix as
 
     score = (sum_i lambda_i x_i^2)^2 + 2 sum_i lambda_i^2 x_i^2.
 
-When the eigenvalue at the cut is degenerate, the squared components are
-averaged isotropically over the whole eigenspace, which keeps scores
-basis-independent (and, in particular, ties all countries on a complete
-bipartite input).  For simple spectra this reduces exactly to the formula
-above.
+The eigenpairs come from one ``numpy.linalg.eigh`` call, in descending
+order, each vector's largest-magnitude component made non-negative so runs
+are reproducible.  One tie rule, :func:`_tie_classes`, groups the descending
+spectrum: a value joins a class while it lies within
+``_TIE_TOL * max(1, |lambda_1|)`` of the class's first value.  The solver
+returns pairs through the end of the class holding the ``count``-th pair,
+and the composite averages squared components isotropically over each
+class's eigenspace, which keeps scores basis-independent (and ties all
+countries on a complete bipartite input).  For simple spectra this
+reduces exactly to the formula above.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import EigenPair, top_eigenpairs_symmetric
 from .impact import BreakthroughClass
 from .panel import PanelMatrix
 
@@ -76,11 +80,17 @@ class GenepyResult:
     side: str  # "countries" | "subfields"
     labels: tuple[str, ...]  # retained entities, matrix order
     eigenvalues: tuple[float, ...]
-    vectors: np.ndarray  # (n_retained, n_reported) eigenvector columns
     scores: np.ndarray  # composite score per retained entity
     ranking: tuple[RankedEntity, ...]  # retained sorted, then pruned
-    pruned: tuple[str, ...]
     residuals: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class EigenPair:
+    value: float
+    vector: np.ndarray
+    residual: float  # inf-norm of S v - value v on the original matrix
+    iterations: int = 0  # always 0; the bench tracer sums it
 
 
 def rca(counts: PanelMatrix) -> RcaMatrix:
@@ -166,42 +176,62 @@ def degree_vectors(adjacency: BinaryAdjacency) -> tuple[np.ndarray, np.ndarray]:
     return k, k_prime
 
 
-def _class_slices(values: list[float], tie_tol: float) -> list[tuple[int, int]]:
-    """Contiguous [start, end) runs of tied eigenvalues (descending input)."""
+def _tie_classes(values: list[float]) -> list[tuple[int, int]]:
+    """Contiguous [start, end) classes of tied eigenvalues (descending input)."""
     runs = []
     scale = max(1.0, abs(values[0])) if values else 1.0
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or abs(values[i] - values[start]) > tie_tol * scale:
+        if i == len(values) or abs(values[i] - values[start]) > _TIE_TOL * scale:
             runs.append((start, i))
             start = i
     return runs
 
 
-def _composite_scores(
-    pairs: list[EigenPair], count: int, n: int, tie_tol: float
-) -> np.ndarray:
+def top_eigenpairs_symmetric(matrix: np.ndarray, count: int = 2) -> list[EigenPair]:
+    """Algebraically largest eigenpairs, sorted by descending eigenvalue.
+
+    The pairs run through the end of the tie class that holds pair
+    ``min(count, n)``, so a degenerate class comes back whole.  Eigenvector
+    signs are fixed by making the largest-magnitude component non-negative.
+    """
+    S = np.asarray(matrix, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"matrix must be square, got {S.shape}")
+    if not np.allclose(S, S.T, atol=1e-9):
+        raise ValueError("matrix must be symmetric")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    S = 0.5 * (S + S.T)
+    values, vectors = np.linalg.eigh(S)
+    values, vectors = values[::-1].tolist(), vectors[:, ::-1]
+    cut = min(count, len(values))
+    keep = next((end for _, end in _tie_classes(values) if end >= cut), 0)
+    pairs = []
+    for value, v in zip(values[:keep], vectors.T[:keep]):
+        v = -v if v[np.argmax(np.abs(v))] < 0 else v.copy()
+        pairs.append(EigenPair(value, v, float(np.max(np.abs(S @ v - value * v)))))
+    return pairs
+
+
+def _composite_scores(pairs: list[EigenPair], count: int) -> np.ndarray:
     """GENEPY composite per entity from eigenpairs, degenerate-safe.
 
-    Each eigenvalue class contributes its eigenspace-projector diagonal
-    scaled by slots/dimension, where slots is how many of the top ``count``
-    positions the class occupies.  Simple eigenvalues reduce to the plain
-    squared components.
+    ``pairs`` end at a tie-class boundary at or past ``count``.  Each class
+    contributes its eigenspace-projector diagonal scaled by slots/dimension,
+    where slots is how many of the top ``count`` positions the class
+    occupies.  Simple eigenvalues reduce to the plain squared components.
     """
     values = [p.value for p in pairs]
+    n = len(pairs[0].vector)
     weighted = np.zeros(n)
     squared = np.zeros(n)
-    remaining = count
-    for start, end in _class_slices(values, tie_tol):
-        if remaining <= 0:
-            break
+    for start, end in _tie_classes(values):
         dim = end - start
-        slots = min(remaining, dim)
-        remaining -= slots
         projector_diag = np.zeros(n)
         for pair in pairs[start:end]:
             projector_diag += pair.vector**2
-        effective = (slots / dim) * projector_diag
+        effective = ((min(count, end) - start) / dim) * projector_diag
         lam = sum(values[start:end]) / dim
         weighted += lam * effective
         squared += lam * lam * effective
@@ -263,20 +293,16 @@ def _genepy_side(
     pruned: tuple[str, ...],
     count: int,
 ) -> GenepyResult:
-    n = proximity.shape[0]
-    pairs = top_eigenpairs_symmetric(proximity, count, tie_tol=_TIE_TOL)
-    scores = _composite_scores(pairs, min(count, n), n, _TIE_TOL)
-    reported = pairs[: min(count, n)]
-    vectors = np.column_stack([p.vector for p in reported])
+    count = min(count, proximity.shape[0])
+    pairs = top_eigenpairs_symmetric(proximity, count)
+    scores = _composite_scores(pairs, count)
     return GenepyResult(
         side=side,
         labels=labels,
-        eigenvalues=tuple(p.value for p in reported),
-        vectors=vectors,
+        eigenvalues=tuple(p.value for p in pairs[:count]),
         scores=scores,
         ranking=_build_ranking(labels, scores, pruned),
-        pruned=tuple(sorted(pruned)),
-        residuals=tuple(p.residual for p in reported),
+        residuals=tuple(p.residual for p in pairs[:count]),
     )
 
 
@@ -312,16 +338,3 @@ def genepy_scores(
     )
     return countries, subfields
 
-
-def rank_table(result: GenepyResult) -> list[dict[str, object]]:
-    """Ranking rows ready for serialization, best first, pruned trailing."""
-    return [
-        {
-            "rank": e.rank,
-            "label": e.label,
-            "score": e.score,
-            "tie_rank": e.tie_rank,
-            "pruned": e.pruned,
-        }
-        for e in result.ranking
-    ]

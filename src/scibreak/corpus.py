@@ -31,6 +31,9 @@ SNAPSHOT_MAGIC = b"SCBKSNP1"
 SNAPSHOT_VERSION = 2
 
 _TRAILING_DIGITS = re.compile(r"(\d+)\s*$")
+# a tab, CR or LF would split an id's TSV row, and a lone surrogate has no
+# UTF-8 encoding for the snapshot
+_BAD_ID_CHAR = re.compile("[\t\n\r\ud800-\udfff]")
 
 
 class UnknownWorkError(KeyError):
@@ -159,13 +162,18 @@ def _as_int(raw: Any) -> int | None:
     return None
 
 
+def _int32(value: int | None) -> int | None:
+    """``value`` if the int32 year and subfield columns can hold it."""
+    return value if value is not None and -(2**31) <= value < 2**31 else None
+
+
 def _parse_year(raw: Any) -> int | None:
     if isinstance(raw, str):
         try:
-            return int(raw.strip())
+            raw = int(raw.strip())
         except ValueError:
             return None
-    return _as_int(raw)
+    return _int32(_as_int(raw))
 
 
 def _parse_subfield(raw: Any) -> int | None:
@@ -174,8 +182,8 @@ def _parse_subfield(raw: Any) -> int | None:
         raw = raw[0] if raw else None
     if isinstance(raw, str):
         match = _TRAILING_DIGITS.search(raw.strip())
-        return int(match.group(1)) if match else None
-    return _as_int(raw)
+        raw = int(match.group(1)) if match else None
+    return _int32(_as_int(raw))
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -466,8 +474,10 @@ def ingest_works(
     """Build a corpus from raw records, dropping whatever cannot be kept.
 
     ``records`` yields dicts or raw JSON strings/bytes.  A record needs at
-    least a work id and a parseable year; everything else degrades softly
-    (missing subfield -> unlabeled, bad country entries -> dropped).
+    least a work id that the output tables can hold (no tab, CR, LF or lone
+    surrogate) and a parseable year; everything else degrades softly
+    (missing subfield -> unlabeled, bad country entries -> dropped).  Years
+    and subfields beyond int32 count as invalid.
     References to ids absent from the stream are dropped and counted, as are
     self references and per-record duplicate references.  Edges whose citer
     predates the cited work stay in the graph but are tallied as noise.
@@ -511,6 +521,9 @@ def ingest_works(
             report.rejected["missing_id"] += 1
             continue
         wid = str(wid_raw)
+        if _BAD_ID_CHAR.search(wid):
+            report.rejected["invalid_id"] += 1
+            continue
 
         year_raw = get_year(record)
         if year_raw is None:

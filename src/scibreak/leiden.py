@@ -215,6 +215,8 @@ def leiden_communities(
     max_levels: int = 64,
 ) -> LeidenResult:
     """Partition a dense weighted graph; deterministic for a fixed seed."""
+    if not resolution > 0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     W = np.asarray(weights, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError(f"weight matrix must be square, got {W.shape}")

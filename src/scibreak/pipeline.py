@@ -35,7 +35,7 @@ from .clustering import (
     trajectories_from_series,
     with_mean_trajectories,
 )
-from .complexity import BinaryAdjacency, binarize, genepy_scores, rca, rank_table
+from .complexity import BinaryAdjacency, GenepyResult, RcaMatrix, binarize, genepy_scores, rca
 from .config import PipelineConfig
 from .corpus import CitationCorpus, FieldMap, ingest_files
 from .impact import BreakthroughClass, CdTable, NbncTable, cd_all, nbnc_all
@@ -348,51 +348,40 @@ def write_cluster_outputs(
 
 def write_rank_outputs(
     run_dir: Path,
+    rca_matrix: RcaMatrix,
     adjacency: BinaryAdjacency,
-    rca_values: np.ndarray,
-    rca_countries: tuple[str, ...],
-    rca_subfields: tuple[int, ...],
-    countries_result,
-    subfields_result,
-) -> list[Path]:
+    countries: GenepyResult,
+    subfields: GenepyResult,
+) -> None:
     stem = _panel_stem(adjacency.kind, adjacency.window)
     base = run_dir / "ranks"
-    written = []
-    rca_path = base / f"{stem}_rca.tsv"
-    _write_matrix(rca_path, "country", rca_subfields, rca_countries, rca_values)
-    written.append(rca_path)
-    m_path = base / f"{stem}_adjacency.tsv"
     _write_matrix(
-        m_path, "country", adjacency.subfields, adjacency.countries, adjacency.matrix
+        base / f"{stem}_rca.tsv", "country", rca_matrix.subfields, rca_matrix.countries,
+        rca_matrix.values,
     )
-    written.append(m_path)
-    for result in (countries_result, subfields_result):
-        table_path = base / f"{stem}_{result.side}.tsv"
+    _write_matrix(
+        base / f"{stem}_adjacency.tsv", "country", adjacency.subfields, adjacency.countries,
+        adjacency.matrix,
+    )
+    for result in (countries, subfields):
         _write_tsv(
-            table_path,
+            base / f"{stem}_{result.side}.tsv",
             ("rank", "label", "score", "tie_rank", "pruned"),
-            (
-                (r["rank"], r["label"], r["score"], r["tie_rank"], r["pruned"])
-                for r in rank_table(result)
-            ),
+            ((e.rank, e.label, e.score, e.tie_rank, e.pruned) for e in result.ranking),
         )
-        written.append(table_path)
-    diag_path = base / f"{stem}_diagnostics.json"
     _write_json(
-        diag_path,
+        base / f"{stem}_diagnostics.json",
         {
             "window": list(adjacency.window),
             "kind": adjacency.kind.value,
             "pruned_countries": list(adjacency.pruned_countries),
             "pruned_subfields": [str(s) for s in adjacency.pruned_subfields],
-            "eigenvalues_countries": list(countries_result.eigenvalues),
-            "eigenvalues_subfields": list(subfields_result.eigenvalues),
-            "residuals_countries": list(countries_result.residuals),
-            "residuals_subfields": list(subfields_result.residuals),
+            "eigenvalues_countries": list(countries.eigenvalues),
+            "eigenvalues_subfields": list(subfields.eigenvalues),
+            "residuals_countries": list(countries.residuals),
+            "residuals_subfields": list(subfields.residuals),
         },
     )
-    written.append(diag_path)
-    return written
 
 
 # -- stages ------------------------------------------------------------------
@@ -529,17 +518,9 @@ def rank_stage(
             continue
         rca_matrix = rca(panel)
         adjacency = binarize(rca_matrix, rca_threshold)
-        countries_result, subfields_result = genepy_scores(adjacency, eigen_count)
-        write_rank_outputs(
-            out_dir,
-            adjacency,
-            rca_matrix.values,
-            rca_matrix.countries,
-            rca_matrix.subfields,
-            countries_result,
-            subfields_result,
-        )
-        rankings[(panel.kind, panel.window)] = (countries_result, subfields_result)
+        results = genepy_scores(adjacency, eigen_count)
+        write_rank_outputs(out_dir, rca_matrix, adjacency, *results)
+        rankings[(panel.kind, panel.window)] = results
     detail = f"{len(rankings)} window/kind rankings"
     if skipped:
         detail += f"; empty panels skipped: {','.join(skipped)}"

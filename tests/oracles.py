@@ -328,13 +328,17 @@ def _whole_number(raw):
     return None
 
 
+def _fits_int32(value):
+    return value if value is not None and -(2**31) <= value <= 2**31 - 1 else None
+
+
 def _oracle_year(raw):
     if isinstance(raw, str):
         try:
-            return int(raw.strip())
+            return _fits_int32(int(raw.strip()))
         except ValueError:
             return None
-    return _whole_number(raw)
+    return _fits_int32(_whole_number(raw))
 
 
 def _oracle_subfield(raw):
@@ -346,8 +350,8 @@ def _oracle_subfield(raw):
         start = end
         while start > 0 and text[start - 1].isdecimal():
             start -= 1
-        return int(text[start:end]) if start < end else None
-    return _whole_number(raw)
+        return _fits_int32(int(text[start:end])) if start < end else None
+    return _fits_int32(_whole_number(raw))
 
 
 def naive_ingest(records, schema, year_min=None, year_max=None):
@@ -384,6 +388,15 @@ def naive_ingest(records, schema, year_min=None, year_max=None):
         if wid is None or (isinstance(wid, str) and wid.strip() == ""):
             rejected["missing_id"] += 1
             continue
+        wid = str(wid)
+        try:
+            wid.encode("utf-8")
+        except UnicodeEncodeError:
+            rejected["invalid_id"] += 1
+            continue
+        if "\t" in wid or "\r" in wid or "\n" in wid:
+            rejected["invalid_id"] += 1
+            continue
         year_raw = _walk(record, paths["pub_year"])
         if year_raw is None:
             rejected["missing_year"] += 1
@@ -397,7 +410,6 @@ def naive_ingest(records, schema, year_min=None, year_max=None):
         ):
             rejected["year_out_of_range"] += 1
             continue
-        wid = str(wid)
         if wid in position:
             rejected["duplicate_id"] += 1
             continue

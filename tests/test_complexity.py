@@ -8,7 +8,6 @@ from scibreak.complexity import (
     binarize,
     degree_vectors,
     genepy_scores,
-    rank_table,
     rca,
 )
 from scibreak.impact import BreakthroughClass
@@ -304,16 +303,16 @@ class TestRankTable:
     def test_sorting(self):
         adjacency = make_adjacency(np.eye(3, dtype=np.int8))
         countries, _ = genepy_scores(adjacency)
-        rows = rank_table(countries)
-        assert [row["rank"] for row in rows] == [1, 2, 3]
-        scores = [row["score"] for row in rows]
+        rows = countries.ranking
+        assert [row.rank for row in rows] == [1, 2, 3]
+        scores = [row.score for row in rows]
         assert scores == sorted(scores, reverse=True)
 
     def test_rows_carry_tie_and_pruned_flags(self):
         countries, _ = genepy_scores(
             make_adjacency(np.ones((3, 2)), pruned=("QQ",))
         )
-        rows = rank_table(countries)
-        assert rows[-1]["pruned"] is True
-        assert rows[-1]["rank"] == 4
-        assert {row["tie_rank"] for row in rows[:-1]} == {1}
+        rows = countries.ranking
+        assert rows[-1].pruned is True
+        assert rows[-1].rank == 4
+        assert {row.tie_rank for row in rows[:-1]} == {1}

@@ -71,6 +71,33 @@ class TestIngestion:
         assert report.rejected["year_out_of_range"] == 1
         assert report.rejected["duplicate_id"] == 1
 
+    def test_ids_the_tables_cannot_hold_are_rejected(self, tmp_path):
+        # a tab, CR or LF would split a TSV row; a lone surrogate has no
+        # UTF-8 encoding, so the snapshot could not be written
+        bad = ["B\tA", "C\nD", "E\rF", "b\ud800"]
+        records = [json.dumps({"id": wid, "publication_year": 2000}) for wid in bad]
+        records.append(json.dumps({"id": "B", "publication_year": 2001, "referenced_works": bad}))
+        corpus, report = ingest_works(records)
+        assert corpus.ids == ["B"]
+        assert report.rejected["invalid_id"] == 4
+        assert report.dangling_refs == 4
+        corpus.save_snapshot(tmp_path / "corpus.snap")
+        assert CitationCorpus.load_snapshot(tmp_path / "corpus.snap").ids == ["B"]
+
+    def test_values_beyond_int32_are_counted_not_fatal(self):
+        records = [
+            {"id": "A", "publication_year": 2000,
+             "primary_topic": {"subfield": {"id": "https://openalex.org/subfields/99999999999"}}},
+            {"id": "B", "publication_year": 2000, "primary_topic": {"subfield": {"id": 2**31}}},
+            {"id": "C", "publication_year": 2**31},
+            {"id": "D", "publication_year": str(-(2**31) - 1)},
+        ]
+        corpus, report = ingest_works(records)
+        assert corpus.ids == ["A", "B"]
+        assert corpus.subfields.tolist() == [-1, -1]
+        assert report.invalid_subfields == 2
+        assert report.rejected["invalid_year"] == 2
+
     def test_duplicate_and_self_references(self):
         corpus, report = ingest_works(
             make_records([("A", 2000, []), ("B", 2001, ["A", "A", "B"])])
@@ -407,19 +434,23 @@ def noisy_records(draw, schema):
         {leaf: st.one_of(codes, st.sampled_from(COUNTRY_ITEMS))}
     )
     fields = {
-        "work_id": st.sampled_from(IDS + [1, 2, 3, "", "  "]),
+        "work_id": st.sampled_from(IDS + [1, 2, 3, "", "  ", "B\tA", "b\ud800"]),
         # few years, so that references between works of one year are common
         "pub_year": st.one_of(
             st.integers(1988, 1992),
             st.integers(1988, 1992).map(str),
-            st.sampled_from([" 1991 ", "1990.0", "x", 1991.0, 1991.5, True, [1991], 2015]),
+            st.sampled_from(
+                [" 1991 ", "1990.0", "x", 1991.0, 1991.5, True, [1991], 2015, 2**31,
+                 str(-(2**31) - 1)]
+            ),
         ),
         "references": st.one_of(st.lists(ref, max_size=6), st.sampled_from(["W1", 5])),
         "subfield": st.one_of(
             st.integers(3100, 3103),
             st.sampled_from(
                 ["https://openalex.org/subfields/3101", " sf 3102 ", "none", "",
-                 3100.0, 3100.5, True, [], [3101, 3102], ["x"], {"id": 3}]
+                 3100.0, 3100.5, True, [], [3101, 3102], ["x"], {"id": 3}, 2**31,
+                 "https://openalex.org/subfields/99999999999"]
             ),
         ),
         "countries": st.one_of(

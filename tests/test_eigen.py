@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scibreak.eigen import top_eigenpairs_symmetric
+from scibreak.complexity import top_eigenpairs_symmetric
 
 
 def _random_proximity(rng, n_rows, n_cols):
@@ -63,16 +63,26 @@ class TestStructuredSpectra:
         n = 5
         U = np.full((n, n), 0.12)
         np.fill_diagonal(U, 0.0)
-        pairs = top_eigenpairs_symmetric(U, 2, tie_tol=1e-8)
+        pairs = top_eigenpairs_symmetric(U, 2)
         assert len(pairs) == n  # the whole tied class is returned
         assert pairs[0].value == pytest.approx(0.12 * (n - 1), abs=1e-12)
         for pair in pairs[1:]:
             assert pair.value == pytest.approx(-0.12, abs=1e-10)
 
-    def test_without_tie_tol_returns_requested_count(self):
-        U = np.full((4, 4), 0.5)
-        np.fill_diagonal(U, 0.0)
-        assert len(top_eigenpairs_symmetric(U, 2)) == 2
+    def test_near_tie_chain_cut_at_the_class_of_the_last_pair(self):
+        # each value is 0.6e-8 below the last: 1 - 1.2e-8 is out of tie
+        # range of the class's first value, so the class holding pair 2
+        # is [0, 2), and a count of 3 also takes the class [2, 3)
+        rng = np.random.default_rng(56)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        values = np.array([1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8, 0.5, 0.2, -0.3])
+        S = q @ np.diag(values) @ q.T
+        S = 0.5 * (S + S.T)
+        assert len(top_eigenpairs_symmetric(S, 1)) == 2
+        pairs = top_eigenpairs_symmetric(S, 2)
+        assert len(pairs) == 2
+        assert [p.value for p in pairs] == pytest.approx(values[:2], abs=1e-12)
+        assert len(top_eigenpairs_symmetric(S, 3)) == 3
 
     def test_one_by_one(self):
         pairs = top_eigenpairs_symmetric(np.array([[0.0]]), 2)
@@ -81,8 +91,9 @@ class TestStructuredSpectra:
         assert abs(pairs[0].vector[0]) == 1.0
 
     def test_zero_matrix(self):
+        # one three-fold class: it comes back whole
         pairs = top_eigenpairs_symmetric(np.zeros((3, 3)), 2)
-        assert [p.value for p in pairs] == [0.0, 0.0]
+        assert [p.value for p in pairs] == [0.0, 0.0, 0.0]
 
     def test_sign_convention(self):
         rng = np.random.default_rng(54)

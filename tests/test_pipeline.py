@@ -562,6 +562,27 @@ class TestCliStages:
         assert "fewer than 2 subfields; clustering skipped" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("resolution", ["0", "-1"])
+    def test_cluster_non_positive_resolution_is_an_input_error(
+        self, tmp_path, capsys, resolution
+    ):
+        series = tmp_path / "subfield_series.tsv"
+        series.write_text(
+            SERIES_HEADER
+            + "3100\t2000\t4\t1\t1\t0\t0.25\t0.0\t-\n"
+            "3100\t2001\t2\t1\t0\t1\t0.0\t0.5\t-\n"
+            "3101\t2000\t4\t2\t2\t0\t0.5\t0.0\t-\n"
+            "3101\t2001\t2\t1\t1\t0\t0.5\t0.0\t-\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1",
+                "--resolution", resolution]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "resolution" in err
+        assert not out.exists()
+
     def test_correlate_and_fit_commands(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         a.write_text(
