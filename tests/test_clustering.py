@@ -247,6 +247,33 @@ class TestLeidenClusters:
         with pytest.raises(ValueError):
             leiden_clusters(similarity, seed=0)
 
+    @pytest.mark.parametrize(
+        "labels, matrix, resolution",
+        [
+            ((0, 1, 2), np.array([[1, 0.5, 0], [0.4, 1, 0], [0, 0, 1]]), 1.0),
+            ((0, 1, 2), np.array([[1, 0.5, 0], [0.5, 0.9, 0], [0, 0, 1]]), 1.0),
+            ((0, 1, 2), np.array([[1, -0.5, 0], [-0.5, 1, 0], [0, 0, 1]]), 1.0),
+            ((0,), np.ones((1, 1)), 1.0),
+            ((0, 1), np.ones((2, 2)), 0.0),
+            # a 3 x 3 block of a larger matrix was once clustered silently,
+            # and more labels than rows raised IndexError
+            ((0, 1, 2), np.ones((4, 4)), 1.0),
+            ((0, 1, 2, 3, 4), np.ones((4, 4)), 1.0),
+        ],
+        ids=["asymmetric", "non-unit-diagonal", "negative", "one-label", "zero-resolution",
+             "fewer-labels-than-rows", "more-labels-than-rows"],
+    )
+    def test_invalid_graph_rejected(self, labels, matrix, resolution):
+        similarity = SimilarityMatrix(labels, matrix, 1.0)
+        with pytest.raises(ValueError):
+            leiden_clusters(similarity, resolution=resolution, seed=0)
+
+    def test_zero_weight_graph_all_singletons(self):
+        result = leiden_clusters(SimilarityMatrix((5, 3, 4), np.eye(3), 1.0), seed=0)
+        assert result.singletons == (3, 4, 5)
+        assert result.cluster_members == {}
+        assert result.quality == 0.0
+
     def test_singleton_flagging(self):
         # two tight blocks plus one node similar to nothing; a uniformly
         # weak node only separates above resolution 1 (the null model makes

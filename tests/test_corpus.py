@@ -98,6 +98,19 @@ class TestIngestion:
         assert report.invalid_subfields == 2
         assert report.rejected["invalid_year"] == 2
 
+    def test_negative_subfield_ids_are_counted(self):
+        # a negative id was once stored as it came and read back as missing
+        records = [
+            {"id": "A", "publication_year": 2000, "primary_topic": {"subfield": {"id": -1}}},
+            {"id": "B", "publication_year": 2000, "primary_topic": {"subfield": {"id": -7}}},
+            {"id": "C", "publication_year": 2000,
+             "primary_topic": {"subfield": {"id": "https://openalex.org/subfields/-7"}}},
+        ]
+        corpus, report = ingest_works(records)
+        assert corpus.subfields.tolist() == [-1, -1, 7]
+        assert report.invalid_subfields == 2
+        assert [corpus.subfield_of(i) for i in range(3)] == [None, None, 7]
+
     def test_duplicate_and_self_references(self):
         corpus, report = ingest_works(
             make_records([("A", 2000, []), ("B", 2001, ["A", "A", "B"])])
@@ -450,7 +463,7 @@ def noisy_records(draw, schema):
             st.sampled_from(
                 ["https://openalex.org/subfields/3101", " sf 3102 ", "none", "",
                  3100.0, 3100.5, True, [], [3101, 3102], ["x"], {"id": 3}, 2**31,
-                 "https://openalex.org/subfields/99999999999"]
+                 "https://openalex.org/subfields/99999999999", -1, -7]
             ),
         ),
         "countries": st.one_of(

@@ -658,6 +658,32 @@ class TestCliStages:
         assert capsys.readouterr().err == "error: unknown work id 'NOPE'\n"
         assert not out.exists()
 
+    def test_ingest_reversed_year_bounds_are_an_input_error(self, tmp_path, capsys):
+        # reversed bounds once ingested nothing and wrote an empty snapshot
+        works = tmp_path / "works.jsonl"
+        write_jsonl(synthetic_records(30, seed=3, year_start=1990, year_end=2000), works)
+        snap = tmp_path / "corpus.snap"
+        argv = ["ingest", "--input", str(works), "--snapshot", str(snap),
+                "--year-min", "2001", "--year-max", "2000"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2001" in err and "2000" in err
+        assert not snap.exists()
+
+    def test_metrics_reversed_years_are_an_input_error(self, tmp_path, capsys):
+        # reversed years once scored nothing, wrote no table and exited 0
+        works = tmp_path / "works.jsonl"
+        write_jsonl(synthetic_records(30, seed=3, year_start=1990, year_end=2000), works)
+        snap = tmp_path / "corpus.snap"
+        assert cli_main(["ingest", "--input", str(works), "--snapshot", str(snap)]) == 0
+        out = tmp_path / "out"
+        argv = ["metrics", "--snapshot", str(snap), "--out-dir", str(out),
+                "--start", "2005", "--end", "1990"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2005" in err and "1990" in err
+        assert not out.exists()
+
     def test_panel_bad_allowlist_names_the_flag_and_value(self, tmp_path, capsys):
         # a bare int() once reported "invalid literal for int()" without the flag
         argv = ["panel", "--snapshot", str(tmp_path / "corpus.snap"),
