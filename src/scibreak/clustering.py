@@ -10,17 +10,30 @@ Every DTW distance, one pair or all pairs, comes from one numpy kernel that
 advances a batch of pairs one anti-diagonal of the DP at a time.
 Size-1 communities are flagged as singletons and excluded from cluster
 numbering.
+
+Leiden (Traag, Waltman & van Eck 2019) runs three phases per level:
+queue-based local moving, a refinement pass that only merges
+well-connected nodes inside their current community, and aggregation.  It
+optimizes modularity with a resolution parameter.  Randomness is confined
+to visit-order shuffles drawn from ``random.Random(seed)``, and every tie
+is broken by lowest index, so a fixed seed yields a fixed partition.  The
+leaf graph has a zero diagonal; aggregate levels carry twice the internal
+weight of each merged group on the diagonal, so that row sums remain node
+strengths.
 """
 
 from __future__ import annotations
 
+import random
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .leiden import leiden_communities
 from .panel import SeriesTable
+
+_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,9 +79,7 @@ class ClusteringResult:
     assignments: dict[int, int | None]
     cluster_members: dict[int, tuple[int, ...]]
     singletons: tuple[int, ...]
-    seed: int
-    resolution: float
-    quality: float
+    quality: float  # modularity at the resolution used
     mean_trajectories: dict[int, Trajectory] | None = None
 
 
@@ -232,35 +243,42 @@ def leiden_clusters(
 ) -> ClusteringResult:
     """Cluster the weighted complete graph of pairwise similarities.
 
-    Labels are reordered canonically before the seeded run, so any input
-    permutation of the same data yields the identical assignment mapping.
+    This is the one place that checks a graph: at least 2 labels, a
+    positive resolution, a square matrix matching the labels, symmetric
+    within 1e-9 with a unit diagonal and no negative entry.  Labels are
+    reordered canonically before the seeded run, so any input permutation
+    of the same data yields the identical assignment mapping.
     """
     labels = similarity.labels
-    if len(labels) < 2:
+    n = len(labels)
+    if n < 2:
         raise ValueError("need at least 2 labels to cluster")
+    if not resolution > 0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     matrix = np.asarray(similarity.matrix, dtype=float)
+    if matrix.shape != (n, n):
+        raise ValueError(f"{n} labels need a {n} x {n} similarity matrix, got {matrix.shape}")
     if not np.allclose(matrix, matrix.T, atol=1e-9):
         raise ValueError("similarity matrix must be symmetric")
     if not np.allclose(np.diag(matrix), 1.0, atol=1e-9):
         raise ValueError("similarity matrix must have a unit diagonal")
+    if (matrix < 0).any():
+        raise ValueError("similarity matrix must not have negative entries")
 
     order = np.argsort(np.asarray(labels))
     canonical = tuple(labels[i] for i in order)
-    weights = matrix[np.ix_(order, order)].copy()
+    weights = matrix[np.ix_(order, order)]
     np.fill_diagonal(weights, 0.0)
-
-    result = leiden_communities(weights, resolution=resolution, seed=seed)
+    membership = _leiden(weights, resolution, seed)
 
     groups: dict[int, list[int]] = {}
-    for label, community in zip(canonical, result.membership):
+    for label, community in zip(canonical, membership):
         groups.setdefault(community, []).append(label)
     clusters = sorted(
         (members for members in groups.values() if len(members) >= 2),
         key=lambda m: (-len(m), min(m)),
     )
-    singletons = tuple(
-        sorted(m[0] for m in groups.values() if len(m) == 1)
-    )
+    singletons = tuple(sorted(m[0] for m in groups.values() if len(m) == 1))
     assignments: dict[int, int | None] = {label: None for label in canonical}
     cluster_members: dict[int, tuple[int, ...]] = {}
     for cid, members in enumerate(clusters, start=1):
@@ -271,10 +289,206 @@ def leiden_clusters(
         assignments=assignments,
         cluster_members=cluster_members,
         singletons=singletons,
-        seed=seed,
-        resolution=resolution,
-        quality=result.quality,
+        quality=modularity(weights, membership, resolution),
     )
+
+
+def _leiden(W: np.ndarray, resolution: float, seed: int) -> list[int]:
+    """Leiden partition of a checked zero-diagonal graph, compact ids.
+
+    A graph with no weight gives all singletons.  Each level that does not
+    stop has fewer nodes than the one before, so the node count bounds the
+    level loop.
+    """
+    n = W.shape[0]
+    two_m = float(W.sum())
+    if two_m <= 0:
+        return list(range(n))
+
+    rng = random.Random(seed)
+    carrier = list(range(n))  # leaf node -> current-level node
+    membership = list(range(n))
+    for _ in range(n):
+        strengths = W.sum(axis=1)
+        _local_move(W, strengths, two_m, membership, resolution, rng)
+        membership, n_comms = _compact(membership)
+        if n_comms == W.shape[0]:
+            break
+        refined = _refine(W, strengths, two_m, membership, resolution, rng)
+        W, membership, node_map = _aggregate(W, refined, membership)
+        carrier = [node_map[c] for c in carrier]
+        if W.shape[0] == len(node_map):
+            # refinement kept everything separate: nothing left to collapse
+            break
+    return _compact([membership[c] for c in carrier])[0]
+
+
+def _compact(labels: list[int]) -> tuple[list[int], int]:
+    """Renumber labels by first appearance."""
+    mapping: dict[int, int] = {}
+    out = []
+    for label in labels:
+        if label not in mapping:
+            mapping[label] = len(mapping)
+        out.append(mapping[label])
+    return out, len(mapping)
+
+
+def _local_move(
+    W: np.ndarray,
+    strengths: np.ndarray,
+    two_m: float,
+    membership: list[int],
+    resolution: float,
+    rng: random.Random,
+) -> None:
+    """Greedy node moves until no queued node improves modularity."""
+    n = len(membership)
+    comm_tot = np.zeros(n)
+    comm_size = np.zeros(n, dtype=np.int64)
+    for v, c in enumerate(membership):
+        comm_tot[c] += strengths[v]
+        comm_size[c] += 1
+
+    order = list(range(n))
+    rng.shuffle(order)
+    queue = deque(order)
+    queued = [True] * n
+
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        c_v = membership[v]
+        k_v = strengths[v]
+        row = W[v]
+        w_to = np.bincount(membership, weights=row, minlength=n)
+        w_own = w_to[c_v] - row[v]
+        stay = w_own - resolution * k_v * (comm_tot[c_v] - k_v) / two_m
+
+        best_c = c_v
+        best_score = stay
+        for c in np.nonzero(w_to > 0)[0]:
+            c = int(c)
+            if c == c_v:
+                continue
+            score = w_to[c] - resolution * k_v * comm_tot[c] / two_m
+            if score > best_score + _EPS:
+                best_c, best_score = c, score
+        if comm_size[c_v] > 1 and 0.0 > best_score + _EPS:
+            # striking out alone beats every occupied option
+            empty = int(np.nonzero(comm_size == 0)[0][0])
+            best_c, best_score = empty, 0.0
+
+        if best_c != c_v:
+            comm_tot[c_v] -= k_v
+            comm_size[c_v] -= 1
+            comm_tot[best_c] += k_v
+            comm_size[best_c] += 1
+            membership[v] = best_c
+            for u in np.nonzero(row > 0)[0]:
+                u = int(u)
+                if u != v and membership[u] != best_c and not queued[u]:
+                    queue.append(u)
+                    queued[u] = True
+
+
+def _refine(
+    W: np.ndarray,
+    strengths: np.ndarray,
+    two_m: float,
+    membership: list[int],
+    resolution: float,
+    rng: random.Random,
+) -> list[int]:
+    """Split each community into well-connected subcommunities.
+
+    Starting from singletons, each node that is still alone may merge into a
+    subcommunity of its own community, provided both sides are well
+    connected within the community and the merge improves modularity.  The
+    best candidate wins; ties go to the lowest subcommunity id.
+    """
+    n = len(membership)
+    refined = list(range(n))
+    ref_tot = [float(s) for s in strengths]
+
+    for c in sorted(set(membership)):
+        nodes = [v for v in range(n) if membership[v] == c]
+        if len(nodes) < 2:
+            continue
+        node_arr = np.array(nodes)
+        sub = W[np.ix_(node_arr, node_arr)]
+        within = sub.sum(axis=1) - np.diag(sub)
+        local = {v: i for i, v in enumerate(nodes)}
+        s_tot = float(strengths[node_arr].sum())
+
+        order = nodes.copy()
+        rng.shuffle(order)
+        members: dict[int, list[int]] = {refined[v]: [v] for v in nodes}
+        for v in order:
+            if len(members[refined[v]]) != 1:
+                continue
+            k_v = float(strengths[v])
+            if within[local[v]] + _EPS < resolution * k_v * (s_tot - k_v) / two_m:
+                continue
+            gains: dict[int, float] = {}
+            for u in nodes:
+                if u == v:
+                    continue
+                t = refined[u]
+                gains[t] = gains.get(t, 0.0) + float(W[v, u])
+            best_t = -1
+            best_gain = _EPS
+            for t in sorted(gains):
+                t_members = members[t]
+                outside = [u for u in nodes if refined[u] != t]
+                cut = float(W[np.ix_(t_members, outside)].sum())
+                if cut + _EPS < resolution * ref_tot[t] * (s_tot - ref_tot[t]) / two_m:
+                    continue
+                gain = gains[t] - resolution * k_v * ref_tot[t] / two_m
+                if gain > best_gain:
+                    best_t, best_gain = t, gain
+            if best_t >= 0:
+                old = refined[v]
+                members[best_t].append(v)
+                members[old].remove(v)
+                ref_tot[best_t] += k_v
+                ref_tot[old] -= k_v
+                refined[v] = best_t
+    return refined
+
+
+def _aggregate(
+    W: np.ndarray, refined: list[int], membership: list[int]
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Collapse refined communities into nodes; keep the parent partition."""
+    compact, n_agg = _compact(refined)
+    n = len(compact)
+    indicator = np.zeros((n, n_agg))
+    indicator[np.arange(n), compact] = 1.0
+    W_agg = indicator.T @ W @ indicator
+    parent = [0] * n_agg
+    for v in range(n):
+        parent[compact[v]] = membership[v]
+    parent, _ = _compact(parent)
+    return W_agg, parent, compact
+
+
+def modularity(
+    W: np.ndarray, membership: list[int] | tuple[int, ...], resolution: float = 1.0
+) -> float:
+    """Modularity of a partition on a zero-diagonal weight matrix."""
+    two_m = float(W.sum())
+    if two_m <= 0:
+        return 0.0
+    strengths = W.sum(axis=1)
+    labels = np.asarray(membership)
+    q = 0.0
+    for c in np.unique(labels):
+        mask = labels == c
+        internal = float(W[np.ix_(mask, mask)].sum())
+        tot = float(strengths[mask].sum())
+        q += internal / two_m - resolution * (tot / two_m) ** 2
+    return q
 
 
 def cluster_mean_trajectory(

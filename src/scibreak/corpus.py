@@ -177,13 +177,15 @@ def _parse_year(raw: Any) -> int | None:
 
 
 def _parse_subfield(raw: Any) -> int | None:
-    """Accept plain integers or ids with a trailing number (OpenAlex URLs)."""
+    """Accept non-negative integers or ids with a trailing number (OpenAlex
+    URLs); -1 marks a missing subfield in the column, so no id is negative."""
     if isinstance(raw, list):
         raw = raw[0] if raw else None
     if isinstance(raw, str):
         match = _TRAILING_DIGITS.search(raw.strip())
         raw = int(match.group(1)) if match else None
-    return _int32(_as_int(raw))
+    value = _int32(_as_int(raw))
+    return value if value is not None and value >= 0 else None
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:

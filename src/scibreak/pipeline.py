@@ -27,7 +27,6 @@ from .clustering import (
     ClusteringResult,
     DistanceMatrix,
     SimilarityMatrix,
-    Trajectory,
     default_sigma,
     distance_matrix,
     leiden_clusters,
@@ -118,23 +117,21 @@ def _flags(*pairs: tuple[str, bool]) -> str:
 
 def _write_yearly(
     directory: Path, stem: str, header: Iterable[str], years: list, within, columns: list
-) -> list[Path]:
+) -> None:
     """One table per year, ``directory/{stem}_{year}.tsv``, from ``columns``.
 
     Column entries are row-aligned with ``years``; within a year, rows are
     ordered by the keys ``within``.
     """
     order = sorted(range(len(years)), key=lambda r: (years[r], within[r]))
-    written = []
     for year, rows in groupby(order, key=years.__getitem__):
-        written.append(directory / f"{stem}_{year}.tsv")
-        _write_tsv(written[-1], header, ([column[r] for column in columns] for r in rows))
-    return written
+        rows = ([column[r] for column in columns] for r in rows)
+        _write_tsv(directory / f"{stem}_{year}.tsv", header, rows)
 
 
 def write_metrics_tables(
     run_dir: Path, corpus: CitationCorpus, scores: NbncTable, cds: CdTable
-) -> list[Path]:
+) -> None:
     """One columnar file per publication year: work_id, nbnc, cd, flags.
 
     ``scores`` and ``cds`` must cover the same works; rows within a year are
@@ -151,12 +148,12 @@ def write_metrics_tables(
     columns = [wids, scores.value.tolist(), cds.value.tolist(), flags]
     years = corpus.pub_years[scores.works].tolist()
     header = ("work_id", "nbnc", "cd", "flags")
-    return _write_yearly(run_dir / "metrics", "metrics", header, years, wids, columns)
+    _write_yearly(run_dir / "metrics", "metrics", header, years, wids, columns)
 
 
 def write_breakthrough_tables(
     run_dir: Path, corpus: CitationCorpus, chosen: ScoredWorks
-) -> list[Path]:
+) -> None:
     """One file per publication year of the breakthroughs, in their order."""
     works = chosen.works.tolist()
     years = corpus.pub_years[chosen.works].tolist()
@@ -171,7 +168,7 @@ def write_breakthrough_tables(
         [BreakthroughClass.of(cd).value for cd in cds],
     ]
     header = ("work_id", "year", "subfield", "countries", "nbnc", "cd", "class")
-    return _write_yearly(
+    _write_yearly(
         run_dir / "breakthroughs", "breakthroughs", header, years, range(len(works)), columns
     )
 
@@ -211,7 +208,7 @@ def read_scored_tables(
     return ScoredWorks(np.array(works, dtype=np.int64), np.array(nbnc), np.array(cd))
 
 
-def write_series_table(run_dir: Path, series: SeriesTable) -> Path:
+def write_series_table(run_dir: Path, series: SeriesTable) -> None:
     """One row per subfield and grid year, subfields first; needs scaled shares."""
     if series.scaled_cn is None or series.scaled_di is None:
         raise ValueError("series lacks scaled counts")
@@ -223,9 +220,7 @@ def write_series_table(run_dir: Path, series: SeriesTable) -> Path:
         [_flags(("zero_total", zero)) for zero in (series.n_total == 0).ravel().tolist()],
     ]
     header = "subfield year n_total n_bt n_cn n_di scaled_cn scaled_di flags".split()
-    path = run_dir / "series" / "subfield_series.tsv"
-    _write_tsv(path, header, zip(*columns))
-    return path
+    _write_tsv(run_dir / "series" / "subfield_series.tsv", header, zip(*columns))
 
 
 def read_series_table(path: Path) -> SeriesTable:
@@ -270,21 +265,17 @@ def _panel_stem(kind: BreakthroughClass, window: tuple[int, int]) -> str:
     return f"{kind.value}_{window[0]}-{window[1]}"
 
 
-def write_panel(run_dir: Path, panel: PanelMatrix) -> list[Path]:
+def write_panel(run_dir: Path, panel: PanelMatrix) -> None:
+    """The count matrix and its row and column label files."""
     stem = _panel_stem(panel.kind, panel.window)
     base = run_dir / "panels"
-    matrix_path = base / f"{stem}.tsv"
-    _write_matrix(matrix_path, "country", panel.subfields, panel.countries, panel.counts)
-    rows_path = base / f"{stem}.rows.txt"
-    cols_path = base / f"{stem}.cols.txt"
-    rows_path.parent.mkdir(parents=True, exist_ok=True)
-    rows_path.write_text(
+    _write_matrix(base / f"{stem}.tsv", "country", panel.subfields, panel.countries, panel.counts)
+    (base / f"{stem}.rows.txt").write_text(
         "".join(f"{c}\n" for c in panel.countries), encoding="utf-8"
     )
-    cols_path.write_text(
+    (base / f"{stem}.cols.txt").write_text(
         "".join(f"{s}\n" for s in panel.subfields), encoding="utf-8"
     )
-    return [matrix_path, rows_path, cols_path]
 
 
 def read_panel(matrix_path: Path) -> PanelMatrix:
@@ -316,34 +307,30 @@ def write_cluster_outputs(
     distances: DistanceMatrix,
     similarity: SimilarityMatrix,
     result: ClusteringResult,
-    means: dict[int, Trajectory],
-) -> list[Path]:
+) -> None:
+    """The distance and similarity matrices, the assignments and the
+    result's mean trajectories."""
     base = run_dir / "cluster"
-    d_path = base / "dtw_distance.tsv"
-    s_path = base / "similarity.tsv"
-    _write_matrix(d_path, "subfield", distances.labels, distances.labels, distances.matrix)
-    _write_matrix(s_path, "subfield", similarity.labels, similarity.labels, similarity.matrix)
-    a_path = base / "assignments.tsv"
+    for name, pairs in (("dtw_distance", distances), ("similarity", similarity)):
+        _write_matrix(base / f"{name}.tsv", "subfield", pairs.labels, pairs.labels, pairs.matrix)
     _write_tsv(
-        a_path,
+        base / "assignments.tsv",
         ("subfield", "cluster", "singleton"),
         (
-            (
-                label,
-                "-" if result.assignments[label] is None else result.assignments[label],
-                result.assignments[label] is None,
-            )
-            for label in sorted(result.assignments)
+            (label, "-" if cid is None else cid, cid is None)
+            for label, cid in sorted(result.assignments.items())
         ),
     )
-    m_path = base / "mean_trajectories.tsv"
-    rows = []
-    for cid in sorted(means):
-        mean = means[cid]
-        for year, (cn, di) in zip(mean.years, mean.points):
-            rows.append((cid, year, float(cn), float(di)))
-    _write_tsv(m_path, ("cluster", "year", "mean_scaled_cn", "mean_scaled_di"), rows)
-    return [d_path, s_path, a_path, m_path]
+    means = result.mean_trajectories
+    _write_tsv(
+        base / "mean_trajectories.tsv",
+        ("cluster", "year", "mean_scaled_cn", "mean_scaled_di"),
+        (
+            (cid, year, float(cn), float(di))
+            for cid in sorted(means)
+            for year, (cn, di) in zip(means[cid].years, means[cid].points)
+        ),
+    )
 
 
 def write_rank_outputs(
@@ -399,6 +386,8 @@ def ingest_stage(
     report: str | Path | None,
 ) -> tuple[CitationCorpus, str, bool]:
     """Parse works into a corpus; write its snapshot and, if asked, the report."""
+    if year_min > year_max:
+        raise ValueError(f"year_min {year_min} exceeds year_max {year_max}")
     corpus, ingest_report = ingest_files(
         paths, schema, year_min=year_min, year_max=year_max
     )
@@ -417,6 +406,8 @@ def metrics_stage(
     out_dir: Path,
 ) -> tuple[ScoredWorks, str, bool]:
     """NBNC and CD of every work in ``year_range``."""
+    if year_range[0] > year_range[1]:
+        raise ValueError(f"first year {year_range[0]} exceeds last year {year_range[1]}")
     scores = nbnc_all(
         corpus,
         horizon,
@@ -497,7 +488,7 @@ def cluster_stage(
     result = with_mean_trajectories(
         leiden_clusters(similarity, resolution=resolution, seed=seed), trajectories
     )
-    write_cluster_outputs(out_dir, distances, similarity, result, result.mean_trajectories)
+    write_cluster_outputs(out_dir, distances, similarity, result)
     detail = f"{len(result.cluster_members)} clusters, {len(result.singletons)} singletons"
     return result, detail, False
 

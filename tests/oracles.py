@@ -342,6 +342,7 @@ def _oracle_year(raw):
 
 
 def _oracle_subfield(raw):
+    """A subfield id is a non-negative int32; -1 is the column's missing mark."""
     if isinstance(raw, list):
         raw = raw[0] if raw else None
     if isinstance(raw, str):
@@ -350,8 +351,10 @@ def _oracle_subfield(raw):
         start = end
         while start > 0 and text[start - 1].isdecimal():
             start -= 1
-        return _fits_int32(int(text[start:end])) if start < end else None
-    return _fits_int32(_whole_number(raw))
+        value = _fits_int32(int(text[start:end])) if start < end else None
+    else:
+        value = _fits_int32(_whole_number(raw))
+    return None if value is None or value < 0 else value
 
 
 def naive_ingest(records, schema, year_min=None, year_max=None):

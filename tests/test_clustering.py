@@ -16,10 +16,10 @@ from scibreak.clustering import (
     distance_matrix,
     dtw_distance,
     leiden_clusters,
+    modularity,
     similarity_matrix,
     trajectories_from_series,
 )
-from scibreak.leiden import leiden_communities, modularity
 from scibreak.panel import SeriesTable
 
 from oracles import exhaustive_dtw, exhaustive_dtw_per_component
@@ -268,12 +268,6 @@ class TestLeidenClusters:
         with pytest.raises(ValueError):
             leiden_clusters(similarity, resolution=resolution, seed=0)
 
-    def test_zero_weight_graph_all_singletons(self):
-        result = leiden_clusters(SimilarityMatrix((5, 3, 4), np.eye(3), 1.0), seed=0)
-        assert result.singletons == (3, 4, 5)
-        assert result.cluster_members == {}
-        assert result.quality == 0.0
-
     def test_singleton_flagging(self):
         # two tight blocks plus one node similar to nothing; a uniformly
         # weak node only separates above resolution 1 (the null model makes
@@ -294,35 +288,48 @@ class TestLeidenClusters:
         assert len(result.cluster_members) == 2
 
 
+def _membership(result):
+    """Community index per canonical label; singletons get their own."""
+    labels = sorted(result.assignments)
+    return [
+        -1 - i if result.assignments[label] is None else result.assignments[label]
+        for i, label in enumerate(labels)
+    ]
+
+
 class TestLeidenCore:
     def test_quality_matches_modularity(self):
         rng = np.random.default_rng(44)
         W = rng.random((10, 10))
         W = 0.5 * (W + W.T)
+        np.fill_diagonal(W, 1.0)
+        result = leiden_clusters(SimilarityMatrix(tuple(range(10)), W, 1.0), seed=1)
         np.fill_diagonal(W, 0.0)
-        result = leiden_communities(W, seed=1)
         assert result.quality == pytest.approx(
-            modularity(W, result.membership), abs=1e-12
+            modularity(W, _membership(result)), abs=1e-12
         )
 
     def test_partition_beats_singletons_and_whole(self):
         W = np.full((6, 6), 0.01)
         W[:3, :3] = 0.9
         W[3:, 3:] = 0.9
+        np.fill_diagonal(W, 1.0)
+        result = leiden_clusters(SimilarityMatrix(tuple(range(6)), W, 1.0), seed=7)
         np.fill_diagonal(W, 0.0)
-        result = leiden_communities(W, seed=7)
         q_found = result.quality
         assert q_found >= modularity(W, list(range(6)))
         assert q_found >= modularity(W, [0] * 6)
 
     def test_negative_weights_rejected(self):
-        W = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(ValueError):
-            leiden_communities(W)
+        W = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(ValueError, match="negative"):
+            leiden_clusters(SimilarityMatrix((0, 1), W, 1.0))
 
     def test_zero_graph_all_singletons(self):
-        result = leiden_communities(np.zeros((4, 4)))
-        assert result.membership == (0, 1, 2, 3)
+        result = leiden_clusters(SimilarityMatrix((5, 3, 4, 6), np.eye(4), 1.0))
+        assert result.singletons == (3, 4, 5, 6)
+        assert result.cluster_members == {}
+        assert result.quality == 0.0
 
 
 class TestMeanTrajectories:
@@ -379,8 +386,6 @@ def _cluster_of(members):
         assignments={label: 1 for label in labels},
         cluster_members={1: tuple(sorted(labels))},
         singletons=(),
-        seed=0,
-        resolution=1.0,
         quality=0.0,
     )
 

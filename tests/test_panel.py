@@ -186,7 +186,8 @@ class TestSubfieldSeries:
 
 def _flags(tmp_path, series):
     """The flags column of the written series table."""
-    path = write_series_table(tmp_path, series)
+    write_series_table(tmp_path, series)
+    path = tmp_path / "series" / "subfield_series.tsv"
     return [line.rstrip("\n").split("\t")[8] for line in path.read_text().splitlines()[1:]]
 
 
