@@ -485,3 +485,13 @@ def naive_ingest(records, schema, year_min=None, year_max=None):
         },
     }
     return ids, years, subfields, countries, references, citers, report
+
+
+def per_cell_matrix_text(corner, col_labels, row_labels, matrix):
+    """A labelled matrix table as text, formatting one cell at a time:
+    ``repr`` of each float, ``str`` of each integer."""
+    lines = ["\t".join([corner, *(str(c) for c in col_labels)])]
+    for label, row in zip(row_labels, np.asarray(matrix).tolist()):
+        cells = [repr(v) if isinstance(v, float) else str(v) for v in row]
+        lines.append("\t".join([str(label), *cells]))
+    return "".join(line + "\n" for line in lines)

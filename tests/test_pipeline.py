@@ -4,21 +4,30 @@ import importlib
 import importlib.util
 import json
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import per_cell_matrix_text
 from scibreak.cli import main as cli_main
 from scibreak.config import ConfigError, PipelineConfig
 from scibreak.corpus import CitationCorpus
 from scibreak.impact import BreakthroughClass
+from scibreak.panel import PanelMatrix
 from scibreak.pipeline import (
     StageError,
+    _write_matrix,
     read_panel,
     read_scored_tables,
     read_series_table,
     run_pipeline,
+    write_panel,
 )
 from scibreak.synth import synthetic_records, write_jsonl
 
@@ -359,6 +368,143 @@ class TestPipelineRun:
             assert (run_dir / "analysis" / name).exists() == (name in written), name
 
 
+# floats whose text the shortest-repr rule must keep apart or spell out
+SPECIAL_FLOATS = [
+    -0.0, 0.0, float("nan"), float("inf"), -float("inf"),
+    5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-5, 0.1, -1e16, 1.0,
+]
+QUIET_NAN_WITH_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+
+_matrix_shapes = st.tuples(st.integers(0, 6), st.integers(1, 6))
+_float_cells = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64))
+
+
+@st.composite
+def _labelled_matrices(draw):
+    dtype = draw(st.sampled_from([np.float64, np.int8, np.int64]))
+    shape = draw(_matrix_shapes)
+    elements = _float_cells if dtype is np.float64 else None
+    matrix = draw(arrays(dtype, shape, elements=elements))
+    return matrix, [f"r{i}" for i in range(shape[0])], list(range(100, 100 + shape[1]))
+
+
+def _matrix_text(matrix, rows, cols) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.tsv"
+        _write_matrix(path, "corner", cols, rows, matrix)
+        return path.read_text(encoding="utf-8")
+
+
+class TestMatrixTables:
+    @settings(max_examples=300, deadline=None)
+    @given(_labelled_matrices())
+    def test_writer_matches_per_cell_oracle(self, case):
+        matrix, rows, cols = case
+        assert _matrix_text(matrix, rows, cols) == per_cell_matrix_text("corner", cols, rows, matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]]),
+            np.array([[QUIET_NAN_WITH_PAYLOAD, float("nan"), -float("nan")]]),
+            np.array([[-128, 127, 0], [-1, 1, -128]], dtype=np.int8),
+            np.array([[-(2**63), 2**63 - 1], [-5, 5]], dtype=np.int64),
+            np.zeros((0, 4)),
+            np.zeros((0, 4), dtype=np.int64),
+            np.array([[-0.0], [0.0], [1e-5]]),
+            np.array([[3], [-3]], dtype=np.int8),
+        ],
+        ids=[
+            "special-floats", "nan-payloads", "int8", "int64-extremes",
+            "float-no-rows", "int-no-rows", "float-one-column", "int8-one-column",
+        ],
+    )
+    def test_writer_edge_cases(self, matrix):
+        rows = [f"r{i}" for i in range(matrix.shape[0])]
+        cols = list(range(matrix.shape[1]))
+        assert _matrix_text(matrix, rows, cols) == per_cell_matrix_text("corner", cols, rows, matrix)
+
+    @pytest.mark.parametrize(
+        "countries, subfields",
+        [((), (3100, 3101, 3102)), (("AA",), (3100, 3101)), (("AA", "AB", "AC"), (3100,))],
+        ids=["no-rows", "one-row", "one-column"],
+    )
+    def test_panel_round_trip(self, tmp_path, countries, subfields):
+        counts = np.arange(len(countries) * len(subfields)) * 7 - 3
+        panel = PanelMatrix(
+            window=(1950, 1959),
+            kind=BreakthroughClass.DISRUPTIVE,
+            counts=counts.reshape(len(countries), len(subfields)),
+            countries=countries,
+            subfields=subfields,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_panel(tmp_path, panel)
+            back = read_panel(tmp_path / "panels" / "DI_1950-1959.tsv")
+        assert back.counts.dtype == np.int64
+        assert back.counts.shape == (len(countries), len(subfields))
+        np.testing.assert_array_equal(back.counts, panel.counts)
+        assert back.countries == panel.countries
+        assert back.subfields == panel.subfields
+        assert back.window == panel.window
+        assert back.kind is panel.kind
+
+    @pytest.mark.parametrize(
+        "cell", ["99999999999999999999", "1.5", "x", "", "3_0", "\u0663"],
+        ids=["int64-overflow", "fraction", "word", "empty", "underscore", "arabic-digit"],
+    )
+    def test_bad_cell_names_file_and_line(self, tmp_path, capsys, cell):
+        # an overflowing cell once crashed with an OverflowError traceback
+        # (exit 1); int() accepted "3_0" and "\u0663"
+        path = tmp_path / "DI_1990-1999.tsv"
+        path.write_text(f"country\t3100\t3101\nAA\t1\t2\nAB\t3\t{cell}\n", encoding="utf-8")
+        where = f"{path}, line 3, field 3: {cell!r} "
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
+            read_panel(path)
+        out = tmp_path / "out"
+        assert cli_main(["rank", "--panel", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("AA\t1\t2\nAB\t3\n", 3),
+            ("AA\t1\t2\nAB\t3\t4\t5\n", 3),
+            ("AA\t1\t2\n\nAB\t3\t4\n", 3),
+            ("AA\t1\t2\nAB\t3\t4\n\n", 4),
+        ],
+        ids=["short-row", "long-row", "blank-line", "trailing-blank-line"],
+    )
+    def test_ragged_row_names_file_and_line(self, tmp_path, capsys, body, line):
+        # a ragged row once failed with numpy's "setting an array element
+        # with a sequence", naming neither the file nor the row
+        path = tmp_path / "CN_1990-1999.tsv"
+        path.write_text("country\t3100\t3101\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "):
+            read_panel(path)
+        out = tmp_path / "out"
+        assert cli_main(["rank", "--panel", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}, line {line}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["panel.tsv", "XX_1990-1999.tsv", "DI_1990.tsv"])
+    def test_bad_file_name_is_named(self, tmp_path, name):
+        # window and class come from the name; a bad one was once reported
+        # as "invalid literal for int()" or "not a valid BreakthroughClass"
+        path = tmp_path / name
+        path.write_text("country\t3100\nAA\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_panel(path)
+
+    def test_bad_subfield_label_names_file_and_line(self, tmp_path):
+        path = tmp_path / "CN_1990-1999.tsv"
+        path.write_text("country\t3100\tx\nAA\t1\t2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 1: "):
+            read_panel(path)
+
+
 class TestIngestionRobustness:
     def test_openalex_shaped_file_with_noise(self, tmp_path):
         rows = [
@@ -683,6 +829,35 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2005" in err and "1990" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "span",
+        [["--start", "2005", "--end", "1990"],
+         ["--start", "1990", "--end", "2000", "--window-width", "0"]],
+        ids=["reversed-years", "zero-window-width"],
+    )
+    def test_panel_bad_windows_write_no_series(self, tmp_path, capsys, span):
+        # the series table was once written before the windows were checked
+        works = tmp_path / "works.jsonl"
+        write_jsonl(synthetic_records(300, seed=6, year_start=1985, year_end=2005), works)
+        snap = tmp_path / "corpus.snap"
+        steps = [
+            ["ingest", "--input", str(works), "--snapshot", str(snap)],
+            ["metrics", "--snapshot", str(snap), "--out-dir", str(tmp_path),
+             "--start", "1990", "--end", "2000"],
+            ["select", "--snapshot", str(snap), "--metrics-dir", str(tmp_path / "metrics"),
+             "--out-dir", str(tmp_path), "--top-fraction", "0.2"],
+        ]
+        for argv in steps:
+            assert cli_main(argv) == 0, argv[0]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["panel", "--snapshot", str(snap),
+                "--breakthroughs-dir", str(tmp_path / "breakthroughs"), "--out-dir", str(out),
+                *span]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "series" / "subfield_series.tsv").exists()
 
     def test_panel_bad_allowlist_names_the_flag_and_value(self, tmp_path, capsys):
         # a bare int() once reported "invalid literal for int()" without the flag
