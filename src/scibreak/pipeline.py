@@ -15,10 +15,11 @@ import hashlib
 import json
 import shutil
 import time
+import warnings
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -89,14 +90,33 @@ def _write_tsv(path: Path, header: Iterable[str], rows: Iterable[Iterable[object
     _write_lines(path, header, (map(_fmt, row) for row in rows))
 
 
+def _cell_text(matrix: np.ndarray) -> Iterator[list[str]]:
+    """Rows of cell text: ``repr`` of each float (as float64), ``str`` of each integer.
+
+    Each distinct value is formatted once.  Floats are told apart by their
+    bit pattern, so -0.0 and 0.0 keep their own text.
+    """
+    flat = matrix.ravel()
+    if flat.dtype.kind == "f":
+        bits, inverse = np.unique(
+            flat.astype(np.float64, copy=False).view(np.uint64), return_inverse=True
+        )
+        text = list(map(repr, bits.view(np.float64).tolist()))
+    elif flat.dtype.kind in "iu":
+        values, inverse = np.unique(flat, return_inverse=True)
+        text = list(map(str, values.tolist()))
+    else:
+        raise TypeError(f"no cell text for a {matrix.dtype} matrix")
+    distinct = np.array(text, dtype=object)
+    # the inverse's shape differs across numpy versions; flat's does not
+    return (distinct[row].tolist() for row in inverse.reshape(matrix.shape))
+
+
 def _write_matrix(
     path: Path, corner: str, col_labels: Iterable[object], row_labels: Iterable[object], matrix: np.ndarray
 ) -> None:
     header = [corner] + [str(c) for c in col_labels]
-    rows = (
-        [str(label), *map(_fmt, row)]
-        for label, row in zip(row_labels, matrix.tolist())
-    )
+    rows = ([str(label), *cells] for label, cells in zip(row_labels, _cell_text(matrix)))
     _write_lines(path, header, rows)
 
 
@@ -278,26 +298,75 @@ def write_panel(run_dir: Path, panel: PanelMatrix) -> None:
     )
 
 
+def _parse_counts(lines: list[str], n_cols: int) -> np.ndarray:
+    """int64 counts of the ``n_cols`` fields after the label of each line."""
+    with warnings.catch_warnings():
+        # numpy releases that only deprecate it read "1.5" as 1 with a warning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(
+            lines, dtype=np.int64, delimiter="\t", usecols=range(1, n_cols + 1), ndmin=2,
+            comments=None,
+        )
+
+
+_REFUSED = (ValueError, OverflowError, DeprecationWarning)
+
+
+def _refused(cell: str) -> bool:
+    try:
+        _parse_counts([f"-\t{cell}"], 1)
+    except _REFUSED:
+        return True
+    return False
+
+
 def read_panel(matrix_path: Path) -> PanelMatrix:
-    """Read a panel matrix written by :func:`write_panel`."""
+    """Read a panel matrix written by :func:`write_panel`.
+
+    The window and class come from the file name, e.g. ``DI_1950-1959.tsv``.
+    Every count must be an ASCII decimal int64.  A bad name is a
+    ``ValueError`` naming the file; a bad label, a row with the wrong number
+    of fields or a bad count is one naming the file and line.
+    """
     matrix_path = Path(matrix_path)
-    stem = matrix_path.stem  # e.g. DI_1950-1959
-    kind_token, _, span = stem.partition("_")
+    kind_token, _, span = matrix_path.stem.partition("_")
     lo, _, hi = span.partition("-")
+    try:
+        window, kind = (int(lo), int(hi)), BreakthroughClass(kind_token)
+    except ValueError:
+        raise ValueError(f"{matrix_path}: name is not <CN|DI>_<first>-<last>.tsv") from None
     with open(matrix_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        subfields = tuple(int(s) for s in header[1:])
-        countries = []
-        values = []
-        for line in fh:
-            cells = line.rstrip("\n").split("\t")
-            countries.append(cells[0])
-            values.append([int(v) for v in cells[1:]])
+        header, *lines = fh.read().removesuffix("\n").split("\n")
+    try:
+        subfields = tuple(int(s) for s in header.split("\t")[1:])
+    except ValueError as exc:
+        raise ValueError(f"{matrix_path}, line 1: {exc}") from None
+    n_cols = len(subfields)
+    for number, line in enumerate(lines, start=2):
+        fields = line.count("\t") + 1
+        if fields != n_cols + 1:
+            raise ValueError(f"{matrix_path}, line {number}: {fields} fields, expected {n_cols + 1}")
+    if lines and n_cols:
+        try:
+            counts = _parse_counts(lines, n_cols)
+        except _REFUSED:
+            # the field counts are right, so some cell is refused on its own
+            number, field, cell = next(
+                (number, field, cell)
+                for number, line in enumerate(lines, start=2)
+                for field, cell in enumerate(line.split("\t")[1:], start=2)
+                if _refused(cell)
+            )
+            raise ValueError(
+                f"{matrix_path}, line {number}, field {field}: {cell!r} is not a decimal int64"
+            ) from None
+    else:  # no cells; loadtxt would warn on no rows and drop blank ones
+        counts = np.zeros((len(lines), n_cols), dtype=np.int64)
     return PanelMatrix(
-        window=(int(lo), int(hi)),
-        kind=BreakthroughClass(kind_token),
-        counts=np.array(values, dtype=np.int64).reshape(len(countries), len(subfields)),
-        countries=tuple(countries),
+        window=window,
+        kind=kind,
+        counts=counts,
+        countries=tuple(line.partition("\t")[0] for line in lines),
         subfields=subfields,
     )
 
@@ -452,12 +521,13 @@ def panel_stage(
     ``allowlist``, when given, restricts the panels (not the series) to
     those subfields.
     """
+    windows = decade_windows(start, end, window_width)
     series = scaled_counts(subfield_series(corpus, chosen, range(start, end + 1)))
     write_series_table(out_dir, series)
     if allowlist is not None:
         chosen = chosen.take(np.isin(corpus.subfields[chosen.works], list(allowlist)))
     panels: list[PanelMatrix] = []
-    for window in decade_windows(start, end, window_width):
+    for window in windows:
         for kind in (BreakthroughClass.CONSOLIDATING, BreakthroughClass.DISRUPTIVE):
             panel = country_subfield_counts(corpus, chosen, window, kind)
             write_panel(out_dir, panel)
