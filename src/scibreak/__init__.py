@@ -6,142 +6,4 @@ clusters subfield growth trajectories (DTW + Gaussian kernel + Leiden), and
 ranks countries and subfields by bipartite complexity (RCA + GENEPY).
 """
 
-from .analysis import (
-    GerdMean,
-    IndicatorValue,
-    InsufficientDataError,
-    PowerLawFit,
-    gerd_means,
-    loglog_fit,
-    read_indicator_file,
-    spearman,
-)
-from .clustering import (
-    ClusteringResult,
-    DistanceMatrix,
-    SimilarityMatrix,
-    Trajectory,
-    cluster_mean_trajectory,
-    default_sigma,
-    distance_matrix,
-    dtw_distance,
-    leiden_clusters,
-    modularity,
-    similarity_matrix,
-    trajectories_from_series,
-    with_mean_trajectories,
-)
-from .complexity import (
-    BinaryAdjacency,
-    EigenPair,
-    GenepyResult,
-    RcaMatrix,
-    binarize,
-    degree_vectors,
-    genepy_scores,
-    rca,
-    top_eigenpairs_symmetric,
-)
-from .config import ConfigError, PipelineConfig
-from .corpus import (
-    CitationCorpus,
-    CocitedBag,
-    FieldMap,
-    IngestReport,
-    SnapshotError,
-    UnknownWorkError,
-    YearlyCitationSeries,
-    cocited_bag,
-    ingest_files,
-    ingest_works,
-    yearly_citation_series,
-)
-from .impact import (
-    BreakthroughClass,
-    CdScore,
-    NbncScore,
-    cd_all,
-    cd_index,
-    classify,
-    nbnc,
-    nbnc_all,
-)
-from .panel import (
-    PanelMatrix,
-    ScoredWorks,
-    SeriesTable,
-    country_counts,
-    country_subfield_counts,
-    decade_windows,
-    scaled_counts,
-    select_breakthroughs,
-    subfield_series,
-)
-from .pipeline import StageError, run_pipeline
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BinaryAdjacency",
-    "BreakthroughClass",
-    "CdScore",
-    "CitationCorpus",
-    "ClusteringResult",
-    "CocitedBag",
-    "ConfigError",
-    "DistanceMatrix",
-    "EigenPair",
-    "FieldMap",
-    "GenepyResult",
-    "GerdMean",
-    "IndicatorValue",
-    "IngestReport",
-    "InsufficientDataError",
-    "NbncScore",
-    "PanelMatrix",
-    "PipelineConfig",
-    "PowerLawFit",
-    "RcaMatrix",
-    "ScoredWorks",
-    "SeriesTable",
-    "SimilarityMatrix",
-    "SnapshotError",
-    "StageError",
-    "Trajectory",
-    "UnknownWorkError",
-    "YearlyCitationSeries",
-    "binarize",
-    "cd_all",
-    "cd_index",
-    "classify",
-    "cluster_mean_trajectory",
-    "cocited_bag",
-    "country_counts",
-    "country_subfield_counts",
-    "decade_windows",
-    "default_sigma",
-    "degree_vectors",
-    "distance_matrix",
-    "dtw_distance",
-    "genepy_scores",
-    "gerd_means",
-    "ingest_files",
-    "ingest_works",
-    "leiden_clusters",
-    "loglog_fit",
-    "modularity",
-    "nbnc",
-    "nbnc_all",
-    "rca",
-    "read_indicator_file",
-    "run_pipeline",
-    "scaled_counts",
-    "select_breakthroughs",
-    "similarity_matrix",
-    "spearman",
-    "subfield_series",
-    "top_eigenpairs_symmetric",
-    "trajectories_from_series",
-    "with_mean_trajectories",
-    "yearly_citation_series",
-]

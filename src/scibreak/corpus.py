@@ -88,37 +88,6 @@ class IngestReport:
         }
 
 
-@dataclass(frozen=True)
-class YearlyCitationSeries:
-    """Citations received at each year offset 0..horizon after publication.
-
-    ``noise_citations`` counts citing works dated before the focal year;
-    those never contribute to any offset.
-    """
-
-    work_id: str
-    horizon: int
-    gamma: tuple[int, ...]
-    noise_citations: int
-
-
-@dataclass(frozen=True)
-class CocitedBag:
-    """Works co-cited with a focal work by citers at one year offset.
-
-    ``member_ids`` is ordered by work index; under multiset semantics a work
-    repeats once per citer whose reference list contains it.
-    """
-
-    focal_id: str
-    offset: int
-    member_ids: tuple[str, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.member_ids)
-
-
 def _extract(value: Any, parts: Sequence[str]) -> Any:
     """Walk dotted-path ``parts`` through nested dicts, mapping over lists."""
     for part in parts:
@@ -680,41 +649,3 @@ def ingest_files(
 
     return ingest_works(lines(), schema, year_min=year_min, year_max=year_max)
 
-
-def yearly_citation_series(
-    corpus: CitationCorpus, work_id: str, horizon: int
-) -> YearlyCitationSeries:
-    """Count citations at each year offset 0..horizon after publication."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    focal = corpus.work_index(work_id)
-    year = corpus.pub_year_of(focal)
-    calendar = year + np.arange(horizon + 1)
-    gamma = corpus.citations_in_years(focal, calendar, calendar)
-    noise = corpus.citations_in_years(focal, corpus.year_min, year - 1)
-    return YearlyCitationSeries(work_id, horizon, tuple(gamma.tolist()), int(noise))
-
-
-def cocited_bag(
-    corpus: CitationCorpus,
-    focal_id: str,
-    offset: int,
-    *,
-    semantics: str = "multiset",
-) -> CocitedBag:
-    """Collect the co-cited bag of a focal work at one year offset.
-
-    Multiset semantics repeats a member once per citing reference list that
-    contains it; set semantics keeps each member once.
-    """
-    if offset < 0:
-        raise ValueError(f"offset must be >= 0, got {offset}")
-    focal = corpus.work_index(focal_id)
-    if semantics not in ("multiset", "set"):
-        raise ValueError(f"unknown co-citation semantics: {semantics!r}")
-    _, citers = corpus.citer_pairs(np.array([focal]))
-    citers = citers[corpus.pub_years[citers] == corpus.pub_year_of(focal) + offset]
-    _, members = corpus.reference_pairs(citers)
-    members = members[members != focal]
-    members = sorted_unique(members) if semantics == "set" else np.sort(members)
-    return CocitedBag(focal_id, offset, tuple(map(corpus.work_id, members.tolist())))

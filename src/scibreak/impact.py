@@ -211,11 +211,6 @@ def cd_all(
     return _cd_table(corpus, _works_in_range(corpus, year_range), horizon)
 
 
-def classify(cd: CdScore) -> BreakthroughClass:
-    """The breakthrough class of one work's CD score."""
-    return BreakthroughClass.of(cd.value)
-
-
 # -- kernels -------------------------------------------------------------------
 
 

@@ -201,7 +201,9 @@ def read_scored_tables(
     Only the ``work_id``, ``nbnc`` and ``cd`` columns are read, found by
     header name; ids resolve to corpus indexes through ``corpus``.  A
     missing directory or one without a match is an input error, not an
-    empty table: a mistyped path must not read as "no rows".
+    empty table: a mistyped path must not read as "no rows".  A row whose
+    field count differs from the header's, or a score that is not a float,
+    is a ``ValueError`` naming the file and line.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -219,12 +221,19 @@ def read_scored_tables(
                 cols = [header.index(name) for name in ("work_id", "nbnc", "cd")]
             except ValueError:
                 raise ValueError(f"{path}: header lacks work_id, nbnc or cd") from None
-            for line in fh:
+            for number, line in enumerate(fh, start=2):
                 cells = line.rstrip("\n").split("\t")
+                if len(cells) != len(header):
+                    raise ValueError(
+                        f"{path}, line {number}: {len(cells)} fields, expected {len(header)}"
+                    )
                 wid, nbnc_s, cd_s = (cells[i] for i in cols)
                 works.append(corpus.work_index(wid))
-                nbnc.append(float(nbnc_s))
-                cd.append(float(cd_s))
+                try:
+                    nbnc.append(float(nbnc_s))
+                    cd.append(float(cd_s))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {number}: {exc}") from None
     return ScoredWorks(np.array(works, dtype=np.int64), np.array(nbnc), np.array(cd))
 
 
@@ -248,17 +257,18 @@ def read_series_table(path: Path) -> SeriesTable:
 
     Rows are placed on the grid of the subfields and years the file holds;
     a grid cell without a row reads as zero.  A subfield/year pair given
-    twice is an error.
+    twice is an error.  Every count must be an ASCII decimal int64 and
+    every share a float64; a row without 9 fields or with a bad cell is a
+    ``ValueError`` naming the file and line.
     """
-    counts: list[int] = []
-    shares: list[float] = []
     with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            row = line.rstrip("\n").split("\t")
-            counts.extend(map(int, row[:6]))
-            shares.extend(map(float, row[6:8]))
-    keys = np.array(counts, dtype=np.int64).reshape(-1, 6)
+        _, *lines = fh.read().removesuffix("\n").split("\n")
+    _check_fields(path, lines, 9)
+    if lines:
+        keys = _parse_cells(path, lines, range(6), np.int64)
+        shares = _parse_cells(path, lines, range(6, 8), np.float64)
+    else:  # loadtxt would warn on no rows
+        keys, shares = np.zeros((0, 6), dtype=np.int64), np.zeros((0, 2))
     subfields, years = (
         np.array(sorted(set(keys[:, i].tolist())), dtype=np.int64) for i in (0, 1)
     )
@@ -271,10 +281,10 @@ def read_series_table(path: Path) -> SeriesTable:
         """(column, subfield, year) array of the table columns ``values``."""
         out = np.zeros((len(subfields) * len(years), values.shape[1]), dtype=values.dtype)
         out[cells] = values
-        return out.T.reshape(-1, len(subfields), len(years))
+        return out.T.reshape(values.shape[1], len(subfields), len(years))
 
     n_total, n_bt, n_cn, n_di = grid(keys[:, 2:])
-    scaled_cn, scaled_di = grid(np.array(shares, dtype=float).reshape(-1, 2))
+    scaled_cn, scaled_di = grid(shares)
     unlabeled = np.zeros(len(years), dtype=np.int64)  # the file does not keep it
     return SeriesTable(
         subfields, years, n_total, n_bt, n_cn, n_di, unlabeled, scaled_cn, scaled_di
@@ -298,26 +308,50 @@ def write_panel(run_dir: Path, panel: PanelMatrix) -> None:
     )
 
 
-def _parse_counts(lines: list[str], n_cols: int) -> np.ndarray:
-    """int64 counts of the ``n_cols`` fields after the label of each line."""
+def _load_cells(lines: list[str], columns: range, dtype: type) -> np.ndarray:
+    """The fields ``columns`` of each tab-separated line, as ``dtype``."""
     with warnings.catch_warnings():
         # numpy releases that only deprecate it read "1.5" as 1 with a warning
         warnings.simplefilter("error", DeprecationWarning)
         return np.loadtxt(
-            lines, dtype=np.int64, delimiter="\t", usecols=range(1, n_cols + 1), ndmin=2,
-            comments=None,
+            lines, dtype=dtype, delimiter="\t", usecols=columns, ndmin=2, comments=None
         )
 
 
 _REFUSED = (ValueError, OverflowError, DeprecationWarning)
 
 
-def _refused(cell: str) -> bool:
+def _refused(cell: str, dtype: type) -> bool:
     try:
-        _parse_counts([f"-\t{cell}"], 1)
+        _load_cells([f"-\t{cell}"], range(1, 2), dtype)
     except _REFUSED:
         return True
     return False
+
+
+def _check_fields(path: Path, lines: list[str], expected: int) -> None:
+    """Refuse a line, numbered from 2, that has not ``expected`` fields."""
+    for number, line in enumerate(lines, start=2):
+        fields = line.count("\t") + 1
+        if fields != expected:
+            raise ValueError(f"{path}, line {number}: {fields} fields, expected {expected}")
+
+
+def _parse_cells(path: Path, lines: list[str], columns: range, dtype: type) -> np.ndarray:
+    """:func:`_load_cells` of lines whose field counts are checked; a cell
+    it refuses is a ``ValueError`` naming the file, line and field."""
+    try:
+        return _load_cells(lines, columns, dtype)
+    except _REFUSED:
+        # the field counts are right, so some cell is refused on its own
+        number, field, cell = next(
+            (number, field + 1, cell)
+            for number, line in enumerate(lines, start=2)
+            for field, cell in enumerate(line.split("\t"))
+            if field in columns and _refused(cell, dtype)
+        )
+        kind = "a decimal int64" if dtype is np.int64 else "a float64"
+        raise ValueError(f"{path}, line {number}, field {field}: {cell!r} is not {kind}") from None
 
 
 def read_panel(matrix_path: Path) -> PanelMatrix:
@@ -342,24 +376,9 @@ def read_panel(matrix_path: Path) -> PanelMatrix:
     except ValueError as exc:
         raise ValueError(f"{matrix_path}, line 1: {exc}") from None
     n_cols = len(subfields)
-    for number, line in enumerate(lines, start=2):
-        fields = line.count("\t") + 1
-        if fields != n_cols + 1:
-            raise ValueError(f"{matrix_path}, line {number}: {fields} fields, expected {n_cols + 1}")
+    _check_fields(matrix_path, lines, n_cols + 1)
     if lines and n_cols:
-        try:
-            counts = _parse_counts(lines, n_cols)
-        except _REFUSED:
-            # the field counts are right, so some cell is refused on its own
-            number, field, cell = next(
-                (number, field, cell)
-                for number, line in enumerate(lines, start=2)
-                for field, cell in enumerate(line.split("\t")[1:], start=2)
-                if _refused(cell)
-            )
-            raise ValueError(
-                f"{matrix_path}, line {number}, field {field}: {cell!r} is not a decimal int64"
-            ) from None
+        counts = _parse_cells(matrix_path, lines, range(1, n_cols + 1), np.int64)
     else:  # no cells; loadtxt would warn on no rows and drop blank ones
         counts = np.zeros((len(lines), n_cols), dtype=np.int64)
     return PanelMatrix(

@@ -16,11 +16,10 @@ from scibreak.corpus import (
     FieldMap,
     SnapshotError,
     UnknownWorkError,
-    cocited_bag,
     ingest_files,
     ingest_works,
-    yearly_citation_series,
 )
+from scibreak.impact import nbnc_all
 
 from conftest import build, make_records, random_citation_records
 from oracles import naive_ingest
@@ -207,6 +206,8 @@ class TestGraphInvariants:
 
 
 class TestYearlyCitationSeries:
+    """A work's citations per year, read through ``citations_in_years``."""
+
     def test_counts_by_offset(self):
         corpus = build(
             make_records(
@@ -219,99 +220,98 @@ class TestYearlyCitationSeries:
                 ]
             )
         )
-        series = yearly_citation_series(corpus, "f", 3)
-        assert series.gamma == (1, 2, 0, 1)
-        assert series.noise_citations == 0
+        f = corpus.work_index("f")
+        calendar = 2000 + np.arange(4)
+        assert corpus.citations_in_years(f, calendar, calendar).tolist() == [1, 2, 0, 1]
+        assert corpus.citations_in_years(f, corpus.year_min, 1999) == 0
 
     def test_uncited_work(self):
         corpus = build(make_records([("f", 2000, [])]))
-        series = yearly_citation_series(corpus, "f", 10)
-        assert series.gamma == (0,) * 11
+        calendar = 2000 + np.arange(11)
+        counts = corpus.citations_in_years(corpus.work_index("f"), calendar, calendar)
+        assert counts.tolist() == [0] * 11
 
     def test_noise_citer_excluded_and_tallied(self):
         corpus = build(
             make_records([("f", 2000, []), ("old", 1995, ["f"]), ("c", 2001, ["f"])])
         )
-        series = yearly_citation_series(corpus, "f", 5)
-        assert sum(series.gamma) == 1
-        assert series.noise_citations == 1
+        f = corpus.work_index("f")
+        calendar = 2000 + np.arange(6)
+        assert corpus.citations_in_years(f, calendar, calendar).sum() == 1
+        assert corpus.citations_in_years(f, corpus.year_min, 2000 - 1) == 1
 
     def test_gamma_sums_to_forward_indegree(self):
         rng = np.random.default_rng(10)
-        records = random_citation_records(rng, 200)
-        corpus = build(records)
-        horizon = 40  # wide enough to cover every offset in the fixture
-        for wid in [r["id"] for r in records[:50]]:
-            series = yearly_citation_series(corpus, wid, horizon)
-            idx = corpus.work_index(wid)
-            assert sum(series.gamma) + series.noise_citations == len(
-                corpus.citers_idx(idx)
-            )
+        corpus = build(random_citation_records(rng, 200))
+        works = np.arange(corpus.n_works)
+        years = corpus.pub_years
+        grid = np.arange(corpus.year_min, corpus.year_max + 1)
+        counts = corpus.citations_in_years(works[:, None], grid, grid)
+        noise = corpus.citations_in_years(works, corpus.year_min, years - 1)
+        for idx in works.tolist():
+            citer_years = corpus.pub_years[corpus.citers_idx(idx)]
+            expected = np.bincount(citer_years - corpus.year_min, minlength=len(grid))
+            assert counts[idx].tolist() == expected.tolist()
+            gamma = counts[idx, years[idx] - corpus.year_min :]
+            assert gamma.sum() + noise[idx] == len(citer_years)
+        assert noise.sum() > 0  # the fixture has backward edges
 
-    def test_negative_horizon(self):
-        corpus = build(make_records([("f", 2000, [])]))
-        with pytest.raises(ValueError):
-            yearly_citation_series(corpus, "f", -1)
+    def test_bounds_outside_the_corpus_years_or_reversed(self):
+        corpus = build(
+            make_records([("f", 2000, []), ("c1", 2001, ["f"]), ("c3", 2003, ["f"])])
+        )
+        f, c1 = corpus.work_index("f"), corpus.work_index("c1")
+        first = np.array([1990, 2004, 2003, 1990, 2001])
+        last = np.array([1999, 2010, 2001, 2010, 2001])
+        assert corpus.citations_in_years(f, first, last).tolist() == [0, 0, 0, 2, 1]
+        # clipped bounds never reach the keys of a neighbouring work
+        assert corpus.citations_in_years(c1, first, last).tolist() == [0] * 5
+
+    def test_empty_corpus(self):
+        counts = build([]).citations_in_years(np.array([], dtype=np.int64), 2000, 2001)
+        assert counts.shape == (0,)
 
 
 class TestCocitedBag:
+    """Hand-computed ``nbnc_all`` terms that pin down the co-cited bag."""
+
+    @staticmethod
+    def terms(records, horizon, **options):
+        corpus = build(make_records(records))
+        table = nbnc_all(corpus, horizon, **options)
+        return table.terms[corpus.work_index("f")].tolist()
+
+    UNION = [
+        ("f", 2000, []),
+        ("a", 2000, []),
+        ("b", 2000, []),
+        ("P1", 2001, ["f", "a", "b"]),
+        ("P2", 2001, ["f", "b"]),
+    ]
+
     def test_multiset_union(self):
-        corpus = build(
-            make_records(
-                [
-                    ("f", 2000, []),
-                    ("a", 1999, []),
-                    ("b", 1999, []),
-                    ("P1", 2001, ["f", "a", "b"]),
-                    ("P2", 2001, ["f", "b"]),
-                ]
-            )
-        )
-        bag = cocited_bag(corpus, "f", 1)
-        assert sorted(bag.member_ids) == ["a", "b", "b"]
-        assert bag.size == 3
+        # bag {a, b, b}: N_1 = 3, gamma_1 = 1 + 2 + 2, c_1 = 2
+        assert self.terms(self.UNION, 1) == [0.0, 3 * 2 / 5]
 
     def test_set_semantics(self):
-        corpus = build(
-            make_records(
-                [
-                    ("f", 2000, []),
-                    ("b", 1999, []),
-                    ("P1", 2001, ["f", "b"]),
-                    ("P2", 2001, ["f", "b"]),
-                ]
-            )
-        )
-        assert cocited_bag(corpus, "f", 1).size == 2
-        assert cocited_bag(corpus, "f", 1, semantics="set").size == 1
+        # bag {a, b}: N_1 = 2, gamma_1 = 1 + 2, c_1 = 2
+        assert self.terms(self.UNION, 1, cocited_semantics="set") == [0.0, 2 * 2 / 3]
 
     def test_no_citers_at_offset(self):
-        corpus = build(make_records([("f", 2000, []), ("P", 2002, ["f"])]))
-        assert cocited_bag(corpus, "f", 1).size == 0
+        records = [("f", 2000, []), ("a", 2000, []), ("P", 2002, ["f", "a"])]
+        # offset 1 has no citer; offset 2 has bag {a} with gamma_2(a) = 1
+        assert self.terms(records, 2) == [0.0, 0.0, 1 * 1 / 1]
 
     def test_citer_citing_only_focal_contributes_nothing(self):
-        corpus = build(make_records([("f", 2000, []), ("P", 2001, ["f"])]))
-        assert cocited_bag(corpus, "f", 1).member_ids == ()
-
-    def test_focal_never_in_bag_and_size_identity(self):
-        rng = np.random.default_rng(11)
-        records = random_citation_records(rng, 150)
-        corpus = build(records)
-        year = {r["id"]: r["publication_year"] for r in records}
-        for wid in [r["id"] for r in records[:40]]:
-            for t in range(4):
-                bag = cocited_bag(corpus, wid, t)
-                assert wid not in bag.member_ids
-                expected = 0
-                idx = corpus.work_index(wid)
-                for citer in corpus.citers_idx(idx):
-                    citer = int(citer)
-                    if year[corpus.work_id(citer)] != year[wid] + t:
-                        continue
-                    refs = [int(r) for r in corpus.references_idx(citer)]
-                    if idx in refs:
-                        expected += len(refs) - 1
-                assert bag.size == expected
+        assert self.terms([("f", 2000, []), ("P", 2001, ["f"])], 1) == [0.0, 0.0]
+        records = [
+            ("f", 2000, []),
+            ("a", 2000, []),
+            ("P1", 2001, ["f", "a"]),
+            ("P2", 2001, ["f"]),
+        ]
+        # bag {a}: N_1 = 1, gamma_1 = 1, while both citers count in c_1 = 2
+        assert self.terms(records, 1) == [0.0, 1 * 2 / 1]
 
 
 class TestSnapshot:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from scibreak.corpus import UnknownWorkError
 from scibreak.impact import (
     BreakthroughClass,
-    CdScore,
     cd_all,
     cd_index,
-    classify,
     nbnc,
     nbnc_all,
 )
@@ -250,7 +248,7 @@ class TestCdFixtures:
         cd = cd_index(corpus, "f", 10)
         assert cd.value == 0.0
         assert cd.zero_denominator
-        assert classify(cd) is BreakthroughClass.CONSOLIDATING
+        assert BreakthroughClass.of(cd.value) is BreakthroughClass.CONSOLIDATING
 
     def test_window_excludes_late_and_noise_citers(self):
         corpus = build(
@@ -434,5 +432,11 @@ class TestClassify:
         ],
     )
     def test_sign_rule(self, value, expected):
-        cd = CdScore("w", 10, value, 0, 0, 0, 0, False)
-        assert classify(cd) is expected
+        assert BreakthroughClass.of(value) is expected
+
+
+def test_kernels_refuse_negative_horizon():
+    corpus = build(make_records([("f", 2000, [])]))
+    for kernel in (nbnc_all, cd_all):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            kernel(corpus, -1)

@@ -783,6 +783,43 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "NOPE" in err
 
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("{wid}\t1.0", "2 fields, expected 4"),
+            ("{wid}\t1.0\t0.5", "3 fields, expected 4"),
+            ("", "1 fields, expected 4"),
+            ("{wid}\t1.0\tx\t-", "could not convert string to float: 'x'"),
+            ("{wid}\t\t0.5\t-", "could not convert string to float: ''"),
+        ],
+        ids=["short-row", "missing-flags", "blank-line", "bad-cd", "empty-nbnc"],
+    )
+    def test_select_bad_metrics_row_names_file_and_line(self, tmp_path, capsys, row, detail):
+        # a short row once escaped as an IndexError traceback (exit 1), and a
+        # bad number named neither the file nor the line
+        records = synthetic_records(30, seed=3, year_start=1990, year_end=2000)
+        works = tmp_path / "works.jsonl"
+        write_jsonl(records, works)
+        snap = tmp_path / "corpus.snap"
+        assert cli_main(["ingest", "--input", str(works), "--snapshot", str(snap)]) == 0
+        metrics = tmp_path / "metrics"
+        metrics.mkdir()
+        table = metrics / "metrics_1995.tsv"
+        wid = records[0]["id"]
+        table.write_text(
+            f"work_id\tnbnc\tcd\tflags\n{wid}\t2.0\t-0.5\t-\n{row.format(wid=wid)}\n",
+            encoding="utf-8",
+        )
+        where = f"{table}, line 3: {detail}"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+            read_scored_tables(metrics, "metrics_*.tsv", CitationCorpus.load_snapshot(snap))
+        out = tmp_path / "out"
+        argv = ["select", "--snapshot", str(snap), "--metrics-dir", str(metrics),
+                "--out-dir", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
+        assert not out.exists()
+
     def test_panel_unknown_work_id_is_an_input_error(self, tmp_path, capsys):
         # year, subfield and countries come from the snapshot, so an id it
         # lacks cannot be counted
@@ -888,6 +925,58 @@ class TestCliStages:
         assert capsys.readouterr().err.startswith(f"error: {series}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("3101\t2000\t2\t1\t0", ": 5 fields, expected 9"),
+            ("3101\t2000\t2\t1\t0\t1\t0.0\t0.5\t-\t-", ": 10 fields, expected 9"),
+            ("", ": 1 fields, expected 9"),
+            ("3101\t2000\tx\t1\t0\t1\t0.0\t0.5\t-", ", field 3: 'x' is not a decimal int64"),
+            ("3101\t2000\t3_0\t1\t0\t1\t0.0\t0.5\t-", ", field 3: '3_0' is not a decimal int64"),
+            (
+                "3101\t2000\t2\t1\t0\t99999999999999999999\t0.0\t0.5\t-",
+                ", field 6: '99999999999999999999' is not a decimal int64",
+            ),
+            ("3101\t2000\t2\t1\t0\t1\t0.0\t\t-", ", field 8: '' is not a float64"),
+        ],
+        ids=[
+            "short-row", "long-row", "blank-line", "bad-count", "underscore", "int64-overflow",
+            "empty-share",
+        ],
+    )
+    def test_series_table_bad_row_names_file_and_line(self, tmp_path, capsys, row, detail):
+        # a short row once reported numpy's "cannot reshape array", a bad
+        # count "invalid literal for int()", naming neither file nor line, an
+        # overflowing count exited 1 with an OverflowError traceback, and
+        # int() read "3_0" as 30
+        series = tmp_path / "subfield_series.tsv"
+        series.write_text(
+            SERIES_HEADER + "3100\t2000\t4\t1\t1\t0\t0.25\t0.0\t-\n" + row + "\n",
+            encoding="utf-8",
+        )
+        where = f"{series}, line 3{detail}"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+            read_series_table(series)
+        out = tmp_path / "out"
+        argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", SERIES_HEADER], ids=["empty", "header-only"])
+    def test_series_table_without_rows_is_skipped(self, tmp_path, capsys, text):
+        # an empty file once raised StopIteration and a header-only one
+        # "cannot reshape array of size 0"
+        series = tmp_path / "subfield_series.tsv"
+        series.write_text(text, encoding="utf-8")
+        table = read_series_table(series)
+        assert table.n_total.shape == (0, 0)
+        out = tmp_path / "out"
+        argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1"]
+        assert cli_main(argv) == 1
+        assert "clustering skipped" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_series_table_missing_cells_read_as_zero(self, tmp_path):
         series = tmp_path / "subfield_series.tsv"
         series.write_text(
@@ -975,3 +1064,13 @@ def test_bench_tracing_targets_resolve():
     for module_name, attr, *_ in tracing._TARGETS:
         module = importlib.import_module(f"scibreak.{module_name}")
         assert callable(getattr(module, attr, None)), f"scibreak.{module_name}.{attr}"
+
+
+def test_version_matches_pyproject():
+    # the package version is kept in two places; Python 3.10 has no tomllib
+    import scibreak
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    version = re.search(r'^version\s*=\s*"([^"]+)"\s*$', project, re.M).group(1)
+    assert scibreak.__version__ == version
