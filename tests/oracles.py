@@ -131,6 +131,34 @@ def exhaustive_dtw_per_component(pa, pb):
     return total
 
 
+def dp_dtw(pa, pb, per_component=False):
+    """Textbook row-by-row DTW over the full (n + 1) x (m + 1) cost matrix.
+
+    The local cost is ``math.hypot`` of the two coordinate differences; with
+    ``per_component`` each coordinate is warped on its own with the absolute
+    difference as local cost, and the two costs are summed.
+    """
+    pa = np.asarray(pa, dtype=float).tolist()
+    pb = np.asarray(pb, dtype=float).tolist()
+    if per_component:
+        return sum(
+            _dp_cost([p[c] for p in pa], [q[c] for q in pb], lambda x, y: abs(x - y))
+            for c in range(2)
+        )
+    return _dp_cost(pa, pb, lambda p, q: math.hypot(p[0] - q[0], p[1] - q[1]))
+
+
+def _dp_cost(xs, ys, cost):
+    """D[i][j] = cost(xs[i-1], ys[j-1]) + min(D[i-1][j-1], D[i-1][j], D[i][j-1])."""
+    previous = [0.0] + [math.inf] * len(ys)
+    for x in xs:
+        row = [math.inf]
+        for j, y in enumerate(ys, start=1):
+            row.append(cost(x, y) + min(previous[j - 1], previous[j], row[j - 1]))
+        previous = row
+    return previous[-1]
+
+
 def _min_path_cost(n, m, cost):
     """Smallest summed ``cost(i, j)`` over monotone paths (0,0) → (n-1,m-1)."""
     best = math.inf

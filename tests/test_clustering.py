@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scibreak.clustering import (
+    _BATCH,
     DistanceMatrix,
     SimilarityMatrix,
     Trajectory,
@@ -22,7 +23,7 @@ from scibreak.clustering import (
 )
 from scibreak.panel import SeriesTable
 
-from oracles import exhaustive_dtw, exhaustive_dtw_per_component
+from oracles import dp_dtw, exhaustive_dtw, exhaustive_dtw_per_component
 
 
 def _traj(label, points):
@@ -148,6 +149,47 @@ class TestDistanceMatrix:
         trajs = [_traj(1, [[0, 0]]), Trajectory(2, (), np.zeros((0, 2)))]
         with pytest.raises(ValueError, match="empty"):
             distance_matrix(trajs)
+
+    @pytest.mark.parametrize("per_component", [False, True])
+    def test_every_pair_matches_full_dp(self, per_component):
+        # 24 trajectories of one length make one (n, m) group of 276 pairs,
+        # more than a batch; two shorter ones add groups on either side
+        assert 24 * 23 // 2 > _BATCH
+        rng = np.random.default_rng(26)
+        lengths = rng.permutation([12] * 24 + [1, 5])
+        trajs = [_traj(label, rng.random((n, 2))) for label, n in enumerate(lengths)]
+        D = distance_matrix(trajs, per_component=per_component)
+        first, second = np.triu_indices(len(trajs), 1)
+        assert len(first) == 325
+        for i, j in zip(first.tolist(), second.tolist()):
+            expected = dp_dtw(trajs[i].points, trajs[j].points, per_component)
+            assert D.matrix[i, j] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+    def test_extreme_magnitudes_match_full_dp(self, scale):
+        # squares of these coordinates overflow or underflow unless each
+        # pair is rescaled first
+        rng = np.random.default_rng(200)
+        for _ in range(20):
+            a = _traj(1, rng.random((int(rng.integers(1, 9)), 2)) * scale)
+            b = _traj(2, rng.random((int(rng.integers(1, 9)), 2)) * scale)
+            got = dtw_distance(a, b)
+            assert math.isfinite(got)
+            assert got == pytest.approx(dp_dtw(a.points, b.points), rel=1e-12, abs=0)
+
+    def test_large_and_tiny_pairs_in_one_batch(self):
+        # four trajectories of one length share a batch; each pair is
+        # scaled on its own, so the tiny pair is not flushed to zero
+        rng = np.random.default_rng(11)
+        trajs = [
+            _traj(label, rng.random((6, 2)) * scale)
+            for label, scale in enumerate([1e200, 1e200, 1e-200, 1e-200])
+        ]
+        D = distance_matrix(trajs)
+        for i, j in zip(*np.triu_indices(4, 1)):
+            expected = dp_dtw(trajs[i].points, trajs[j].points)
+            assert math.isfinite(D.matrix[i, j])
+            assert D.matrix[i, j] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestSimilarity:

@@ -786,17 +786,23 @@ class TestCliStages:
     @pytest.mark.parametrize(
         "row, detail",
         [
-            ("{wid}\t1.0", "2 fields, expected 4"),
-            ("{wid}\t1.0\t0.5", "3 fields, expected 4"),
-            ("", "1 fields, expected 4"),
-            ("{wid}\t1.0\tx\t-", "could not convert string to float: 'x'"),
-            ("{wid}\t\t0.5\t-", "could not convert string to float: ''"),
+            ("{wid}\t1.0", ": 2 fields, expected 4"),
+            ("{wid}\t1.0\t0.5", ": 3 fields, expected 4"),
+            ("", ": 1 fields, expected 4"),
+            ("{wid}\t1.0\tx\t-", ", field 3: 'x' is not a float64"),
+            ("{wid}\t\t0.5\t-", ", field 2: '' is not a float64"),
+            ("{wid}\t1_0\t0.5\t-", ", field 2: '1_0' is not a float64"),
+            ("{wid}\t1.0\t\u0665\t-", ", field 3: '\u0665' is not a float64"),
         ],
-        ids=["short-row", "missing-flags", "blank-line", "bad-cd", "empty-nbnc"],
+        ids=[
+            "short-row", "missing-flags", "blank-line", "bad-cd", "empty-nbnc",
+            "underscore-nbnc", "arabic-indic-cd",
+        ],
     )
     def test_select_bad_metrics_row_names_file_and_line(self, tmp_path, capsys, row, detail):
-        # a short row once escaped as an IndexError traceback (exit 1), and a
-        # bad number named neither the file nor the line
+        # a short row once escaped as an IndexError traceback (exit 1), a bad
+        # number named neither the file nor the line, and float() read "1_0"
+        # as 10.0 and the Arabic-Indic digit five as 5.0
         records = synthetic_records(30, seed=3, year_start=1990, year_end=2000)
         works = tmp_path / "works.jsonl"
         write_jsonl(records, works)
@@ -810,12 +816,45 @@ class TestCliStages:
             f"work_id\tnbnc\tcd\tflags\n{wid}\t2.0\t-0.5\t-\n{row.format(wid=wid)}\n",
             encoding="utf-8",
         )
-        where = f"{table}, line 3: {detail}"
+        where = f"{table}, line 3{detail}"
         with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
             read_scored_tables(metrics, "metrics_*.tsv", CitationCorpus.load_snapshot(snap))
         out = tmp_path / "out"
         argv = ["select", "--snapshot", str(snap), "--metrics-dir", str(metrics),
                 "--out-dir", str(out)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("across_years", [False, True], ids=["one-file", "two-years"])
+    def test_select_repeated_work_id_names_both_lines(self, tmp_path, capsys, across_years):
+        # a repeated id used to be read as two rows: select wrote the work
+        # twice and panel counted it twice
+        records = synthetic_records(30, seed=3, year_start=1990, year_end=2000)
+        works = tmp_path / "works.jsonl"
+        write_jsonl(records, works)
+        snap = tmp_path / "corpus.snap"
+        assert cli_main(["ingest", "--input", str(works), "--snapshot", str(snap)]) == 0
+        metrics = tmp_path / "metrics"
+        metrics.mkdir()
+        wid, other = records[0]["id"], records[1]["id"]
+        header = "work_id\tnbnc\tcd\tflags\n"
+        early, late = metrics / "metrics_1991.tsv", metrics / "metrics_1995.tsv"
+        if across_years:
+            early.write_text(f"{header}{wid}\t2.0\t-0.5\t-\n", encoding="utf-8")
+            late.write_text(f"{header}{other}\t1.0\t0.5\t-\n{wid}\t1.0\t0.5\t-\n", encoding="utf-8")
+            where = f"{late}, line 3: work {wid} already read at {early}, line 2"
+        else:
+            early.write_text(
+                f"{header}{wid}\t2.0\t-0.5\t-\n{other}\t1.0\t0.5\t-\n{wid}\t2.0\t-0.5\t-\n",
+                encoding="utf-8",
+            )
+            where = f"{early}, line 4: work {wid} already read at {early}, line 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+            read_scored_tables(metrics, "metrics_*.tsv", CitationCorpus.load_snapshot(snap))
+        out = tmp_path / "out"
+        argv = ["select", "--snapshot", str(snap), "--metrics-dir", str(metrics),
+                "--out-dir", str(out), "--top-fraction", "0.9"]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: {where}\n"
         assert not out.exists()
