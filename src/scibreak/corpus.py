@@ -342,11 +342,14 @@ class CitationCorpus:
         # bounds clipped to the corpus years never reach another work's keys
         lo = np.clip(np.asarray(first) - self.year_min, 0, stride)
         hi = np.clip(np.asarray(last) - self.year_min, -1, stride - 1)
-        base = cited * stride
-        count = np.searchsorted(key, base + hi, "right") - np.searchsorted(
-            key, base + lo, "left"
+        low, high = np.broadcast_arrays(cited * stride + lo, cited * stride + hi)
+        # needles in key order keep the binary searches in cache
+        order = np.argsort(low, axis=None)
+        count = np.empty(low.size, dtype=np.int64)
+        count[order] = np.searchsorted(key, high.ravel()[order], "right") - np.searchsorted(
+            key, low.ravel()[order], "left"
         )
-        return np.maximum(count, 0)
+        return np.maximum(count.reshape(low.shape), 0)
 
     # -- snapshot persistence ----------------------------------------------
 

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -202,8 +202,9 @@ def read_scored_tables(
     header name; ids resolve to corpus indexes through ``corpus``.  A
     missing directory or one without a match is an input error, not an
     empty table: a mistyped path must not read as "no rows".  A row whose
-    field count differs from the header's, or a score that is not a float,
-    is a ``ValueError`` naming the file and line.
+    field count differs from the header's, a score that is not a float64,
+    or a work id already read in this or an earlier file is a
+    ``ValueError`` naming the file and line.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -212,29 +213,32 @@ def read_scored_tables(
     if not paths:
         raise FileNotFoundError(f"no {pattern} files in {directory}")
     works: list[int] = []
-    nbnc: list[float] = []
-    cd: list[float] = []
+    scores = [np.zeros((0, 2))]
+    first_read: dict[str, tuple[Path, int]] = {}
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            try:
-                cols = [header.index(name) for name in ("work_id", "nbnc", "cd")]
-            except ValueError:
-                raise ValueError(f"{path}: header lacks work_id, nbnc or cd") from None
-            for number, line in enumerate(fh, start=2):
-                cells = line.rstrip("\n").split("\t")
-                if len(cells) != len(header):
-                    raise ValueError(
-                        f"{path}, line {number}: {len(cells)} fields, expected {len(header)}"
-                    )
-                wid, nbnc_s, cd_s = (cells[i] for i in cols)
-                works.append(corpus.work_index(wid))
-                try:
-                    nbnc.append(float(nbnc_s))
-                    cd.append(float(cd_s))
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {number}: {exc}") from None
-    return ScoredWorks(np.array(works, dtype=np.int64), np.array(nbnc), np.array(cd))
+            head, *lines = fh.read().removesuffix("\n").split("\n")
+        header = head.split("\t")
+        try:
+            wid_col, *score_cols = (header.index(name) for name in ("work_id", "nbnc", "cd"))
+        except ValueError:
+            raise ValueError(f"{path}: header lacks work_id, nbnc or cd") from None
+        _check_fields(path, lines, len(header))
+        if not lines:  # loadtxt would warn on no rows
+            continue
+        scores.append(_parse_cells(path, lines, score_cols, np.float64))
+        for number, line in enumerate(lines, start=2):
+            wid = line.split("\t")[wid_col]
+            if wid in first_read:
+                seen, seen_number = first_read[wid]
+                raise ValueError(
+                    f"{path}, line {number}: work {wid} already read at "
+                    f"{seen}, line {seen_number}"
+                )
+            first_read[wid] = (path, number)
+            works.append(corpus.work_index(wid))
+    nbnc, cd = np.concatenate(scores).T
+    return ScoredWorks(np.array(works, dtype=np.int64), nbnc.copy(), cd.copy())
 
 
 def write_series_table(run_dir: Path, series: SeriesTable) -> None:
@@ -308,7 +312,7 @@ def write_panel(run_dir: Path, panel: PanelMatrix) -> None:
     )
 
 
-def _load_cells(lines: list[str], columns: range, dtype: type) -> np.ndarray:
+def _load_cells(lines: list[str], columns: Sequence[int], dtype: type) -> np.ndarray:
     """The fields ``columns`` of each tab-separated line, as ``dtype``."""
     with warnings.catch_warnings():
         # numpy releases that only deprecate it read "1.5" as 1 with a warning
@@ -337,7 +341,9 @@ def _check_fields(path: Path, lines: list[str], expected: int) -> None:
             raise ValueError(f"{path}, line {number}: {fields} fields, expected {expected}")
 
 
-def _parse_cells(path: Path, lines: list[str], columns: range, dtype: type) -> np.ndarray:
+def _parse_cells(
+    path: Path, lines: list[str], columns: Sequence[int], dtype: type
+) -> np.ndarray:
     """:func:`_load_cells` of lines whose field counts are checked; a cell
     it refuses is a ``ValueError`` naming the file, line and field."""
     try:
