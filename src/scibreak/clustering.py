@@ -154,9 +154,10 @@ def _pair_distances(
     batches of ``_BATCH``, each stacked as (coordinate, time, pair) with the
     second side reversed in time.  Each pair is divided by the power of two
     just above its largest |coordinate| and its cost multiplied back, so no
-    square in the local cost overflows and none of a difference near that
-    coordinate underflows.  Scaling by a power of two is exact, so inputs
-    far from both limits give the bits of the unscaled kernel.
+    square in the local cost overflows, and only differences below about
+    1e-154 of that coordinate underflow.  Scaling by a power of two is
+    exact, so inputs far from both limits give the bits of the unscaled
+    kernel.
     """
     lengths = np.array([len(t.points) for t in trajectories], dtype=np.int64)
     if len(first) and not (lengths[first].all() and lengths[second].all()):

@@ -238,7 +238,7 @@ def read_scored_tables(
             first_read[wid] = (path, number)
             works.append(corpus.work_index(wid))
     nbnc, cd = np.concatenate(scores).T
-    return ScoredWorks(np.array(works, dtype=np.int64), nbnc.copy(), cd.copy())
+    return ScoredWorks(np.array(works, dtype=np.int64), nbnc, cd)
 
 
 def write_series_table(run_dir: Path, series: SeriesTable) -> None:
