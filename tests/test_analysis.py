@@ -125,13 +125,20 @@ class TestLoglogFit:
             loglog_fit([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
         with pytest.raises(ValueError):
             loglog_fit([1.0, 2.0, 3.0], [1.0, 2.0])
+        # an inf once reached np.polyfit: "SVD did not converge"
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                loglog_fit([1.0, bad, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+            with pytest.raises(ValueError, match="finite"):
+                loglog_fit([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 4.0])
 
 
 class TestIndicatorFiles:
     def test_tsv_round_trip(self, tmp_path):
         path = tmp_path / "gerd.tsv"
         path.write_text(
-            "country\tperiod\tvalue\nUS\t2005\t2.5\nil\t2005\t4.1\nxx\tbad\t1\n",
+            "country\tperiod\tvalue\nUS\t2005\t2.5\nil\t2005\t4.1\nxx\tbad\t1\n"
+            "DE\t2005\tinf\nFR\t2005\tnan\nES\t2005\t-inf\n",
             encoding="utf-8",
         )
         rows = read_indicator_file(path)

@@ -6,7 +6,9 @@ import json
 import re
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import per_cell_matrix_text
+from scibreak import cli
 from scibreak.cli import main as cli_main
-from scibreak.config import ConfigError, PipelineConfig
-from scibreak.corpus import CitationCorpus
+from scibreak.config import ConfigError, PipelineConfig, _render
+from scibreak.corpus import CitationCorpus, FieldMap
 from scibreak.impact import BreakthroughClass
 from scibreak.panel import PanelMatrix
 from scibreak.pipeline import (
@@ -76,6 +79,56 @@ class TestConfig:
         assert config.gerd_window == (1990, 1999)
         assert config.dtw_per_component is True
 
+    def test_every_key_round_trips(self, tmp_path):
+        changed = dict(
+            corpus_path="data/works.jsonl",
+            out_root="elsewhere",
+            year_min=1901,
+            year_max=2020,
+            horizon=8,
+            top_fraction=0.1,
+            analysis_start=1960,
+            analysis_end=2010,
+            window_width=5,
+            subfield_allowlist=(3101, 3105),
+            sigma=0.25,
+            leiden_seed=42,
+            leiden_resolution=0.5,
+            rca_threshold=1.5,
+            eigen_count=3,
+            cocited_semantics="set",
+            gamma_convention="focal_calendar",
+            dtw_per_component=True,
+            map_id="work.id",
+            map_year="year",
+            map_references="refs",
+            map_subfield="topic.subfield",
+            map_countries="countries",
+            comparator_rank_path="comparator.tsv",
+            rd_share_path="rd.tsv",
+            gdp_path="gdp.tsv",
+            gerd_window=(1990, 1999),
+        )
+        assert set(changed) == {field.name for field in fields(PipelineConfig)}
+        default = PipelineConfig()
+        for key, value in changed.items():
+            assert value != getattr(default, key), key
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} = {_render(value)}\n" for key, value in changed.items()))
+        assert PipelineConfig.from_file(path) == PipelineConfig(**changed)
+
+    def test_blank_unsets_each_optional_key(self, tmp_path):
+        optional = [
+            "subfield_allowlist", "sigma", "leiden_seed",
+            "comparator_rank_path", "rd_share_path", "gdp_path",
+        ]
+        assert optional == [f.name for f in fields(PipelineConfig) if f.default is None]
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{key} =\n" for key in optional))
+        config = PipelineConfig.from_file(path)
+        for key in optional:
+            assert getattr(config, key) is None, key
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("corpus_path = x\nmystery = 1\n")
@@ -131,6 +184,10 @@ class TestConfig:
             dict(cocited_semantics="bag"),
             dict(gamma_convention="sideways"),
             dict(analysis_start=2001, analysis_end=2000),
+            # nan passes a "<= 0" check
+            dict(leiden_resolution=float("nan")),
+            dict(rca_threshold=float("nan")),
+            dict(sigma=float("nan")),
         ):
             with pytest.raises(ConfigError):
                 PipelineConfig(**base, **bad).validate()
@@ -293,6 +350,41 @@ class TestPipelineRun:
         by_name = {s["name"]: s for s in manifest["stages"]}
         assert by_name["analyses"]["status"] == "ok"
         assert (run_dir / "analysis" / "gerd_fit.tsv").exists()
+
+    def test_analyses_stage_skips_a_non_finite_gdp_cell(self, tmp_path):
+        # an inf GDP cell once ended the run at analyses: "SVD did not converge"
+        codes = [f"{chr(65 + i // 26)}{chr(65 + i % 26)}" for i in range(12)]
+        years = range(1985, 1995)
+        rd = tmp_path / "rd.tsv"
+        rd.write_text(
+            "country\tperiod\tvalue\n"
+            + "".join(f"{c}\t{y}\t{1.0 + 0.2 * i}\n" for i, c in enumerate(codes) for y in years),
+            encoding="utf-8",
+        )
+        fits = {}
+        for name, cell in (("finite", "100.0"), ("inf", "inf")):
+            # AA, the largest synthetic country, has this one GDP cell
+            gdp = tmp_path / f"gdp_{name}.tsv"
+            gdp.write_text(
+                f"country\tperiod\tvalue\nAA\t1990\t{cell}\n"
+                + "".join(
+                    f"{c}\t{y}\t{100.0 * (i + 1)}\n"
+                    for i, c in enumerate(codes) if c != "AA" for y in years
+                ),
+                encoding="utf-8",
+            )
+            config = small_config(
+                tmp_path, n_works=400, rd_share_path=str(rd), gdp_path=str(gdp),
+                gerd_window=(1985, 1994),
+            )
+            manifest = run_pipeline(config)
+            assert manifest["stages"][-1]["status"] == "ok"
+            run_dir = Path(config.out_root) / manifest["config_hash"]
+            _, *rows = (run_dir / "analysis" / "gerd_fit.tsv").read_text().splitlines()
+            fits[name] = [tuple(row.split("\t")[:3]) for row in rows]
+        assert fits["finite"]
+        without_aa = [(kind, target, str(int(n) - 1)) for kind, target, n in fits["finite"]]
+        assert fits["inf"] == without_aa
 
     @pytest.mark.parametrize(
         "case,status,detail,written",
@@ -729,18 +821,43 @@ class TestCliStages:
         assert err.startswith("error:") and "resolution" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "rank"])
+    def test_nan_threshold_is_an_input_error(self, tmp_path, capsys, command):
+        # --sigma nan once failed as "similarity matrix must be symmetric"
+        # and --rca-threshold nan as "adjacency is empty"
+        out = tmp_path / "out"
+        if command == "cluster":
+            series = tmp_path / "subfield_series.tsv"
+            series.write_text(
+                SERIES_HEADER
+                + "3100\t2000\t4\t1\t1\t0\t0.25\t0.0\t-\n"
+                "3101\t2000\t4\t2\t2\t0\t0.5\t0.0\t-\n"
+                "3102\t2000\t4\t1\t0\t1\t0.0\t0.25\t-\n",
+                encoding="utf-8",
+            )
+            argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1",
+                    "--sigma", "nan"]
+        else:
+            panel = tmp_path / "DI_2000-2009.tsv"
+            panel.write_text("country\t3100\t3101\nAA\t1\t2\nAB\t3\t0\n", encoding="utf-8")
+            argv = ["rank", "--panel", str(panel), "--out-dir", str(out), "--rca-threshold", "nan"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.endswith("must be positive, got nan\n")
+        assert not out.exists()
+
     def test_correlate_and_fit_commands(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         a.write_text(
-            "label\trank\nAA\t1\nBB\t2\nCC\t3\n", encoding="utf-8"
+            "label\trank\nAA\t1\nBB\t2\nCC\t3\nDD\tnan\n", encoding="utf-8"
         )
         b = tmp_path / "b.tsv"
         b.write_text(
-            "label\trank\nAA\t1\nBB\t3\nCC\t2\n", encoding="utf-8"
+            "label\trank\nAA\t1\nBB\t3\nCC\t2\nDD\t4\n", encoding="utf-8"
         )
         assert cli_main(["correlate", str(a), str(b)]) == 0
         out = capsys.readouterr().out
-        assert "spearman=0.5" in out
+        assert "spearman=0.5 n_common=3" in out  # the nan row is skipped
 
         data = tmp_path / "data.tsv"
         rows = ["x\ty"] + [f"{x}\t{2 * x ** 1.5}" for x in (1.0, 2.0, 4.0, 8.0)]
@@ -759,10 +876,12 @@ class TestCliStages:
         assert "spearman=0.5 n_common=3" in capsys.readouterr().out
 
     def test_fit_skips_rows_with_a_blank_value(self, tmp_path, capsys):
-        # a blank y once left x one value longer than y: "length mismatch"
+        # a blank y once left x one value longer than y: "length mismatch",
+        # and an inf or nan x reached np.polyfit: "SVD did not converge"
         data = tmp_path / "data.tsv"
         rows = ["x\ty"] + [f"{x}\t{2 * x ** 1.5}" for x in (1.0, 2.0, 4.0, 8.0)]
-        data.write_text("\n".join(rows + ["16.0\t"]) + "\n", encoding="utf-8")
+        rows += ["16.0\t", "inf\t3.0", "nan\t5.0"]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
         assert cli_main(["fit", str(data), "--x-col", "x", "--y-col", "y"]) == 0
         out = capsys.readouterr().out
         assert "exponent=1.5" in out and "n=4" in out
@@ -1002,6 +1121,33 @@ class TestCliStages:
         assert capsys.readouterr().err == f"error: {where}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "subfield\tyear\tn_total\tn_bt\tn_di\tn_cn\tscaled_cn\tscaled_di\tflags",
+            "a\tb\tc\td\te\tf\tg\th\ti",
+        ],
+        ids=["reordered", "foreign"],
+    )
+    def test_series_table_other_header_is_an_input_error(self, tmp_path, capsys, header):
+        # the header was once skipped unread, so a file listing n_di before
+        # n_cn had its DI counts read as n_cn
+        series = tmp_path / "subfield_series.tsv"
+        series.write_text(
+            header + "\n"
+            "3100\t2000\t4\t1\t1\t0\t0.0\t0.25\t-\n"
+            "3101\t2000\t4\t2\t0\t2\t0.5\t0.0\t-\n",
+            encoding="utf-8",
+        )
+        where = f"{series}, line 1: "
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
+            read_series_table(series)
+        out = tmp_path / "out"
+        argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", SERIES_HEADER], ids=["empty", "header-only"])
     def test_series_table_without_rows_is_skipped(self, tmp_path, capsys, text):
         # an empty file once raised StopIteration and a header-only one
@@ -1059,6 +1205,62 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(tables) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["ingest", "metrics", "select", "panel", "cluster", "rank"]
+    )
+    def test_left_out_flags_take_the_config_defaults(
+        self, tmp_path, monkeypatch, command
+    ):
+        default = PipelineConfig()
+        corpus = SimpleNamespace(pub_years=np.array([1990]))
+        scored = SimpleNamespace(works=np.array([0]))
+        snapshots = SimpleNamespace(load_snapshot=lambda path: corpus)
+        monkeypatch.setattr(cli, "CitationCorpus", snapshots)
+        monkeypatch.setattr(cli, "read_scored_tables", lambda *args: scored)
+        monkeypatch.setattr(cli, "read_series_table", lambda path: "series")
+        monkeypatch.setattr(cli, "read_panel", lambda path: "panel")
+        out = tmp_path / "out"
+        span = ["--start", "1990", "--end", "2000"]
+        argv, expected = {
+            "ingest": (
+                ["--input", "w.jsonl", "--snapshot", "c.snap"],
+                (["w.jsonl"], FieldMap(), default.year_min, default.year_max, "c.snap", None),
+            ),
+            "metrics": (
+                ["--snapshot", "c.snap", "--out-dir", str(out), *span],
+                (corpus, default.horizon, (1990, 2000), default.cocited_semantics,
+                 default.gamma_convention, out),
+            ),
+            "select": (
+                ["--snapshot", "c.snap", "--metrics-dir", "m", "--out-dir", str(out)],
+                (corpus, scored, default.top_fraction, range(1990, 1991), out),
+            ),
+            "panel": (
+                ["--snapshot", "c.snap", "--breakthroughs-dir", "b", "--out-dir", str(out), *span],
+                (corpus, scored, 1990, 2000, default.window_width, default.subfield_allowlist, out),
+            ),
+            "cluster": (
+                ["--series", "s.tsv", "--out-dir", str(out), "--seed", "3"],
+                ("series", default.dtw_per_component, default.sigma, default.leiden_resolution,
+                 3, out),
+            ),
+            "rank": (
+                ["--panel", "p.tsv", "--out-dir", str(out)],
+                (["panel"], default.rca_threshold, default.eigen_count, out),
+            ),
+        }[command]
+        calls = []
+
+        def stage(*args):
+            if command == "rank":  # the panels come as a generator
+                args = (list(args[0]), *args[1:])
+            calls.append(args)
+            return None, "captured", False
+
+        monkeypatch.setattr(cli, f"{command}_stage", stage)
+        assert cli_main([command, *argv]) == 0
+        assert calls == [expected]
 
     def test_run_command(self, tmp_path, capsys):
         works = tmp_path / "works.jsonl"
