@@ -94,6 +94,8 @@ def loglog_fit(
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 3:
         raise ValueError(f"need >= 3 points, got {len(xs)}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("power-law fit requires finite values")
     if (xs <= 0).any() or (ys <= 0).any():
         raise ValueError("power-law fit requires strictly positive values")
     lx = np.log(xs)
@@ -101,6 +103,14 @@ def loglog_fit(
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.sum((ly - (slope * lx + intercept)) ** 2))
     return PowerLawFit(float(slope), float(math.exp(intercept)), residual)
+
+
+def finite_float(text: str) -> float:
+    """``float(text)``; a value that is not finite is a ``ValueError`` too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def read_delimited(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
@@ -121,8 +131,8 @@ def read_indicator_file(path: str | Path) -> list[IndicatorValue]:
     """Read (country, period, value) rows from delimited text.
 
     The delimiter follows :func:`read_delimited`; a header row naming the
-    columns is required.  Rows with unparseable periods or values are
-    skipped.
+    columns is required.  Rows with unparseable periods or values, or
+    values that are not finite, are skipped.
     """
     fieldnames, records = read_delimited(path)
     if not fieldnames:
@@ -144,7 +154,7 @@ def read_indicator_file(path: str | Path) -> list[IndicatorValue]:
                 IndicatorValue(
                     country=row[country_col].strip().upper(),
                     period=int(row[period_col]),
-                    value=float(row[value_col]),
+                    value=finite_float(row[value_col]),
                 )
             )
         except (TypeError, ValueError, AttributeError):

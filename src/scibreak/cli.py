@@ -4,7 +4,8 @@ Each stage subcommand reads the artifacts of the previous stage, calls the
 stage function of :mod:`scibreak.pipeline` that ``run`` also calls, and
 prints the detail that ``run`` records in its manifest; a skipped stage
 writes nothing and exits 1.  ``run`` executes everything from a config
-file.  See the README for the config schema and output layout.
+file.  A stage flag left out takes the default of its config key.  See the
+README for the config schema and output layout.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 from . import analysis as stats
 from .config import ConfigError, PipelineConfig, with_overrides
 from .corpus import CitationCorpus, FieldMap, UnknownWorkError
+from .impact import COCITED_SEMANTICS, GAMMA_CONVENTIONS
 from .pipeline import (
     StageError,
     cluster_stage,
@@ -52,13 +54,14 @@ def _add_ingest(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--input", required=True, nargs="+", help="JSONL file(s), .gz ok")
     p.add_argument("--snapshot", required=True, help="output snapshot path")
     p.add_argument("--report", help="optional ingest report JSON path")
-    p.add_argument("--year-min", type=int, default=1900)
-    p.add_argument("--year-max", type=int, default=2023)
-    p.add_argument("--map-id", default="id")
-    p.add_argument("--map-year", default="publication_year")
-    p.add_argument("--map-references", default="referenced_works")
-    p.add_argument("--map-subfield", default="primary_topic.subfield.id")
-    p.add_argument("--map-countries", default="authorships.countries")
+    p.add_argument("--year-min", type=int, default=PipelineConfig.year_min)
+    p.add_argument("--year-max", type=int, default=PipelineConfig.year_max)
+    p.add_argument("--map-id", default=FieldMap.work_id)
+    p.add_argument("--map-year", default=FieldMap.pub_year)
+    p.add_argument("--map-references", default=FieldMap.references)
+    p.add_argument("--map-subfield", default=FieldMap.subfield)
+    p.add_argument("--map-countries", default=FieldMap.countries)
+    p.set_defaults(handler=_cmd_ingest)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -79,17 +82,20 @@ def _add_metrics(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("metrics", help="compute NBNC and CD per work")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--horizon", type=int, default=10)
+    p.add_argument("--horizon", type=int, default=PipelineConfig.horizon)
     p.add_argument("--start", type=int, required=True, help="first pub year scored")
     p.add_argument("--end", type=int, required=True, help="last pub year scored")
     p.add_argument(
-        "--cocited-semantics", choices=("multiset", "set"), default="multiset"
+        "--cocited-semantics",
+        choices=COCITED_SEMANTICS,
+        default=PipelineConfig.cocited_semantics,
     )
     p.add_argument(
         "--gamma-convention",
-        choices=("own_age", "focal_calendar"),
-        default="own_age",
+        choices=GAMMA_CONVENTIONS,
+        default=PipelineConfig.gamma_convention,
     )
+    p.set_defaults(handler=_cmd_metrics)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -110,7 +116,8 @@ def _add_select(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--metrics-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--top-fraction", type=float, default=0.05)
+    p.add_argument("--top-fraction", type=float, default=PipelineConfig.top_fraction)
+    p.set_defaults(handler=_cmd_select)
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
@@ -140,12 +147,13 @@ def _add_panel(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--end", type=int, required=True)
-    p.add_argument("--window-width", type=int, default=10)
+    p.add_argument("--window-width", type=int, default=PipelineConfig.window_width)
     p.add_argument(
         "--allowlist",
         type=_subfield_ids,
         help="comma-separated subfield ids admitted to panels",
     )
+    p.set_defaults(handler=_cmd_panel)
 
 
 def _cmd_panel(args: argparse.Namespace) -> int:
@@ -164,9 +172,10 @@ def _add_cluster(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--series", required=True, help="subfield_series.tsv path")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=float, default=PipelineConfig.leiden_resolution)
     p.add_argument("--sigma", type=float, help="kernel width (default: auto)")
     p.add_argument("--per-component", action="store_true")
+    p.set_defaults(handler=_cmd_cluster)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -183,8 +192,9 @@ def _add_rank(sub: argparse._SubParsersAction) -> None:
         "--panel", required=True, nargs="+", help="panel matrix .tsv path(s)"
     )
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--rca-threshold", type=float, default=1.0)
-    p.add_argument("--eigen-count", type=int, default=2)
+    p.add_argument("--rca-threshold", type=float, default=PipelineConfig.rca_threshold)
+    p.add_argument("--eigen-count", type=int, default=PipelineConfig.eigen_count)
+    p.set_defaults(handler=_cmd_rank)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -199,7 +209,7 @@ def _read_columns(path: str, label_col: str, value_col: str) -> dict[str, float]
     out = {}
     for row in stats.read_delimited(path)[1]:
         try:
-            out[row[label_col]] = float(row[value_col])
+            out[row[label_col]] = stats.finite_float(row[value_col])
         except (KeyError, TypeError, ValueError):
             continue
     return out
@@ -211,6 +221,7 @@ def _add_correlate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("file_b")
     p.add_argument("--a-cols", default="label,rank", help="label,value columns of A")
     p.add_argument("--b-cols", default="label,rank", help="label,value columns of B")
+    p.set_defaults(handler=_cmd_correlate)
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
@@ -229,6 +240,7 @@ def _add_fit(sub: argparse._SubParsersAction) -> None:
     p.add_argument("data", help="delimited file with a header row")
     p.add_argument("--x-col", required=True)
     p.add_argument("--y-col", required=True)
+    p.set_defaults(handler=_cmd_fit)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -236,7 +248,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     ys = []
     for row in stats.read_delimited(args.data)[1]:
         try:
-            x, y = float(row[args.x_col]), float(row[args.y_col])
+            x, y = stats.finite_float(row[args.x_col]), stats.finite_float(row[args.y_col])
         except (KeyError, TypeError, ValueError):
             continue
         xs.append(x)
@@ -253,6 +265,7 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out-root", help="override the config's output root")
+    p.set_defaults(handler=_cmd_run)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -276,29 +289,14 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_ingest(sub)
-    _add_metrics(sub)
-    _add_select(sub)
-    _add_panel(sub)
-    _add_cluster(sub)
-    _add_rank(sub)
-    _add_correlate(sub)
-    _add_fit(sub)
-    _add_run(sub)
+    for add in (
+        _add_ingest, _add_metrics, _add_select, _add_panel, _add_cluster,
+        _add_rank, _add_correlate, _add_fit, _add_run,
+    ):
+        add(sub)
     args = parser.parse_args(argv)
-    handlers = {
-        "ingest": _cmd_ingest,
-        "metrics": _cmd_metrics,
-        "select": _cmd_select,
-        "panel": _cmd_panel,
-        "cluster": _cmd_cluster,
-        "rank": _cmd_rank,
-        "correlate": _cmd_correlate,
-        "fit": _cmd_fit,
-        "run": _cmd_run,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except UnknownWorkError as exc:
         print(f"error: unknown work id {exc}", file=sys.stderr)
         return 2

@@ -251,7 +251,7 @@ def default_sigma(distances: DistanceMatrix) -> float:
 
 def similarity_matrix(distances: DistanceMatrix, sigma: float) -> SimilarityMatrix:
     """Gaussian kernel exp(-D^2 / (2 sigma^2)) applied elementwise."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     matrix = np.exp(-(distances.matrix**2) / (2.0 * sigma * sigma))
     return SimilarityMatrix(distances.labels, matrix, float(sigma))

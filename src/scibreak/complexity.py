@@ -134,7 +134,7 @@ def binarize(rca_matrix: RcaMatrix, r_star: float = 1.0) -> BinaryAdjacency:
     All-zero rows and columns of the binary matrix are removed; their labels
     are recorded so downstream rankings can append them.
     """
-    if r_star <= 0:
+    if not r_star > 0:
         raise ValueError(f"threshold must be positive, got {r_star}")
     M = (rca_matrix.values >= r_star).astype(np.int8)
     keep_rows = M.sum(axis=1) > 0

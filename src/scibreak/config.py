@@ -8,10 +8,12 @@ the CLI flags; see the README for the full schema.
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import FieldMap
+from .impact import COCITED_SEMANTICS, GAMMA_CONVENTIONS
 
 
 class ConfigError(ValueError):
@@ -44,18 +46,16 @@ class PipelineConfig:
     cocited_semantics: str = "multiset"
     gamma_convention: str = "own_age"
     dtw_per_component: bool = False
-    map_id: str = "id"
-    map_year: str = "publication_year"
-    map_references: str = "referenced_works"
-    map_subfield: str = "primary_topic.subfield.id"
-    map_countries: str = "authorships.countries"
+    map_id: str = FieldMap.work_id
+    map_year: str = FieldMap.pub_year
+    map_references: str = FieldMap.references
+    map_subfield: str = FieldMap.subfield
+    map_countries: str = FieldMap.countries
     comparator_rank_path: str | None = None
     rd_share_path: str | None = None
     gdp_path: str | None = None
     gerd_window: tuple[int, int] = (2000, 2009)
 
-    _LIST_KEYS = ("subfield_allowlist",)
-    _PAIR_KEYS = ("gerd_window",)
     # excluded from the config hash: where outputs land, not what they are
     _NON_HASH_KEYS = ("out_root",)
 
@@ -68,10 +68,10 @@ class PipelineConfig:
             countries=self.map_countries,
         )
 
-    def validate(self, *, require_paths: bool = True) -> None:
+    def validate(self) -> None:
         if not self.corpus_path:
             raise ConfigError("corpus_path is required")
-        if require_paths and not Path(self.corpus_path).exists():
+        if not Path(self.corpus_path).exists():
             raise ConfigError(f"corpus_path does not exist: {self.corpus_path}")
         if self.horizon < 0:
             raise ConfigError(f"horizon must be >= 0, got {self.horizon}")
@@ -85,42 +85,38 @@ class PipelineConfig:
             raise ConfigError("analysis_start exceeds analysis_end")
         if self.window_width < 1:
             raise ConfigError("window_width must be >= 1")
-        if self.sigma is not None and self.sigma <= 0:
+        # written as "not > 0" so that nan is refused too
+        if self.sigma is not None and not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.leiden_seed is None:
             raise ConfigError("leiden_seed is required")
-        if self.leiden_resolution <= 0:
+        if not self.leiden_resolution > 0:
             raise ConfigError("leiden_resolution must be positive")
-        if self.rca_threshold <= 0:
+        if not self.rca_threshold > 0:
             raise ConfigError("rca_threshold must be positive")
         if self.eigen_count < 1:
             raise ConfigError("eigen_count must be >= 1")
-        if self.cocited_semantics not in ("multiset", "set"):
-            raise ConfigError(
-                f"cocited_semantics must be multiset|set, "
-                f"got {self.cocited_semantics!r}"
-            )
-        if self.gamma_convention not in ("own_age", "focal_calendar"):
-            raise ConfigError(
-                f"gamma_convention must be own_age|focal_calendar, "
-                f"got {self.gamma_convention!r}"
-            )
+        for key, allowed in (
+            ("cocited_semantics", COCITED_SEMANTICS),
+            ("gamma_convention", GAMMA_CONVENTIONS),
+        ):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"{key} must be {'|'.join(allowed)}, got {value!r}")
         lo, hi = self.gerd_window
         if lo > hi:
             raise ConfigError(f"empty gerd_window {self.gerd_window}")
         for key in ("comparator_rank_path", "rd_share_path", "gdp_path"):
             path = getattr(self, key)
-            if require_paths and path and not Path(path).exists():
+            if path and not Path(path).exists():
                 raise ConfigError(f"{key} does not exist: {path}")
 
     def canonical_items(self) -> list[tuple[str, str]]:
-        items = []
-        for field_def in fields(self):
-            if field_def.name.startswith("_") or field_def.name in self._NON_HASH_KEYS:
-                continue
-            value = getattr(self, field_def.name)
-            items.append((field_def.name, _render(value)))
-        return sorted(items)
+        return sorted(
+            (field_def.name, _render(getattr(self, field_def.name)))
+            for field_def in fields(self)
+            if field_def.name not in self._NON_HASH_KEYS
+        )
 
     def config_hash(self) -> str:
         payload = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
@@ -129,7 +125,6 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         values: dict[str, object] = {}
-        known = {field_def.name: field_def for field_def in fields(cls)}
         for lineno, raw in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1
         ):
@@ -141,12 +136,16 @@ class PipelineConfig:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
-            if key not in known or key.startswith("_"):
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
-            values[key] = _coerce(cls, key, text, f"{path}:{lineno}")
+            values[key] = _coerce(key, text, f"{path}:{lineno}")
         return cls(**values)  # type: ignore[arg-type]
+
+
+# each key's annotation is its parsing rule
+_KEY_TYPES = typing.get_type_hints(PipelineConfig)
 
 
 def _render(value: object) -> str:
@@ -159,41 +158,26 @@ def _render(value: object) -> str:
     return str(value)
 
 
-def _coerce(cls: type, key: str, text: str, where: str) -> object:
-    if key in PipelineConfig._LIST_KEYS + PipelineConfig._PAIR_KEYS:
+def _coerce(key: str, text: str, where: str) -> object:
+    """Parse ``text`` by the annotation of ``key``: a blank optional value is
+    unset, ``tuple[int, ...]`` a comma list, ``tuple[int, int]`` exactly two
+    ints, ``bool`` a yes/no word, anything else its type's constructor."""
+    target = _KEY_TYPES[key]
+    options = typing.get_args(target)
+    if type(None) in options:
+        if not text:
+            return None
+        (target,) = (option for option in options if option is not type(None))
+    if typing.get_origin(target) is tuple:
         try:
             parts = tuple(int(part) for part in text.split(",") if part.strip())
         except ValueError as exc:
             raise ConfigError(f"{where}: bad integer list for {key}") from exc
-        if key in PipelineConfig._LIST_KEYS:
+        if typing.get_args(target)[-1] is Ellipsis:
             return parts or None
         if len(parts) != 2:
             raise ConfigError(f"{where}: {key} needs two comma-separated years")
         return parts
-    blank_is_none = {
-        "sigma",
-        "leiden_seed",
-        "comparator_rank_path",
-        "rd_share_path",
-        "gdp_path",
-    }
-    if not text and key in blank_is_none:
-        return None
-    target = {
-        "year_min": int,
-        "year_max": int,
-        "horizon": int,
-        "analysis_start": int,
-        "analysis_end": int,
-        "window_width": int,
-        "leiden_seed": int,
-        "eigen_count": int,
-        "top_fraction": float,
-        "sigma": float,
-        "leiden_resolution": float,
-        "rca_threshold": float,
-        "dtw_per_component": bool,
-    }.get(key, str)
     if target is bool:
         lowered = text.lower()
         if lowered in ("true", "1", "yes", "on"):

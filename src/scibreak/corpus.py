@@ -20,7 +20,7 @@ import re
 import struct
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -75,17 +75,9 @@ class IngestReport:
     invalid_countries: int = 0
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "records_seen": self.records_seen,
-            "works_ingested": self.works_ingested,
-            "rejected": dict(sorted(self.rejected.items())),
-            "dangling_refs": self.dangling_refs,
-            "self_refs": self.self_refs,
-            "duplicate_refs": self.duplicate_refs,
-            "backward_edges": self.backward_edges,
-            "invalid_subfields": self.invalid_subfields,
-            "invalid_countries": self.invalid_countries,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["rejected"] = dict(sorted(self.rejected.items()))
+        return out
 
 
 def _extract(value: Any, parts: Sequence[str]) -> Any:

@@ -49,6 +49,10 @@ import numpy as np
 
 from .corpus import CitationCorpus, sorted_unique
 
+# the allowed values of the two NBNC options
+COCITED_SEMANTICS = ("multiset", "set")
+GAMMA_CONVENTIONS = ("own_age", "focal_calendar")
+
 
 class BreakthroughClass(Enum):
     DISRUPTIVE = "DI"
@@ -261,9 +265,9 @@ def _nbnc_table(
     convention: str,
 ) -> NbncTable:
     _check_horizon(horizon)
-    if semantics not in ("multiset", "set"):
+    if semantics not in COCITED_SEMANTICS:
         raise ValueError(f"unknown co-citation semantics: {semantics!r}")
-    if convention not in ("own_age", "focal_calendar"):
+    if convention not in GAMMA_CONVENTIONS:
         raise ValueError(f"unknown gamma convention: {convention!r}")
     terms = np.zeros((len(works), horizon + 1))
     for year, rows in _year_blocks(corpus, works):

@@ -241,6 +241,11 @@ def read_scored_tables(
     return ScoredWorks(np.array(works, dtype=np.int64), nbnc, cd)
 
 
+_SERIES_COLUMNS = (
+    "subfield", "year", "n_total", "n_bt", "n_cn", "n_di", "scaled_cn", "scaled_di", "flags"
+)
+
+
 def write_series_table(run_dir: Path, series: SeriesTable) -> None:
     """One row per subfield and grid year, subfields first; needs scaled shares."""
     if series.scaled_cn is None or series.scaled_di is None:
@@ -252,8 +257,7 @@ def write_series_table(run_dir: Path, series: SeriesTable) -> None:
         *(array.ravel().tolist() for array in values + (series.scaled_cn, series.scaled_di)),
         [_flags(("zero_total", zero)) for zero in (series.n_total == 0).ravel().tolist()],
     ]
-    header = "subfield year n_total n_bt n_cn n_di scaled_cn scaled_di flags".split()
-    _write_tsv(run_dir / "series" / "subfield_series.tsv", header, zip(*columns))
+    _write_tsv(run_dir / "series" / "subfield_series.tsv", _SERIES_COLUMNS, zip(*columns))
 
 
 def read_series_table(path: Path) -> SeriesTable:
@@ -261,13 +265,18 @@ def read_series_table(path: Path) -> SeriesTable:
 
     Rows are placed on the grid of the subfields and years the file holds;
     a grid cell without a row reads as zero.  A subfield/year pair given
-    twice is an error.  Every count must be an ASCII decimal int64 and
-    every share a float64; a row without 9 fields or with a bad cell is a
+    twice is an error.  The header must list the columns that
+    :func:`write_series_table` writes, in its order; an empty file reads as
+    no rows.  Every count must be an ASCII decimal int64 and every share a
+    float64; a bad header, a row without 9 fields or a bad cell is a
     ``ValueError`` naming the file and line.
     """
     with open(path, encoding="utf-8") as fh:
-        _, *lines = fh.read().removesuffix("\n").split("\n")
-    _check_fields(path, lines, 9)
+        head, *lines = fh.read().removesuffix("\n").split("\n")
+    expected = "\t".join(_SERIES_COLUMNS)
+    if head != expected and (head or lines):  # an empty file has no header
+        raise ValueError(f"{path}, line 1: header {head!r}, expected {expected!r}")
+    _check_fields(path, lines, len(_SERIES_COLUMNS))
     if lines:
         keys = _parse_cells(path, lines, range(6), np.int64)
         shares = _parse_cells(path, lines, range(6, 8), np.float64)
