@@ -205,6 +205,36 @@ class TestGraphInvariants:
             corpus.work_index("nope")
 
 
+class TestLazyLookups:
+    """The citing transpose and the id lookup are built on first use."""
+
+    def test_a_built_and_saved_corpus_builds_neither(self, tmp_path):
+        corpus = build(random_citation_records(np.random.default_rng(3), 40))
+        corpus.save_snapshot(tmp_path / "c.snap")
+        loaded = CitationCorpus.load_snapshot(tmp_path / "c.snap")
+        for built in (corpus, loaded):
+            assert not {"_in_indices", "_in_indptr", "_index"} & set(vars(built))
+
+    def test_first_use_answers_as_the_records_say(self, tmp_path):
+        records = random_citation_records(np.random.default_rng(4), 60)
+        ids = [record["id"] for record in records]
+        citers = [[] for _ in ids]  # ids are distinct and in range: index = position
+        for i, record in enumerate(records):
+            for ref in record["referenced_works"]:
+                citers[ids.index(ref)].append(i)
+        rows = np.array([5, 0, 5, len(ids) - 1, 17])
+        pairs = [(pos, c) for pos, row in enumerate(rows) for c in citers[row]]
+        corpus = build(records)
+        corpus.save_snapshot(tmp_path / "c.snap")
+        for built in (corpus, CitationCorpus.load_snapshot(tmp_path / "c.snap")):
+            owner, citer = built.citer_pairs(rows)
+            assert list(zip(owner.tolist(), citer.tolist())) == pairs
+            assert [built.citers_idx(j).tolist() for j in range(len(ids))] == citers
+            assert [built.work_index(wid) for wid in ids] == list(range(len(ids)))
+            with pytest.raises(UnknownWorkError):
+                built.work_index("W-absent")
+
+
 class TestYearlyCitationSeries:
     """A work's citations per year, read through ``citations_in_years``."""
 
@@ -425,7 +455,17 @@ CUSTOM_MAP = FieldMap(
 )
 IDS = ["W1", "W2", "W3", "1", "Ω7", "é"]
 COUNTRY_ITEMS = ["US", "us", "Us", "DE", "fr", "ÉÉ", "ßa", "USA", "X1", "", "E-", 7, None]
-JUNK_LINES = ["{not json", "[1, 2]", "3", "null", b"\x80{}", b'{"id": "W9"}']
+# a work under both schemas, for lines that differ from it only in padding
+LINE = json.dumps(
+    {"id": "W8", "meta": {"key": "W8"}, "publication_year": 1990, "yr": 1990,
+     "referenced_works": ["W1"], "links": {"to": ["W1"]}}
+)
+JUNK_LINES = [
+    "{not json", "[1, 2]", "3", "null", b"\x80{}", b'{"id": "W9"}',
+    # JSON whitespace is space, tab, CR and LF only, and a line holds one value
+    f" \t{LINE}\r\n", f"\u00a0{LINE}", f"\x0b{LINE}", f"{LINE} x", LINE + LINE,
+    f"\ufeff{LINE}", "", "  ", "NaN",
+]
 
 
 def _put(record, path, value):
@@ -438,7 +478,8 @@ def _put(record, path, value):
 @st.composite
 def noisy_records(draw, schema):
     """Records and raw lines with every kind of noise that ingestion absorbs."""
-    ref = st.one_of(st.sampled_from(IDS + ["Z9"]), st.integers(1, 3), st.none())
+    # 1, "1", 1.0 and True are four different reference ids
+    ref = st.one_of(st.sampled_from(IDS + ["Z9", True, 1.0]), st.integers(1, 3), st.none())
     codes = st.lists(st.sampled_from(COUNTRY_ITEMS), max_size=3)
     # countries sit in a list of authorships, as in OpenAlex: the path's
     # last segment is read from each element of the list at its parent
@@ -453,8 +494,8 @@ def noisy_records(draw, schema):
             st.integers(1988, 1992),
             st.integers(1988, 1992).map(str),
             st.sampled_from(
-                [" 1991 ", "1990.0", "x", 1991.0, 1991.5, True, [1991], 2015, 2**31,
-                 str(-(2**31) - 1)]
+                [" 1991 ", "1990.0", "x", 1991.0, 1991.5, True, False, [1991], 2015,
+                 2**31, 2**31 - 1, -(2**31), str(-(2**31) - 1)]
             ),
         ),
         "references": st.one_of(st.lists(ref, max_size=6), st.sampled_from(["W1", 5])),
@@ -463,12 +504,20 @@ def noisy_records(draw, schema):
             st.sampled_from(
                 ["https://openalex.org/subfields/3101", " sf 3102 ", "none", "",
                  3100.0, 3100.5, True, [], [3101, 3102], ["x"], {"id": 3}, 2**31,
-                 "https://openalex.org/subfields/99999999999", -1, -7]
+                 "https://openalex.org/subfields/99999999999", -1, -7, False,
+                 2**31 - 1, -(2**31)]
             ),
         ),
         "countries": st.one_of(
             authorship,
-            st.lists(st.one_of(authorship, st.lists(authorship, max_size=2)), max_size=3),
+            st.lists(
+                st.one_of(
+                    authorship,
+                    st.lists(authorship, max_size=2),
+                    st.sampled_from(["US", 7, None]),  # not an authorship
+                ),
+                max_size=3,
+            ),
         ),
     }
     out = []

@@ -655,6 +655,43 @@ class TestIngestionRobustness:
         assert [int(r) for r in corpus.references_idx(w2)] == [w1]
 
 
+    @pytest.mark.parametrize(
+        "line, counted",
+        [
+            # json.loads raised RecursionError, then a ValueError that is not
+            # a JSONDecodeError, then int() in the subfield parse did
+            ("[" * 100_000 + "]" * 100_000, "parse_error"),
+            ('{"id": "W2", "publication_year": 2001, "n": ' + "1" * 5000 + "}", "parse_error"),
+            (
+                json.dumps(
+                    {"id": "W2", "publication_year": 2001, "primary_topic": {
+                        "subfield": {"id": "https://openalex.org/subfields/" + "1" * 5000}}}
+                ),
+                "invalid_subfields",
+            ),
+        ],
+        ids=["nested-100000-deep", "integer-5000-digits", "subfield-id-5000-digits"],
+    )
+    def test_one_bad_line_does_not_abort_the_ingest(self, tmp_path, line, counted):
+        source = tmp_path / "works.jsonl"
+        good = json.dumps({"id": "W1", "publication_year": 2000})
+        source.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        snapshot = tmp_path / "corpus.snap"
+        report_path = tmp_path / "report.json"
+        argv = ["ingest", "--input", str(source), "--snapshot", str(snapshot),
+                "--report", str(report_path)]
+        assert cli_main(argv) == 0
+        report = json.loads(report_path.read_text())
+        if counted == "parse_error":
+            assert report["rejected"] == {"parse_error": 1}
+            assert CitationCorpus.load_snapshot(snapshot).ids == ["W1"]
+        else:
+            assert report["rejected"] == {} and report["invalid_subfields"] == 1
+            loaded = CitationCorpus.load_snapshot(snapshot)
+            assert loaded.ids == ["W1", "W2"]
+            assert loaded.subfields.tolist() == [-1, -1]
+
+
 class TestCliStages:
     def test_stagewise_flow(self, tmp_path):
         works = tmp_path / "works.jsonl"
@@ -845,6 +882,50 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.endswith("must be positive, got nan\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--resolution", "--rca-threshold"])
+    def test_inf_threshold_is_an_input_error(self, tmp_path, capsys, flag):
+        # --rca-threshold inf once failed as "adjacency is empty", and
+        # --resolution inf made every subfield a singleton of quality -inf
+        out = tmp_path / "out"
+        if flag == "--rca-threshold":
+            panel = tmp_path / "DI_2000-2009.tsv"
+            panel.write_text("country\t3100\t3101\nAA\t1\t2\nAB\t3\t0\n", encoding="utf-8")
+            argv = ["rank", "--panel", str(panel), "--out-dir", str(out), flag, "inf"]
+        else:
+            series = tmp_path / "subfield_series.tsv"
+            series.write_text(
+                SERIES_HEADER
+                + "3100\t2000\t4\t1\t1\t0\t0.25\t0.0\t-\n"
+                "3101\t2000\t4\t2\t2\t0\t0.5\t0.0\t-\n"
+                "3102\t2000\t4\t1\t0\t1\t0.0\t0.25\t-\n",
+                encoding="utf-8",
+            )
+            argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1",
+                    flag, "inf"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.endswith("must be finite, got inf\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["sigma", "leiden_resolution", "rca_threshold"])
+    def test_inf_config_threshold_is_an_input_error(self, tmp_path, capsys, key):
+        # rca_threshold = inf once wrote 78 files before rank failed
+        config = small_config(tmp_path)
+        text = "".join(
+            f"{name} = {value}\n"
+            for name, value in (
+                ("corpus_path", config.corpus_path),
+                ("out_root", config.out_root),
+                ("leiden_seed", config.leiden_seed),
+                (key, "inf"),
+            )
+        )
+        (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+        assert cli_main(["run", "--config", str(tmp_path / "run.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be finite, got inf\n"
+        assert not Path(config.out_root).exists()
 
     def test_correlate_and_fit_commands(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
