@@ -113,6 +113,15 @@ def finite_float(text: str) -> float:
     return value
 
 
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is positive and finite; the test
+    is written so that nan fails it too."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def read_delimited(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
     """Header names and rows of a delimited text file with a header line.
 

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .analysis import check_positive_finite
 from .panel import SeriesTable
 
 _EPS = 1e-12
@@ -251,8 +252,7 @@ def default_sigma(distances: DistanceMatrix) -> float:
 
 def similarity_matrix(distances: DistanceMatrix, sigma: float) -> SimilarityMatrix:
     """Gaussian kernel exp(-D^2 / (2 sigma^2)) applied elementwise."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_positive_finite("sigma", sigma)
     matrix = np.exp(-(distances.matrix**2) / (2.0 * sigma * sigma))
     return SimilarityMatrix(distances.labels, matrix, float(sigma))
 
@@ -263,7 +263,7 @@ def leiden_clusters(
     """Cluster the weighted complete graph of pairwise similarities.
 
     This is the one place that checks a graph: at least 2 labels, a
-    positive resolution, a square matrix matching the labels, symmetric
+    positive finite resolution, a square matrix matching the labels, symmetric
     within 1e-9 with a unit diagonal and no negative entry.  Labels are
     reordered canonically before the seeded run, so any input permutation
     of the same data yields the identical assignment mapping.
@@ -272,8 +272,7 @@ def leiden_clusters(
     n = len(labels)
     if n < 2:
         raise ValueError("need at least 2 labels to cluster")
-    if not resolution > 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    check_positive_finite("resolution", resolution)
     matrix = np.asarray(similarity.matrix, dtype=float)
     if matrix.shape != (n, n):
         raise ValueError(f"{n} labels need a {n} x {n} similarity matrix, got {matrix.shape}")

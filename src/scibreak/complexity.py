@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import check_positive_finite
 from .impact import BreakthroughClass
 from .panel import PanelMatrix
 
@@ -134,8 +135,7 @@ def binarize(rca_matrix: RcaMatrix, r_star: float = 1.0) -> BinaryAdjacency:
     All-zero rows and columns of the binary matrix are removed; their labels
     are recorded so downstream rankings can append them.
     """
-    if not r_star > 0:
-        raise ValueError(f"threshold must be positive, got {r_star}")
+    check_positive_finite("threshold", r_star)
     M = (rca_matrix.values >= r_star).astype(np.int8)
     keep_rows = M.sum(axis=1) > 0
     keep_cols = M.sum(axis=0) > 0

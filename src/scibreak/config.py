@@ -12,6 +12,7 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .analysis import check_positive_finite
 from .corpus import FieldMap
 from .impact import COCITED_SEMANTICS, GAMMA_CONVENTIONS
 
@@ -85,15 +86,16 @@ class PipelineConfig:
             raise ConfigError("analysis_start exceeds analysis_end")
         if self.window_width < 1:
             raise ConfigError("window_width must be >= 1")
-        # written as "not > 0" so that nan is refused too
-        if self.sigma is not None and not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        for key in ("sigma", "leiden_resolution", "rca_threshold"):
+            value = getattr(self, key)
+            if value is None:  # an unset sigma is picked from the distances
+                continue
+            try:
+                check_positive_finite(key, value)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.leiden_seed is None:
             raise ConfigError("leiden_seed is required")
-        if not self.leiden_resolution > 0:
-            raise ConfigError("leiden_resolution must be positive")
-        if not self.rca_threshold > 0:
-            raise ConfigError("rca_threshold must be positive")
         if self.eigen_count < 1:
             raise ConfigError("eigen_count must be >= 1")
         for key, allowed in (

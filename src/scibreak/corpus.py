@@ -2,9 +2,9 @@
 
 The corpus is an immutable, index-based citation graph.  Works are kept in
 stream order; reference adjacency is stored in compressed sparse rows sorted
-by work index, and the citing adjacency is maintained as its exact transpose.
-All query operations are pure, so a corpus can be shared freely across
-concurrent readers once built.
+by work index, and the citing adjacency is its exact transpose, built on
+first use.  All query operations are pure, so a corpus can be shared freely
+across concurrent readers once built.
 
 Input records are newline-delimited JSON objects.  The field mapping defaults
 to the layout of OpenAlex works exports and can be remapped through
@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import itertools
 import json
 import re
 import struct
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
+from json.scanner import make_scanner
+from operator import is_not
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -34,6 +37,11 @@ _TRAILING_DIGITS = re.compile(r"(\d+)\s*$")
 # a tab, CR or LF would split an id's TSV row, and a lone surrogate has no
 # UTF-8 encoding for the snapshot
 _BAD_ID_CHAR = re.compile("[\t\n\r\ud800-\udfff]")
+_INT32_MIN, _INT32_END = -(2**31), 2**31
+# the C scanner behind json.loads, called without json.loads' wrapper
+_SCAN = make_scanner(json.JSONDecoder())
+_PARSE_ERROR = object()
+_NOT_NONE = partial(is_not, None)  # by identity: no __eq__ is called
 
 
 class UnknownWorkError(KeyError):
@@ -103,13 +111,58 @@ def _extract(value: Any, parts: Sequence[str]) -> Any:
 
 
 def _getter(path: str) -> Callable[[dict], Any]:
-    """``_extract`` of a dotted ``path`` from a dict record, split once; a
-    one-segment path is a single lookup."""
+    """``_extract`` of a dotted ``path`` from a dict record, split once.
+
+    A one-segment path is a single lookup.  A longer one walks plain dicts
+    inline and, at the last step, reads a plain list of plain dicts in place;
+    any other shape is left to ``_extract``.
+    """
     parts = tuple(path.split("."))
     if len(parts) == 1:
         key = parts[0]
         return lambda record: record.get(key)
-    return lambda record: _extract(record, parts)
+    *head, last = parts
+
+    def get(record: dict) -> Any:
+        value = record
+        for part in head:
+            if type(value) is not dict:
+                return _extract(record, parts)
+            value = value.get(part)
+        if type(value) is dict:
+            return value.get(last)
+        if type(value) is list:
+            collected: list[Any] = []
+            for element in value:
+                if type(element) is not dict:
+                    return _extract(record, parts)
+                got = element.get(last)
+                if isinstance(got, list):
+                    collected += got
+                elif got is not None:
+                    collected.append(got)
+            if all(map(_NOT_NONE, collected)):
+                return collected
+        return _extract(record, parts)
+
+    return get
+
+
+def _decode(raw: str | bytes) -> Any:
+    """The JSON value of one line, or ``_PARSE_ERROR``.
+
+    ``json.loads`` rules: exactly one value, with JSON whitespace only (space,
+    tab, CR, LF) around it.  An exact ``str`` goes to the scanner directly.
+    Nesting too deep and integers too long for ``int`` are parse errors too.
+    """
+    try:
+        if type(raw) is not str:
+            return json.loads(raw)
+        text = raw.strip(" \t\n\r")
+        value, end = _SCAN(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return _PARSE_ERROR
+    return value if end == len(text) else _PARSE_ERROR
 
 
 def _as_int(raw: Any) -> int | None:
@@ -144,7 +197,10 @@ def _parse_subfield(raw: Any) -> int | None:
         raw = raw[0] if raw else None
     if isinstance(raw, str):
         match = _TRAILING_DIGITS.search(raw.strip())
-        raw = int(match.group(1)) if match else None
+        try:
+            raw = int(match.group(1)) if match else None
+        except ValueError:  # more digits than int() converts
+            return None
     value = _int32(_as_int(raw))
     return value if value is not None and value >= 0 else None
 
@@ -179,9 +235,10 @@ class CitationCorpus:
     transpose of ``references_idx``.  Countries are a CSR too: row ``i``
     holds indexes into the ascending ``country_table``, in the order the
     codes were first seen in work ``i``'s record.  Construction is
-    single-writer.  The only state built after construction is the sorted
-    citation-year key behind :meth:`citations_in_years`, made on first use so
-    that corpora that are never scored do not pay for it.
+    single-writer.  The citing transpose, the id lookup behind
+    :meth:`work_index` and the sorted citation-year key behind
+    :meth:`citations_in_years` are built on first use, so that a corpus that
+    is only ingested and saved, or never scored, does not pay for them.
     """
 
     def __init__(
@@ -196,7 +253,6 @@ class CitationCorpus:
         out_indices: np.ndarray,
     ):
         self._ids = list(ids)
-        self._index = {wid: i for i, wid in enumerate(self._ids)}
         self._pub_year = np.asarray(pub_year, dtype=np.int32)
         self._subfield = np.asarray(subfield, dtype=np.int32)
         self._country_table = tuple(country_table)
@@ -204,17 +260,24 @@ class CitationCorpus:
         self._country_codes = np.asarray(country_codes, dtype=np.uint16)
         self._out_indptr = np.asarray(out_indptr, dtype=np.int64)
         self._out_indices = np.asarray(out_indices, dtype=np.int32)
-        self._build_transpose()
 
-    def _build_transpose(self) -> None:
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {wid: i for i, wid in enumerate(self._ids)}
+
+    @cached_property
+    def _in_indices(self) -> np.ndarray:
         n = len(self._ids)
         # one sort of target * n + source orders by target, then source
         key = self._out_indices.astype(np.int64)
         key *= n
         key += _owners(np.diff(self._out_indptr))
         key.sort()
-        self._in_indices = (key % max(n, 1)).astype(np.int32)
-        self._in_indptr = _indptr(self._out_indices, n)
+        return (key % max(n, 1)).astype(np.int32)
+
+    @cached_property
+    def _in_indptr(self) -> np.ndarray:
+        return _indptr(self._out_indices, len(self._ids))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -461,7 +524,8 @@ def ingest_works(
     index: dict[str, int] = {}  # work id -> work index, in stream order
     years = array("i")
     subfields = array("i")
-    ref_ids: dict[str, int] = {}  # reference id -> key, in first-seen order
+    # reference id -> key, in first-seen order: keys are 0, 1, 2, ...
+    ref_ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     ref_keys = array("q")
     ref_counts = array("q")
     codes: dict[str, int] = {}  # country code -> key, in first-seen order
@@ -470,14 +534,10 @@ def ingest_works(
 
     for raw in records:
         report.records_seen += 1
-        if isinstance(raw, (str, bytes)):
-            try:
-                record = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                report.rejected["parse_error"] += 1
-                continue
-        else:
-            record = raw
+        record = _decode(raw) if isinstance(raw, (str, bytes)) else raw
+        if record is _PARSE_ERROR:
+            report.rejected["parse_error"] += 1
+            continue
         if not isinstance(record, dict):
             report.rejected["not_object"] += 1
             continue
@@ -491,14 +551,15 @@ def ingest_works(
             report.rejected["invalid_id"] += 1
             continue
 
-        year_raw = get_year(record)
-        if year_raw is None:
-            report.rejected["missing_year"] += 1
-            continue
-        year = _parse_year(year_raw)
-        if year is None:
-            report.rejected["invalid_year"] += 1
-            continue
+        year = get_year(record)
+        if type(year) is not int or not _INT32_MIN <= year < _INT32_END:
+            if year is None:
+                report.rejected["missing_year"] += 1
+                continue
+            year = _parse_year(year)
+            if year is None:
+                report.rejected["invalid_year"] += 1
+                continue
         if (year_min is not None and year < year_min) or (
             year_max is not None and year > year_max
         ):
@@ -509,10 +570,11 @@ def ingest_works(
             report.rejected["duplicate_id"] += 1
             continue
 
-        sub_raw = get_subfield(record)
-        sub = _parse_subfield(sub_raw)
-        if sub is None and sub_raw is not None:
-            report.invalid_subfields += 1
+        sub = get_subfield(record)
+        if type(sub) is not int or not 0 <= sub < _INT32_END:
+            sub_raw, sub = sub, _parse_subfield(sub)
+            if sub is None and sub_raw is not None:
+                report.invalid_subfields += 1
 
         listed = get_countries(record)
         before = len(code_keys)
@@ -530,11 +592,12 @@ def ingest_works(
         code_counts.append(len(code_keys) - before)
 
         listed = get_refs(record)
-        keys = [] if not isinstance(listed, list) else [
-            ref_ids.setdefault(str(ref), len(ref_ids)) for ref in listed if ref is not None
-        ]
-        ref_keys.extend(keys)
-        ref_counts.append(len(keys))
+        before = len(ref_keys)
+        if type(listed) is list and set(map(type, listed)) <= {str}:
+            ref_keys.extend(map(ref_ids.__getitem__, listed))
+        elif isinstance(listed, list):
+            ref_keys.extend([ref_ids[str(ref)] for ref in listed if ref is not None])
+        ref_counts.append(len(ref_keys) - before)
 
         index[wid] = len(index)
         years.append(year)

@@ -409,7 +409,9 @@ def naive_ingest(records, schema, year_min=None, year_max=None):
         if isinstance(raw, (str, bytes)):
             try:
                 record = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
+            # a JSONDecodeError, a bad UTF-8 byte, an integer too long for
+            # int() and nesting too deep all make a line unreadable
+            except (ValueError, RecursionError):
                 rejected["parse_error"] += 1
                 continue
         if not isinstance(record, dict):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scibreak.corpus import (
@@ -16,6 +16,8 @@ from scibreak.corpus import (
     FieldMap,
     SnapshotError,
     UnknownWorkError,
+    _extract,
+    _getter,
     ingest_files,
     ingest_works,
 )
@@ -571,3 +573,52 @@ class TestAgainstNaiveIngest:
             corpus.save_snapshot(path)
             loaded = CitationCorpus.load_snapshot(path)
         assert _columns(loaded) == tuple(expected)
+
+
+class UnequalToAll:
+    """A value whose == raises: a getter must tell None apart by identity."""
+
+    def __eq__(self, other):
+        raise AssertionError("compared with ==")
+
+    __hash__ = object.__hash__
+
+
+class ListSubclass(list):
+    pass
+
+
+class DictSubclass(dict):
+    pass
+
+
+LEAF = UnequalToAll()
+SHAPES = st.recursive(
+    st.sampled_from([None, 1, "US", True, 2.5, LEAF]),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(ListSubclass),
+        st.dictionaries(st.sampled_from("abc"), inner, max_size=3),
+        st.dictionaries(st.sampled_from("abc"), inner, max_size=3).map(DictSubclass),
+        # the shape of OpenAlex authorships
+        st.lists(st.dictionaries(st.sampled_from("abc"), inner, max_size=3), max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+class TestGetter:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        record=st.dictionaries(st.sampled_from("abc"), SHAPES, max_size=3),
+        path=st.sampled_from(["a", "a.b", "a.b.c", "b.a"]),
+    )
+    @example(record={"a": [{"b": LEAF}, {"b": [LEAF, None]}]}, path="a.b")
+    def test_equal_to_extract(self, record, path):
+        got, expected = _getter(path)(record), _extract(record, path.split("."))
+        assert type(got) is type(expected)
+        if isinstance(expected, list):
+            assert len(got) == len(expected)
+            assert all(g is e for g, e in zip(got, expected))
+        else:
+            assert got is expected
