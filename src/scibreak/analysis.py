@@ -118,7 +118,7 @@ def check_positive_finite(name: str, value: float) -> None:
     is written so that nan fails it too."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
-    if value == math.inf:
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -178,7 +178,7 @@ def _as_int(raw: Any) -> int | None:
 
 def _int32(value: int | None) -> int | None:
     """``value`` if the int32 year and subfield columns can hold it."""
-    return value if value is not None and -(2**31) <= value < 2**31 else None
+    return value if value is not None and _INT32_MIN <= value < _INT32_END else None
 
 
 def _parse_year(raw: Any) -> int | None:
@@ -502,8 +502,10 @@ def ingest_works(
 ) -> tuple[CitationCorpus, IngestReport]:
     """Build a corpus from raw records, dropping whatever cannot be kept.
 
-    ``records`` yields dicts or raw JSON strings/bytes.  A record needs at
-    least a work id that the output tables can hold (no tab, CR, LF or lone
+    ``records`` yields dicts or raw JSON strings/bytes.  A string or bytes
+    record must hold exactly one JSON value, as ``json.loads`` reads it;
+    any other, nesting too deep or an integer too long to convert is a
+    parse error.  A record needs at least a work id that the output tables can hold (no tab, CR, LF or lone
     surrogate) and a parseable year; everything else degrades softly
     (missing subfield -> unlabeled, bad country entries -> dropped).  Years
     and subfields beyond int32 count as invalid.
@@ -513,7 +515,10 @@ def ingest_works(
 
     One pass over the records keeps per-work columns; each reference id and
     country code is interned to an int key as it streams, so references
-    resolve and deduplicate afterwards in array passes over the keys.
+    resolve and deduplicate afterwards in array passes over the keys.  The
+    common shapes (an ``int`` year or subfield within int32, a list of only
+    ``str`` references) skip the general parsers, which every other value
+    still goes through.
     """
     report = IngestReport()
     get_id, get_year, get_refs, get_subfield, get_countries = map(
