@@ -114,8 +114,8 @@ def _getter(path: str) -> Callable[[dict], Any]:
     """``_extract`` of a dotted ``path`` from a dict record, split once.
 
     A one-segment path is a single lookup.  A longer one walks plain dicts
-    inline and, at the last step, reads a plain list of plain dicts in place;
-    any other shape is left to ``_extract``.
+    inline and, at the last step, reads a plain list of plain dicts in place,
+    flattening list values; any other shape is left to ``_extract``.
     """
     parts = tuple(path.split("."))
     if len(parts) == 1:

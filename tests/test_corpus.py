@@ -585,7 +585,11 @@ class UnequalToAll:
 
 
 class ListSubclass(list):
-    pass
+    """Iterates in reverse, so a getter that reads the storage directly is
+    told apart from ``_extract``."""
+
+    def __iter__(self):
+        return reversed(self)
 
 
 class DictSubclass(dict):
@@ -614,6 +618,7 @@ class TestGetter:
         path=st.sampled_from(["a", "a.b", "a.b.c", "b.a"]),
     )
     @example(record={"a": [{"b": LEAF}, {"b": [LEAF, None]}]}, path="a.b")
+    @example(record={"a": [{"b": ListSubclass([1, "US"])}]}, path="a.b")
     def test_equal_to_extract(self, record, path):
         got, expected = _getter(path)(record), _extract(record, path.split("."))
         assert type(got) is type(expected)
