@@ -37,7 +37,6 @@ _TRAILING_DIGITS = re.compile(r"(\d+)\s*$")
 # a tab, CR or LF would split an id's TSV row, and a lone surrogate has no
 # UTF-8 encoding for the snapshot
 _BAD_ID_CHAR = re.compile("[\t\n\r\ud800-\udfff]")
-_INT32_MIN, _INT32_END = -(2**31), 2**31
 # the C scanner behind json.loads, called without json.loads' wrapper
 _SCAN = make_scanner(json.JSONDecoder())
 _PARSE_ERROR = object()
@@ -89,7 +88,11 @@ class IngestReport:
 
 
 def _extract(value: Any, parts: Sequence[str]) -> Any:
-    """Walk dotted-path ``parts`` through nested dicts, mapping over lists."""
+    """Walk dotted-path ``parts`` through nested dicts, mapping over lists.
+
+    Over a list each element is walked on and list results are flattened,
+    with their None entries dropped (by identity: no ``__eq__`` is called).
+    """
     for part in parts:
         if isinstance(value, dict):
             value = value.get(part)
@@ -101,9 +104,11 @@ def _extract(value: Any, parts: Sequence[str]) -> Any:
                 else:
                     got = _extract(element, (part,))
                 if isinstance(got, list):
-                    collected += [g for g in got if g is not None]
+                    collected += got
                 elif got is not None:
                     collected.append(got)
+            if not all(map(_NOT_NONE, collected)):
+                collected = list(filter(_NOT_NONE, collected))
             value = collected
         else:
             return None
@@ -111,41 +116,13 @@ def _extract(value: Any, parts: Sequence[str]) -> Any:
 
 
 def _getter(path: str) -> Callable[[dict], Any]:
-    """``_extract`` of a dotted ``path`` from a dict record, split once.
-
-    A one-segment path is a single lookup.  A longer one walks plain dicts
-    inline and, at the last step, reads a plain list of plain dicts in place,
-    flattening list values; any other shape is left to ``_extract``.
-    """
+    """``_extract`` of a dotted ``path`` from a dict record, split once; a
+    one-segment path is a single lookup."""
     parts = tuple(path.split("."))
     if len(parts) == 1:
         key = parts[0]
         return lambda record: record.get(key)
-    *head, last = parts
-
-    def get(record: dict) -> Any:
-        value = record
-        for part in head:
-            if type(value) is not dict:
-                return _extract(record, parts)
-            value = value.get(part)
-        if type(value) is dict:
-            return value.get(last)
-        if type(value) is list:
-            collected: list[Any] = []
-            for element in value:
-                if type(element) is not dict:
-                    return _extract(record, parts)
-                got = element.get(last)
-                if isinstance(got, list):
-                    collected += got
-                elif got is not None:
-                    collected.append(got)
-            if all(map(_NOT_NONE, collected)):
-                return collected
-        return _extract(record, parts)
-
-    return get
+    return lambda record: _extract(record, parts)
 
 
 def _decode(raw: str | bytes) -> Any:
@@ -178,30 +155,34 @@ def _as_int(raw: Any) -> int | None:
 
 def _int32(value: int | None) -> int | None:
     """``value`` if the int32 year and subfield columns can hold it."""
-    return value if value is not None and _INT32_MIN <= value < _INT32_END else None
+    return value if value is not None and -(2**31) <= value < 2**31 else None
 
 
 def _parse_year(raw: Any) -> int | None:
-    if isinstance(raw, str):
-        try:
-            raw = int(raw.strip())
-        except ValueError:
-            return None
-    return _int32(_as_int(raw))
+    if type(raw) is not int:  # an exact int, the common case, needs no conversion
+        if isinstance(raw, str):
+            try:
+                raw = int(raw.strip())
+            except ValueError:
+                return None
+        raw = _as_int(raw)
+    return _int32(raw)
 
 
 def _parse_subfield(raw: Any) -> int | None:
     """Accept non-negative integers or ids with a trailing number (OpenAlex
     URLs); -1 marks a missing subfield in the column, so no id is negative."""
-    if isinstance(raw, list):
-        raw = raw[0] if raw else None
-    if isinstance(raw, str):
-        match = _TRAILING_DIGITS.search(raw.strip())
-        try:
-            raw = int(match.group(1)) if match else None
-        except ValueError:  # more digits than int() converts
-            return None
-    value = _int32(_as_int(raw))
+    if type(raw) is not int:  # an exact int, the common case, needs no conversion
+        if isinstance(raw, list):
+            raw = raw[0] if raw else None
+        if isinstance(raw, str):
+            match = _TRAILING_DIGITS.search(raw.strip())
+            try:
+                raw = int(match.group(1)) if match else None
+            except ValueError:  # more digits than int() converts
+                return None
+        raw = _as_int(raw)
+    value = _int32(raw)
     return value if value is not None and value >= 0 else None
 
 
@@ -505,8 +486,9 @@ def ingest_works(
     ``records`` yields dicts or raw JSON strings/bytes.  A string or bytes
     record must hold exactly one JSON value, as ``json.loads`` reads it;
     any other, nesting too deep or an integer too long to convert is a
-    parse error.  A record needs at least a work id that the output tables can hold (no tab, CR, LF or lone
-    surrogate) and a parseable year; everything else degrades softly
+    parse error.  A record needs at least a work id that the output tables
+    can hold (no tab, CR, LF or lone surrogate) and a parseable year;
+    everything else degrades softly
     (missing subfield -> unlabeled, bad country entries -> dropped).  Years
     and subfields beyond int32 count as invalid.
     References to ids absent from the stream are dropped and counted, as are
@@ -515,10 +497,7 @@ def ingest_works(
 
     One pass over the records keeps per-work columns; each reference id and
     country code is interned to an int key as it streams, so references
-    resolve and deduplicate afterwards in array passes over the keys.  The
-    common shapes (an ``int`` year or subfield within int32, a list of only
-    ``str`` references) skip the general parsers, which every other value
-    still goes through.
+    resolve and deduplicate afterwards in array passes over the keys.
     """
     report = IngestReport()
     get_id, get_year, get_refs, get_subfield, get_countries = map(
@@ -556,15 +535,14 @@ def ingest_works(
             report.rejected["invalid_id"] += 1
             continue
 
-        year = get_year(record)
-        if type(year) is not int or not _INT32_MIN <= year < _INT32_END:
-            if year is None:
-                report.rejected["missing_year"] += 1
-                continue
-            year = _parse_year(year)
-            if year is None:
-                report.rejected["invalid_year"] += 1
-                continue
+        year_raw = get_year(record)
+        if year_raw is None:
+            report.rejected["missing_year"] += 1
+            continue
+        year = _parse_year(year_raw)
+        if year is None:
+            report.rejected["invalid_year"] += 1
+            continue
         if (year_min is not None and year < year_min) or (
             year_max is not None and year > year_max
         ):
@@ -575,11 +553,10 @@ def ingest_works(
             report.rejected["duplicate_id"] += 1
             continue
 
-        sub = get_subfield(record)
-        if type(sub) is not int or not 0 <= sub < _INT32_END:
-            sub_raw, sub = sub, _parse_subfield(sub)
-            if sub is None and sub_raw is not None:
-                report.invalid_subfields += 1
+        sub_raw = get_subfield(record)
+        sub = _parse_subfield(sub_raw)
+        if sub is None and sub_raw is not None:
+            report.invalid_subfields += 1
 
         listed = get_countries(record)
         before = len(code_keys)
@@ -598,10 +575,8 @@ def ingest_works(
 
         listed = get_refs(record)
         before = len(ref_keys)
-        if type(listed) is list and set(map(type, listed)) <= {str}:
-            ref_keys.extend(map(ref_ids.__getitem__, listed))
-        elif isinstance(listed, list):
-            ref_keys.extend([ref_ids[str(ref)] for ref in listed if ref is not None])
+        if isinstance(listed, list):
+            ref_keys.extend(map(ref_ids.__getitem__, map(str, filter(_NOT_NONE, listed))))
         ref_counts.append(len(ref_keys) - before)
 
         index[wid] = len(index)

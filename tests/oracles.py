@@ -379,7 +379,10 @@ def _oracle_subfield(raw):
         start = end
         while start > 0 and text[start - 1].isdecimal():
             start -= 1
-        value = _fits_int32(int(text[start:end])) if start < end else None
+        try:
+            value = _fits_int32(int(text[start:end])) if start < end else None
+        except ValueError:  # more digits than int() converts
+            return None
     else:
         value = _fits_int32(_whole_number(raw))
     return None if value is None or value < 0 else value

@@ -16,7 +16,6 @@ from scibreak.corpus import (
     FieldMap,
     SnapshotError,
     UnknownWorkError,
-    _extract,
     _getter,
     ingest_files,
     ingest_works,
@@ -24,7 +23,7 @@ from scibreak.corpus import (
 from scibreak.impact import nbnc_all
 
 from conftest import build, make_records, random_citation_records
-from oracles import naive_ingest
+from oracles import _walk, naive_ingest
 
 
 class TestIngestion:
@@ -507,7 +506,7 @@ def noisy_records(draw, schema):
                 ["https://openalex.org/subfields/3101", " sf 3102 ", "none", "",
                  3100.0, 3100.5, True, [], [3101, 3102], ["x"], {"id": 3}, 2**31,
                  "https://openalex.org/subfields/99999999999", -1, -7, False,
-                 2**31 - 1, -(2**31)]
+                 2**31 - 1, -(2**31), "https://openalex.org/subfields/" + "1" * 5000]
             ),
         ),
         "countries": st.one_of(
@@ -585,8 +584,8 @@ class UnequalToAll:
 
 
 class ListSubclass(list):
-    """Iterates in reverse, so a getter that reads the storage directly is
-    told apart from ``_extract``."""
+    """Iterates in reverse, so a walk that reads the storage directly is told
+    apart from one that iterates."""
 
     def __iter__(self):
         return reversed(self)
@@ -619,8 +618,8 @@ class TestGetter:
     )
     @example(record={"a": [{"b": LEAF}, {"b": [LEAF, None]}]}, path="a.b")
     @example(record={"a": [{"b": ListSubclass([1, "US"])}]}, path="a.b")
-    def test_equal_to_extract(self, record, path):
-        got, expected = _getter(path)(record), _extract(record, path.split("."))
+    def test_equal_to_the_oracle_walk(self, record, path):
+        got, expected = _getter(path)(record), _walk(record, path.split("."))
         assert type(got) is type(expected)
         if isinstance(expected, list):
             assert len(got) == len(expected)
