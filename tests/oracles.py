@@ -244,6 +244,42 @@ def spearman_no_ties(a, b):
     return 1 - 6 * d2 / (n * (n * n - 1))
 
 
+def spearman_with_ties(a, b):
+    """Pearson correlation of tie-averaged ranks, counted value by value.
+
+    A value's rank is the number of smaller values plus half of (the number
+    of equal values + 1).  Ranks are half-integers, so for short inputs every
+    sum below is exact, and the result is the correctly rounded ratio.
+    """
+    n = len(a)
+
+    def ranks(values):
+        return [
+            sum(y < x for y in values) + (sum(y == x for y in values) + 1) / 2
+            for x in values
+        ]
+
+    mean = (n + 1) / 2
+    da = [r - mean for r in ranks(a)]
+    db = [r - mean for r in ranks(b)]
+    cov = sum(x * y for x, y in zip(da, db))
+    return cov / math.sqrt(sum(x * x for x in da) * sum(y * y for y in db))
+
+
+def brute_modularity(W, membership, resolution=1.0):
+    """Sum over node pairs of (W_ij - resolution k_i k_j / 2m) delta(c_i, c_j) / 2m."""
+    W = np.asarray(W, dtype=float)
+    n = len(membership)
+    k = [sum(W[i, j] for j in range(n)) for i in range(n)]
+    two_m = sum(k)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if membership[i] == membership[j]:
+                total += W[i, j] - resolution * k[i] * k[j] / two_m
+    return total / two_m
+
+
 def _labels(records):
     """Year, subfield (None if absent) and countries of each work id.
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scibreak.analysis import (
@@ -16,7 +16,7 @@ from scibreak.analysis import (
     spearman,
 )
 
-from oracles import normal_equations_loglog, spearman_no_ties
+from oracles import normal_equations_loglog, spearman_no_ties, spearman_with_ties
 
 
 class TestSpearman:
@@ -59,6 +59,25 @@ class TestSpearman:
         db = np.array([1.0, 2.0, 3.0]) - 2.0
         expected = float(da @ db) / math.sqrt(float(da @ da) * float(db @ db))
         assert spearman(a, b) == pytest.approx(expected, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0, 2.5]),
+                st.integers(-2, 2),
+            ),
+            min_size=3,
+            max_size=30,
+        )
+    )
+    def test_ties_match_the_tie_averaging_oracle(self, pairs):
+        # few distinct values, so most draws hold ties on both sides
+        a, b = (list(column) for column in zip(*pairs))
+        assume(len(set(a)) > 1 and len(set(b)) > 1)
+        keys = [f"k{i:02d}" for i in range(len(pairs))]
+        mine = spearman(dict(zip(keys, a)), dict(zip(keys, b)))
+        assert mine == spearman_with_ties(a, b)
 
     def test_too_few_common(self):
         with pytest.raises(InsufficientDataError):

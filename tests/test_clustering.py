@@ -23,7 +23,7 @@ from scibreak.clustering import (
 )
 from scibreak.panel import SeriesTable
 
-from oracles import dp_dtw, exhaustive_dtw, exhaustive_dtw_per_component
+from oracles import brute_modularity, dp_dtw, exhaustive_dtw, exhaustive_dtw_per_component
 
 
 def _traj(label, points):
@@ -361,6 +361,27 @@ class TestLeidenCore:
         q_found = result.quality
         assert q_found >= modularity(W, list(range(6)))
         assert q_found >= modularity(W, [0] * 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 14).flatmap(
+            lambda n: st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            )
+        ),
+        st.sampled_from([0.5, 1.0, 1.5]),
+    )
+    def test_modularity_matches_its_definition(self, drawn, resolution):
+        seed, labels = drawn
+        n = len(labels)
+        W = np.random.default_rng(seed).random((n, n))
+        W = W + W.T
+        np.fill_diagonal(W, 0.0)
+        for membership in (labels, list(range(n)), [0] * n):
+            assert modularity(W, membership, resolution) == pytest.approx(
+                brute_modularity(W, membership, resolution), abs=1e-12
+            )
 
     def test_negative_weights_rejected(self):
         W = np.array([[1.0, -1.0], [-1.0, 1.0]])
