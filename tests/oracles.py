@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 
 
-def _graph(records):
+def citation_graph(records):
     """Plain-dict citation graph mirroring ingestion normalization."""
     year = {r["id"]: r["publication_year"] for r in records}
     refs = {}
@@ -37,9 +37,14 @@ def naive_nbnc(
     horizon,
     semantics="multiset",
     convention="own_age",
+    graph=None,
 ):
-    """NBNC by direct enumeration of citers, bags, and yearly citations."""
-    year, refs, citers = _graph(records)
+    """NBNC by direct enumeration of citers, bags, and yearly citations.
+
+    ``graph`` is ``citation_graph(records)``, built once by a caller that
+    scores every work of one corpus.
+    """
+    year, refs, citers = graph or citation_graph(records)
     y = year[work_id]
 
     def gamma(j, t):
@@ -74,7 +79,7 @@ def naive_nbnc(
 
 def brute_cd(records, work_id, horizon):
     """CD by brute-force enumeration of citing works inside the window."""
-    year, refs, citers = _graph(records)
+    year, refs, citers = citation_graph(records)
     y = year[work_id]
     refs_f = set(refs[work_id])
     citers_f = set(citers[work_id])

@@ -30,7 +30,7 @@ from scibreak.pipeline import run_pipeline
 from scibreak.synth import synthetic_records, write_jsonl
 
 from conftest import build, make_records, random_citation_records
-from oracles import brute_cd, exhaustive_dtw, naive_nbnc
+from oracles import brute_cd, citation_graph, exhaustive_dtw, naive_nbnc
 
 
 @contextmanager
@@ -54,8 +54,9 @@ def test_c01_nbnc_oracle_equivalence():
             corpus = build(records)
             batch = nbnc_all(corpus, 8)
             assert batch.works.tolist() == list(range(corpus.n_works))
+            graph = citation_graph(records)
             for record in records:
-                expected, terms = naive_nbnc(records, record["id"], 8)
+                expected, terms = naive_nbnc(records, record["id"], 8, graph=graph)
                 row = corpus.work_index(record["id"])
                 assert batch.value[row] == expected
                 assert tuple(batch.terms[row].tolist()) == tuple(terms)
