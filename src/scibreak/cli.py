@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import analysis as stats
 from .config import ConfigError, PipelineConfig, with_overrides
@@ -205,30 +206,50 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return _report(detail, skipped, args.out_dir)
 
 
-def _read_columns(path: str, label_col: str, value_col: str) -> dict[str, float]:
-    out = {}
-    for row in stats.read_delimited(path)[1]:
+def _read_columns(path: str, *columns: tuple[str, Callable[[str], object]]) -> list[tuple]:
+    """The cells of ``columns`` in each row of a delimited file, each read by
+    its parser; a row too short for a column or with a cell its parser
+    refuses is skipped.  A column the header lacks is a ``ValueError``."""
+    fieldnames, rows = stats.read_delimited(path)
+    for name, _ in columns:
+        if name not in fieldnames:
+            raise ValueError(f"{path}: header {fieldnames} has no column {name!r}")
+    out = []
+    for row in rows:
+        cells = [row[name] for name, _ in columns]
+        if None in cells:  # the row has fewer fields than the header
+            continue
         try:
-            out[row[label_col]] = stats.finite_float(row[value_col])
-        except (KeyError, TypeError, ValueError):
+            out.append(tuple(parse(cell) for (_, parse), cell in zip(columns, cells)))
+        except ValueError:
             continue
     return out
+
+
+def _column_pair(text: str) -> tuple[str, str]:
+    """``--a-cols``/``--b-cols`` value: the label and value column names."""
+    names = [name.strip() for name in text.split(",")]
+    if len(names) != 2:
+        raise argparse.ArgumentTypeError(f"need label,value column names, got {text!r}")
+    return names[0], names[1]
 
 
 def _add_correlate(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("correlate", help="Spearman correlation of two rankings")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--a-cols", default="label,rank", help="label,value columns of A")
-    p.add_argument("--b-cols", default="label,rank", help="label,value columns of B")
+    for side in "ab":
+        p.add_argument(
+            f"--{side}-cols", type=_column_pair, default="label,rank",
+            help=f"label,value columns of {side.upper()}",
+        )
     p.set_defaults(handler=_cmd_correlate)
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    a_label, a_value = (c.strip() for c in args.a_cols.split(","))
-    b_label, b_value = (c.strip() for c in args.b_cols.split(","))
-    rank_a = _read_columns(args.file_a, a_label, a_value)
-    rank_b = _read_columns(args.file_b, b_label, b_value)
+    (a_label, a_value), (b_label, b_value) = args.a_cols, args.b_cols
+    rank_a = dict(_read_columns(args.file_a, (a_label, str), (a_value, stats.finite_float)))
+    rank_b = dict(_read_columns(args.file_b, (b_label, str), (b_value, stats.finite_float)))
     rho = stats.spearman(rank_a, rank_b)
     common = len(set(rank_a) & set(rank_b))
     print(f"spearman={rho!r} n_common={common}")
@@ -244,19 +265,12 @@ def _add_fit(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    xs = []
-    ys = []
-    for row in stats.read_delimited(args.data)[1]:
-        try:
-            x, y = stats.finite_float(row[args.x_col]), stats.finite_float(row[args.y_col])
-        except (KeyError, TypeError, ValueError):
-            continue
-        xs.append(x)
-        ys.append(y)
-    fit = stats.loglog_fit(xs, ys)
+    columns = ((args.x_col, stats.finite_float), (args.y_col, stats.finite_float))
+    points = _read_columns(args.data, *columns)
+    fit = stats.loglog_fit([x for x, _ in points], [y for _, y in points])
     print(
         f"exponent={fit.exponent!r} prefactor={fit.prefactor!r} "
-        f"residual={fit.residual!r} n={len(xs)}"
+        f"residual={fit.residual!r} n={len(points)}"
     )
     return 0
 

@@ -967,6 +967,42 @@ class TestCliStages:
         out = capsys.readouterr().out
         assert "exponent=1.5" in out and "n=4" in out
 
+    @pytest.mark.parametrize("flag", ["--x-col", "--y-col"])
+    def test_fit_column_missing_from_the_header_is_an_input_error(self, tmp_path, capsys, flag):
+        # a mistyped column once skipped every row: "need >= 3 points, got 0"
+        data = tmp_path / "data.tsv"
+        rows = ["x\ty"] + [f"{x}\t{2 * x ** 1.5}" for x in (1.0, 2.0, 4.0, 8.0)]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        columns = {"--x-col": "x", "--y-col": "y", flag: "yy"}
+        argv = ["fit", str(data), *(part for item in columns.items() for part in item)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:") and "'yy'" in err
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_correlate_column_missing_from_the_header_is_an_input_error(
+        self, tmp_path, capsys, side
+    ):
+        # a mistyped column once read as no rows: "need >= 3 common entities, got 0"
+        files = {}
+        for name in "ab":
+            files[name] = tmp_path / f"{name}.tsv"
+            files[name].write_text("label\trank\nAA\t1\nBB\t2\nCC\t3\n", encoding="utf-8")
+        argv = ["correlate", str(files["a"]), str(files["b"]), f"--{side}-cols", "lbl,rank"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[side]}:") and "'lbl'" in err
+
+    @pytest.mark.parametrize("cols", ["label", "label,rank,extra"])
+    def test_correlate_cols_need_exactly_two_names(self, tmp_path, capsys, cols):
+        # one name once failed as "not enough values to unpack (expected 2, got 1)"
+        a = tmp_path / "a.tsv"
+        a.write_text("label\trank\nAA\t1\nBB\t2\nCC\t3\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["correlate", str(a), str(a), "--a-cols", cols])
+        assert exc.value.code == 2
+        assert "argument --a-cols:" in capsys.readouterr().err
+
     def test_select_unknown_work_id_is_an_input_error(self, tmp_path, capsys):
         works = tmp_path / "works.jsonl"
         write_jsonl(synthetic_records(30, seed=3, year_start=1990, year_end=2000), works)
