@@ -44,20 +44,14 @@ class GerdMean:
     coverage: float
 
 
-def _average_ranks(values: Sequence[float]) -> list[float]:
-    """Ascending ranks, ties receiving the average of their positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """Ascending ranks, ties receiving the average of their positions.
+
+    A group of c equal values ending at position e (1-based) shares rank
+    e - (c - 1) / 2, a half-integer, so the ranks are exact.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(
@@ -74,8 +68,8 @@ def spearman(
         raise InsufficientDataError(
             f"need >= 3 common entities, got {len(common)}"
         )
-    ra = np.array(_average_ranks([float(rank_a[k]) for k in common]))
-    rb = np.array(_average_ranks([float(rank_b[k]) for k in common]))
+    ra = _average_ranks([float(rank_a[k]) for k in common])
+    rb = _average_ranks([float(rank_b[k]) for k in common])
     da = ra - ra.mean()
     db = rb - rb.mean()
     denom = math.sqrt(float(da @ da) * float(db @ db))

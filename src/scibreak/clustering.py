@@ -297,12 +297,9 @@ def leiden_clusters(
         key=lambda m: (-len(m), min(m)),
     )
     singletons = tuple(sorted(m[0] for m in groups.values() if len(m) == 1))
+    cluster_members = {cid: tuple(sorted(m)) for cid, m in enumerate(clusters, start=1)}
     assignments: dict[int, int | None] = {label: None for label in canonical}
-    cluster_members: dict[int, tuple[int, ...]] = {}
-    for cid, members in enumerate(clusters, start=1):
-        cluster_members[cid] = tuple(sorted(members))
-        for label in members:
-            assignments[label] = cid
+    assignments.update((label, cid) for cid, m in cluster_members.items() for label in m)
     return ClusteringResult(
         assignments=assignments,
         cluster_members=cluster_members,
@@ -343,13 +340,8 @@ def _leiden(W: np.ndarray, resolution: float, seed: int) -> list[int]:
 
 def _compact(labels: list[int]) -> tuple[list[int], int]:
     """Renumber labels by first appearance."""
-    mapping: dict[int, int] = {}
-    out = []
-    for label in labels:
-        if label not in mapping:
-            mapping[label] = len(mapping)
-        out.append(mapping[label])
-    return out, len(mapping)
+    mapping = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    return [mapping[label] for label in labels], len(mapping)
 
 
 def _local_move(
@@ -362,11 +354,9 @@ def _local_move(
 ) -> None:
     """Greedy node moves until no queued node improves modularity."""
     n = len(membership)
-    comm_tot = np.zeros(n)
-    comm_size = np.zeros(n, dtype=np.int64)
-    for v, c in enumerate(membership):
-        comm_tot[c] += strengths[v]
-        comm_size[c] += 1
+    # bincount adds in node order, as a loop over the nodes would
+    comm_tot = np.bincount(membership, weights=strengths, minlength=n)
+    comm_size = np.bincount(membership, minlength=n)
 
     order = list(range(n))
     rng.shuffle(order)
@@ -480,14 +470,11 @@ def _aggregate(
 ) -> tuple[np.ndarray, list[int], list[int]]:
     """Collapse refined communities into nodes; keep the parent partition."""
     compact, n_agg = _compact(refined)
-    n = len(compact)
-    indicator = np.zeros((n, n_agg))
-    indicator[np.arange(n), compact] = 1.0
+    indicator = np.eye(n_agg)[compact]  # node x refined community
     W_agg = indicator.T @ W @ indicator
-    parent = [0] * n_agg
-    for v in range(n):
-        parent[compact[v]] = membership[v]
-    parent, _ = _compact(parent)
+    parent = np.empty(n_agg, dtype=np.int64)
+    parent[compact] = membership  # a refined community lies in one community
+    parent, _ = _compact(parent.tolist())
     return W_agg, parent, compact
 
 
@@ -498,15 +485,11 @@ def modularity(
     two_m = float(W.sum())
     if two_m <= 0:
         return 0.0
-    strengths = W.sum(axis=1)
-    labels = np.asarray(membership)
-    q = 0.0
-    for c in np.unique(labels):
-        mask = labels == c
-        internal = float(W[np.ix_(mask, mask)].sum())
-        tot = float(strengths[mask].sum())
-        q += internal / two_m - resolution * (tot / two_m) ** 2
-    return q
+    _, labels = np.unique(membership, return_inverse=True)
+    indicator = np.eye(labels.max() + 1)[labels]  # node x community
+    internal = np.diag(indicator.T @ W @ indicator)
+    tot = W.sum(axis=1) @ indicator
+    return float(np.sum(internal / two_m - resolution * (tot / two_m) ** 2))
 
 
 def cluster_mean_trajectory(

@@ -24,6 +24,7 @@ reduces exactly to the formula above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class RcaMatrix:
     """Revealed comparative advantage per country/subfield cell.
 
     Rows or columns of the source counts that sum to zero yield all-zero RCA
-    entries and are listed in the degenerate label tuples.
+    entries; such rows are listed in ``zero_rows``.
     """
 
     window: tuple[int, int]
@@ -49,7 +50,6 @@ class RcaMatrix:
     countries: tuple[str, ...]
     subfields: tuple[int, ...]
     zero_rows: tuple[str, ...] = ()
-    zero_cols: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def rca(counts: PanelMatrix) -> RcaMatrix:
 
     Computed as X * total / (rowsum x colsum), which is exact for integer
     counts.  An all-zero matrix is an error; all-zero rows or columns get
-    zero RCA and are flagged.
+    zero RCA, and all-zero rows are flagged.
     """
     X = np.asarray(counts.counts, dtype=float)
     if X.size == 0 or not (X > 0).any():
@@ -115,9 +115,6 @@ def rca(counts: PanelMatrix) -> RcaMatrix:
     zero_rows = tuple(
         counts.countries[i] for i in np.nonzero(row_sums == 0)[0]
     )
-    zero_cols = tuple(
-        counts.subfields[j] for j in np.nonzero(col_sums == 0)[0]
-    )
     return RcaMatrix(
         window=counts.window,
         kind=counts.kind,
@@ -125,7 +122,6 @@ def rca(counts: PanelMatrix) -> RcaMatrix:
         countries=counts.countries,
         subfields=counts.subfields,
         zero_rows=zero_rows,
-        zero_cols=zero_cols,
     )
 
 
@@ -139,24 +135,14 @@ def binarize(rca_matrix: RcaMatrix, r_star: float = 1.0) -> BinaryAdjacency:
     M = (rca_matrix.values >= r_star).astype(np.int8)
     keep_rows = M.sum(axis=1) > 0
     keep_cols = M.sum(axis=0) > 0
-    pruned_rows = tuple(
-        c for c, keep in zip(rca_matrix.countries, keep_rows) if not keep
-    )
-    pruned_cols = tuple(
-        s for s, keep in zip(rca_matrix.subfields, keep_cols) if not keep
-    )
     return BinaryAdjacency(
         window=rca_matrix.window,
         kind=rca_matrix.kind,
         matrix=M[np.ix_(keep_rows, keep_cols)],
-        countries=tuple(
-            c for c, keep in zip(rca_matrix.countries, keep_rows) if keep
-        ),
-        subfields=tuple(
-            s for s, keep in zip(rca_matrix.subfields, keep_cols) if keep
-        ),
-        pruned_countries=pruned_rows,
-        pruned_subfields=pruned_cols,
+        countries=tuple(compress(rca_matrix.countries, keep_rows)),
+        subfields=tuple(compress(rca_matrix.subfields, keep_cols)),
+        pruned_countries=tuple(compress(rca_matrix.countries, ~keep_rows)),
+        pruned_subfields=tuple(compress(rca_matrix.subfields, ~keep_cols)),
     )
 
 
@@ -228,9 +214,7 @@ def _composite_scores(pairs: list[EigenPair], count: int) -> np.ndarray:
     squared = np.zeros(n)
     for start, end in _tie_classes(values):
         dim = end - start
-        projector_diag = np.zeros(n)
-        for pair in pairs[start:end]:
-            projector_diag += pair.vector**2
+        projector_diag = sum(pair.vector**2 for pair in pairs[start:end])
         effective = ((min(count, end) - start) / dim) * projector_diag
         lam = sum(values[start:end]) / dim
         weighted += lam * effective

@@ -647,11 +647,8 @@ def _country_csr(
     only its first place."""
     keys = np.asarray(keys, dtype=np.int64)
     owner = _owners(counts)
-    pair = owner * len(codes) + keys
-    order = np.argsort(pair, kind="stable")
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = pair[order[1:]] != pair[order[:-1]]
-    kept = np.sort(order[first])
+    # np.unique's indexes are those of each distinct pair's first occurrence
+    kept = np.sort(np.unique(owner * len(codes) + keys, return_index=True)[1])
     table = sorted(codes)
     rank = np.empty(len(codes), dtype=np.int64)
     rank[[codes[code] for code in table]] = np.arange(len(table))

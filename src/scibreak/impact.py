@@ -274,9 +274,7 @@ def _nbnc_table(
         terms[rows] = _nbnc_terms(
             corpus, works[rows], year, horizon, semantics, convention
         )
-    value = np.zeros(len(works))
-    for column in terms.T:
-        value += column  # left to right, as sum() adds the terms
+    value = sum(terms.T)  # left to right, as the oracle's sum() adds the terms
     truncated = corpus.pub_years[works] + horizon > (corpus.year_max or 0)
     return NbncTable(works, horizon, terms, value, truncated)
 

@@ -220,9 +220,4 @@ def decade_windows(
         raise ValueError(f"window width must be >= 1, got {width}")
     if start > end:
         raise ValueError(f"start {start} after end {end}")
-    windows = []
-    lo = start
-    while lo <= end:
-        windows.append((lo, min(lo + width - 1, end)))
-        lo += width
-    return windows
+    return [(lo, min(lo + width - 1, end)) for lo in range(start, end + 1, width)]

@@ -213,19 +213,14 @@ def read_scored_tables(
     if not paths:
         raise FileNotFoundError(f"no {pattern} files in {directory}")
     works: list[int] = []
-    scores = [np.zeros((0, 2))]
+    scores = []
     first_read: dict[str, tuple[Path, int]] = {}
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            head, *lines = fh.read().removesuffix("\n").split("\n")
-        header = head.split("\t")
+        header, lines = _read_table(path)
         try:
             wid_col, *score_cols = (header.index(name) for name in ("work_id", "nbnc", "cd"))
         except ValueError:
             raise ValueError(f"{path}: header lacks work_id, nbnc or cd") from None
-        _check_fields(path, lines, len(header))
-        if not lines:  # loadtxt would warn on no rows
-            continue
         scores.append(_parse_cells(path, lines, score_cols, np.float64))
         for number, line in enumerate(lines, start=2):
             wid = line.split("\t")[wid_col]
@@ -271,17 +266,9 @@ def read_series_table(path: Path) -> SeriesTable:
     float64; a bad header, a row without 9 fields or a bad cell is a
     ``ValueError`` naming the file and line.
     """
-    with open(path, encoding="utf-8") as fh:
-        head, *lines = fh.read().removesuffix("\n").split("\n")
-    expected = "\t".join(_SERIES_COLUMNS)
-    if head != expected and (head or lines):  # an empty file has no header
-        raise ValueError(f"{path}, line 1: header {head!r}, expected {expected!r}")
-    _check_fields(path, lines, len(_SERIES_COLUMNS))
-    if lines:
-        keys = _parse_cells(path, lines, range(6), np.int64)
-        shares = _parse_cells(path, lines, range(6, 8), np.float64)
-    else:  # loadtxt would warn on no rows
-        keys, shares = np.zeros((0, 6), dtype=np.int64), np.zeros((0, 2))
+    _, lines = _read_table(path, _SERIES_COLUMNS)
+    keys = _parse_cells(path, lines, range(6), np.int64)
+    shares = _parse_cells(path, lines, range(6, 8), np.float64)
     subfields, years = (
         np.array(sorted(set(keys[:, i].tolist())), dtype=np.int64) for i in (0, 1)
     )
@@ -342,19 +329,34 @@ def _refused(cell: str, dtype: type) -> bool:
     return False
 
 
-def _check_fields(path: Path, lines: list[str], expected: int) -> None:
-    """Refuse a line, numbered from 2, that has not ``expected`` fields."""
+def _read_table(path: Path, names: Sequence[str] = ()) -> tuple[list[str], list[str]]:
+    """The header fields and the data lines of a tab-separated table.
+
+    With ``names``, the header must list them, in order, unless the file is
+    empty; it is checked before any line.  A line, numbered from 2, that has
+    not as many fields as the header is a ``ValueError``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        head, *lines = fh.read().removesuffix("\n").split("\n")
+    expected = "\t".join(names)
+    if names and head != expected and (head or lines):
+        raise ValueError(f"{path}, line 1: header {head!r}, expected {expected!r}")
+    header = head.split("\t")
     for number, line in enumerate(lines, start=2):
         fields = line.count("\t") + 1
-        if fields != expected:
-            raise ValueError(f"{path}, line {number}: {fields} fields, expected {expected}")
+        if fields != len(header):
+            raise ValueError(f"{path}, line {number}: {fields} fields, expected {len(header)}")
+    return header, lines
 
 
 def _parse_cells(
     path: Path, lines: list[str], columns: Sequence[int], dtype: type
 ) -> np.ndarray:
     """:func:`_load_cells` of lines whose field counts are checked; a cell
-    it refuses is a ``ValueError`` naming the file, line and field."""
+    it refuses is a ``ValueError`` naming the file, line and field.  No line
+    or no column gives an empty array, where loadtxt would warn."""
+    if not lines or not columns:
+        return np.zeros((len(lines), len(columns)), dtype=dtype)
     try:
         return _load_cells(lines, columns, dtype)
     except _REFUSED:
@@ -384,18 +386,12 @@ def read_panel(matrix_path: Path) -> PanelMatrix:
         window, kind = (int(lo), int(hi)), BreakthroughClass(kind_token)
     except ValueError:
         raise ValueError(f"{matrix_path}: name is not <CN|DI>_<first>-<last>.tsv") from None
-    with open(matrix_path, encoding="utf-8") as fh:
-        header, *lines = fh.read().removesuffix("\n").split("\n")
+    header, lines = _read_table(matrix_path)
     try:
-        subfields = tuple(int(s) for s in header.split("\t")[1:])
+        subfields = tuple(int(s) for s in header[1:])
     except ValueError as exc:
         raise ValueError(f"{matrix_path}, line 1: {exc}") from None
-    n_cols = len(subfields)
-    _check_fields(matrix_path, lines, n_cols + 1)
-    if lines and n_cols:
-        counts = _parse_cells(matrix_path, lines, range(1, n_cols + 1), np.int64)
-    else:  # no cells; loadtxt would warn on no rows and drop blank ones
-        counts = np.zeros((len(lines), n_cols), dtype=np.int64)
+    counts = _parse_cells(matrix_path, lines, range(1, len(subfields) + 1), np.int64)
     return PanelMatrix(
         window=window,
         kind=kind,
