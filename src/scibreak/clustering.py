@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import check_positive_finite
+from .corpus import sorted_unique
 from .panel import SeriesTable
 
 _EPS = 1e-12
@@ -167,7 +168,7 @@ def _pair_distances(
     _, exponents = np.frexp(np.maximum(peaks[first], peaks[second]))
     out = np.empty(len(first))
     groups = lengths[first] * (lengths.max(initial=0) + 1) + lengths[second]
-    for key in np.unique(groups):
+    for key in sorted_unique(groups):
         pairs = np.flatnonzero(groups == key)
         for start in range(0, len(pairs), _BATCH):
             batch = pairs[start : start + _BATCH]

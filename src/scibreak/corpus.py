@@ -188,12 +188,47 @@ def _parse_subfield(raw: Any) -> int | None:
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct values of ``keys`` ascending, as ``np.unique`` gives them,
-    from one sort and a neighbour mask (``np.unique`` is far slower on large
-    integer arrays)."""
-    keys = np.sort(keys)
+    from one sort and a neighbour mask.
+
+    ``np.unique`` is far slower on large integer arrays, and a plain call
+    (no ``return_*``) reads ``np.ma``, which imports ``numpy.ma`` on first
+    use (numpy 2.4.6): 12-20 ms of every fresh process.
+    """
+    keys = np.sort(keys, axis=None)
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
+
+
+def sorted_member(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` occurs in the ascending ``keys``, as
+    ``np.isin`` tells it, by one binary search per value.
+
+    ``keys`` is not sorted or checked here.  ``np.isin`` hashes or sorts
+    its test values again on every call, and its sort path reaches a plain
+    ``np.unique`` and so imports ``numpy.ma`` (see :func:`sorted_unique`).
+    """
+    values, keys = np.asarray(values), np.asarray(keys)
+    if not len(keys):
+        return np.zeros(values.shape, dtype=bool)
+    at = np.searchsorted(keys, values)
+    return keys[np.minimum(at, len(keys) - 1)] == values
+
+
+def _reference_fault(indptr: np.ndarray, indices: np.ndarray, n: int) -> str | None:
+    """What breaks the reference CSR of ``n`` works, or None.
+
+    The offsets must run from 0 to the edge count without decreasing, every
+    index must be a work, and every row strictly ascending.
+    """
+    if indptr[0] != 0 or indptr[-1] != len(indices) or (indptr[1:] < indptr[:-1]).any():
+        return "reference offsets not rising from 0 to the edge count"
+    if len(indices) and indices.max() >= n:
+        return "reference index beyond the works"
+    rising = indices[1:] > indices[:-1]
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True  # across rows
+    return None if rising.all() else "reference row not strictly ascending"
 
 
 def _gather_rows(
@@ -441,6 +476,8 @@ class CitationCorpus:
 
         def take(dtype: str, count: int) -> np.ndarray:
             nonlocal pos
+            if pos + count * np.dtype(dtype).itemsize > len(body):
+                raise SnapshotError(f"truncated snapshot: {path}")
             values = np.frombuffer(body, dtype=dtype, count=count, offset=pos)
             pos += values.nbytes
             return values
@@ -458,10 +495,16 @@ class CitationCorpus:
         table = take("u1", 2 * int(n_codes)).tobytes().decode("ascii")
         country_indptr = np.concatenate(([0], np.cumsum(take("<u2", n))))
         country_codes = take("<u2", int(country_indptr[-1]))
+        if len(country_codes) and country_codes.max() >= n_codes:
+            raise SnapshotError(f"country code beyond the country table in snapshot: {path}")
         out_indptr = take("<u8", n + 1).astype(np.int64)
-        out_indices = take("<u4", int(out_indptr[-1]))
+        out_indices = take("<u4", (len(body) - pos) // 4)
         if pos != len(body):
             raise SnapshotError(f"trailing bytes in snapshot: {path}")
+        # the checksum covers the bytes; the kernels rely on what they mean
+        fault = _reference_fault(out_indptr, out_indices, n)
+        if fault:
+            raise SnapshotError(f"{fault} in snapshot: {path}")
         return cls(
             ids,
             pub_year,

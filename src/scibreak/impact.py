@@ -31,7 +31,11 @@ Citing works dated before the focal year are corpus noise and never count.
   a..b.  The two subtractions remove f's own citations of its references
   and those made by f's citers, leaving the works that cite f's references
   but not f.  CD = (C_x - C_y) / (C_x + C_y + C_refs) lies in [-1, 1]; a
-  zero denominator yields 0 with a flag.
+  zero denominator yields 0 with a flag.  The kernel finds k(c, f) by a
+  binary search of each (f, reference of c) key into the focal works'
+  (f, reference of f) keys.  Those are ascending without a sort because
+  each reference row of the corpus is strictly ascending, the CSR order
+  that ingest builds and ``load_snapshot`` checks.
 
 Both kernels take an array of focal works and process it in blocks of one
 publication year, so the expanded edges of only one year are held at a
@@ -47,7 +51,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import CitationCorpus, sorted_unique
+from .corpus import CitationCorpus, sorted_member, sorted_unique
 
 # the allowed values of the two NBNC options
 COCITED_SEMANTICS = ("multiset", "set")
@@ -332,12 +336,11 @@ def _cd_parts(
     owner, citer, _ = _window_edges(corpus, works, year, horizon)
     ref_owner, ref = corpus.reference_pairs(works)
     edge, member = corpus.reference_pairs(citer)
-    # the (citer, reference) pairs where the focal work cites that reference too
+    # the (citer, reference) pairs where the focal work cites that reference
+    # too; rows in order, each strictly ascending, make the keys ascending
     shared = edge[
-        np.isin(
-            owner[edge] * corpus.n_works + member,
-            ref_owner * corpus.n_works + ref,
-            kind="sort",
+        sorted_member(
+            owner[edge] * corpus.n_works + member, ref_owner * corpus.n_works + ref
         )
     ]
     coupled = np.zeros(len(citer), dtype=bool)

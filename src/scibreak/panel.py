@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CitationCorpus
+from .corpus import CitationCorpus, sorted_unique
 from .impact import BreakthroughClass
 
 
@@ -194,7 +194,7 @@ def country_subfield_counts(
         counts=cells.reshape(shape),
         countries=tuple(corpus.country_table[c] for c in countries.tolist()),
         subfields=tuple(subfields.tolist()),
-        unattributed=len(labeled) - len(np.unique(owners)),
+        unattributed=len(labeled) - len(sorted_unique(owners)),
         unlabeled=len(works) - len(labeled),
     )
 

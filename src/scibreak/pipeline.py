@@ -37,7 +37,7 @@ from .clustering import (
 )
 from .complexity import BinaryAdjacency, GenepyResult, RcaMatrix, binarize, genepy_scores, rca
 from .config import PipelineConfig
-from .corpus import CitationCorpus, FieldMap, ingest_files
+from .corpus import CitationCorpus, FieldMap, ingest_files, sorted_member, sorted_unique
 from .impact import BreakthroughClass, CdTable, NbncTable, cd_all, nbnc_all
 from .panel import (
     PanelMatrix,
@@ -530,10 +530,11 @@ def select_stage(
     """Top-fraction breakthroughs per year; the detail counts ``years`` unscored."""
     chosen = select_breakthroughs(corpus, scored, top_fraction)
     write_breakthrough_tables(out_dir, corpus, chosen)
-    missing = np.setdiff1d(list(years), corpus.pub_years[scored.works])
+    years = sorted_unique(list(years))
+    missing = np.count_nonzero(~sorted_member(years, np.sort(corpus.pub_years[scored.works])))
     detail = f"{len(chosen)} breakthroughs"
-    if len(missing):
-        detail += f"; years without scored works: {len(missing)}"
+    if missing:
+        detail += f"; years without scored works: {missing}"
     return chosen, detail, False
 
 
@@ -555,7 +556,8 @@ def panel_stage(
     series = scaled_counts(subfield_series(corpus, chosen, range(start, end + 1)))
     write_series_table(out_dir, series)
     if allowlist is not None:
-        chosen = chosen.take(np.isin(corpus.subfields[chosen.works], list(allowlist)))
+        allowed = np.sort(list(allowlist))
+        chosen = chosen.take(sorted_member(corpus.subfields[chosen.works], allowed))
     panels: list[PanelMatrix] = []
     for window in windows:
         for kind in (BreakthroughClass.CONSOLIDATING, BreakthroughClass.DISRUPTIVE):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scibreak.corpus import (
     CitationCorpus,
@@ -19,6 +20,8 @@ from scibreak.corpus import (
     _getter,
     ingest_files,
     ingest_works,
+    sorted_member,
+    sorted_unique,
 )
 from scibreak.impact import nbnc_all
 
@@ -345,6 +348,51 @@ class TestCocitedBag:
         assert self.terms(records, 1) == [0.0, 1 * 2 / 1]
 
 
+# small values repeat; the int32 extremes and wide int64 keys lie far
+# outside the other side's range
+SET_VALUES = st.one_of(st.integers(-20, 20), st.sampled_from([-(2**31), 2**31 - 1]))
+SET_KEYS = st.one_of(st.integers(-20, 20), st.sampled_from([-(2**40), 2**40]))
+
+
+class TestSortedSetHelpers:
+    """The two set helpers against the numpy routines they replace."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keys=st.one_of(
+            arrays(np.int32, st.integers(0, 30), elements=SET_VALUES),
+            arrays(np.int64, st.integers(0, 30), elements=SET_KEYS),
+        )
+    )
+    def test_sorted_unique_is_np_unique(self, keys):
+        got, want = sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=arrays(np.int32, st.integers(0, 30), elements=SET_VALUES),
+        keys=st.one_of(
+            arrays(np.int32, st.integers(0, 30), elements=SET_VALUES),
+            arrays(np.int64, st.integers(0, 30), elements=SET_KEYS),
+        ),
+        as_int64=st.booleans(),
+    )
+    def test_sorted_member_is_np_isin(self, values, keys, as_int64):
+        values = values.astype(np.int64) if as_int64 else values
+        keys = np.sort(keys)  # repeated keys stay
+        got, want = sorted_member(values, keys), np.isin(values, keys)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+    def test_empty_and_list_inputs(self):
+        assert sorted_member([], [1, 2]).tolist() == []
+        assert sorted_member([3, 1], []).tolist() == [False, False]
+        grid = np.array([[5, 2], [0, 9]])
+        assert sorted_member(grid, [2, 9]).tolist() == [[False, True], [False, True]]
+        assert sorted_unique(np.array([[3, 1], [1, 2]])).tolist() == [1, 2, 3]
+        assert sorted_unique(np.empty(0, dtype=np.int32)).dtype == np.int32
+
+
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -445,6 +493,78 @@ class TestSnapshot:
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(SnapshotError):
             CitationCorpus.load_snapshot(path)
+
+    # A0, B1 (no references), C2 -> [0, 1], D3 -> [0, 1, 2]; country table (DE, US)
+    STRUCTURE = make_records(
+        [("A", 2000, []), ("B", 2000, []), ("C", 2001, ["A", "B"]), ("D", 2002, ["A", "B", "C"])],
+        countries={"A": ["US"], "B": ["DE"], "C": ["US", "DE"], "D": ["DE"]},
+    )
+
+    @staticmethod
+    def save_with(path, corpus, **changes):
+        """Save ``corpus`` with some constructor arrays replaced.  The file
+        is well formed and checksummed: save_snapshot checks nothing."""
+        columns = {
+            "ids": corpus.ids,
+            "pub_year": corpus.pub_years,
+            "subfield": corpus.subfields,
+            "country_table": corpus.country_table,
+            "country_indptr": corpus._country_indptr,
+            "country_codes": corpus._country_codes,
+            "out_indptr": corpus._out_indptr,
+            "out_indices": corpus._out_indices,
+        }
+        CitationCorpus(**{**columns, **changes}).save_snapshot(path)
+
+    def test_crafted_arrays_reload_unchanged(self, tmp_path):
+        corpus = build(self.STRUCTURE)
+        assert corpus._out_indptr.tolist() == [0, 0, 0, 2, 5]
+        assert corpus._out_indices.tolist() == [0, 1, 0, 1, 2]
+        assert corpus._country_codes.tolist() == [1, 0, 1, 0, 0]
+        # D's row starts below where C's ended: rows are ascending, not the whole array
+        self.save_with(tmp_path / "c.snap", corpus)
+        assert _columns(CitationCorpus.load_snapshot(tmp_path / "c.snap")) == _columns(corpus)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"out_indptr": [1, 1, 1, 3, 5]}, "offsets"),
+            ({"out_indptr": [0, 0, 3, 2, 5]}, "offsets"),
+            ({"out_indptr": [0, 0, 0, 2, 6]}, "offsets"),
+            ({"out_indices": [0, 1, 0, 1, 4]}, "index"),
+            ({"out_indices": [0, 1, 0, 2, 1]}, "ascending"),
+            ({"out_indices": [1, 0, 0, 1, 2]}, "ascending"),
+            ({"out_indices": [0, 1, 0, 0, 2]}, "ascending"),
+            ({"country_codes": [1, 0, 2, 0, 0]}, "country"),
+        ],
+    )
+    def test_bad_structure_names_the_file(self, tmp_path, changes, message):
+        # the checksum covers the bytes, not what they mean
+        path = tmp_path / "crafted.snap"
+        self.save_with(path, build(self.STRUCTURE), **changes)
+        with pytest.raises(SnapshotError, match=message) as caught:
+            CitationCorpus.load_snapshot(path)
+        assert str(path) in str(caught.value)
+
+    def test_work_count_past_the_file_is_truncation(self, tmp_path):
+        corpus = build(self.STRUCTURE)
+        path = tmp_path / "c.snap"
+        corpus.save_snapshot(path)
+        body = bytearray(path.read_bytes()[:-32])
+        body[12:20] = (10**6).to_bytes(8, "little")
+        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        with pytest.raises(SnapshotError, match="truncated") as caught:
+            CitationCorpus.load_snapshot(path)
+        assert str(path) in str(caught.value)
+
+    def test_metrics_refuse_a_reference_past_the_works(self, tmp_path, capsys):
+        from scibreak.cli import main
+
+        path = tmp_path / "crafted.snap"
+        self.save_with(path, build(self.STRUCTURE), out_indices=[0, 1, 0, 1, 6])
+        argv = ["metrics", "--snapshot", str(path), "--out-dir", str(tmp_path / "m")]
+        assert main([*argv, "--start", "2000", "--end", "2002"]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 CUSTOM_MAP = FieldMap(

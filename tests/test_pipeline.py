@@ -3,7 +3,10 @@
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -1432,3 +1435,39 @@ def test_version_matches_pyproject():
     project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
     version = re.search(r'^version\s*=\s*"([^"]+)"\s*$', project, re.M).group(1)
     assert scibreak.__version__ == version
+
+
+# numpy 2.4 imports numpy.ma on the first read of ``np.ma``, which a plain
+# np.unique makes: 12-20 ms that a fresh scibreak process should not pay
+NO_MASKED_ARRAYS = """
+import sys
+from pathlib import Path
+
+import numpy
+
+if "numpy.ma" in sys.modules:
+    print("preloaded")  # an older numpy imports numpy.ma with numpy
+    raise SystemExit
+from test_golden import _run_all
+
+_run_all(Path(sys.argv[1]))
+print("imported" if "numpy.ma" in sys.modules else "absent")
+"""
+
+
+def test_runs_never_import_numpy_ma(tmp_path):
+    # the golden runs: the cluster and rank commands and a pipeline run
+    # through all seven stages, in one fresh process
+    tests = Path(__file__).resolve().parent
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    if done.stdout.split()[-1] == "preloaded":
+        pytest.skip("this numpy imports numpy.ma at import")
+    assert done.stdout.split()[-1] == "absent"
