@@ -218,12 +218,13 @@ def sorted_member(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
 def _reference_fault(indptr: np.ndarray, indices: np.ndarray, n: int) -> str | None:
     """What breaks the reference CSR of ``n`` works, or None.
 
-    The offsets must run from 0 to the edge count without decreasing, every
-    index must be a work, and every row strictly ascending.
+    The ``n + 1`` offsets must run from 0 to the edge count without
+    decreasing, every index must be a work, and every row strictly ascending.
     """
-    if indptr[0] != 0 or indptr[-1] != len(indices) or (indptr[1:] < indptr[:-1]).any():
+    bounded = len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(indices)
+    if not bounded or (indptr[1:] < indptr[:-1]).any():
         return "reference offsets not rising from 0 to the edge count"
-    if len(indices) and indices.max() >= n:
+    if len(indices) and (indices.min() < 0 or indices.max() >= n):
         return "reference index beyond the works"
     rising = indices[1:] > indices[:-1]
     starts = indptr[1:-1]
@@ -247,14 +248,16 @@ def _gather_rows(
 class CitationCorpus:
     """Immutable citation graph with per-work year, subfield, country labels.
 
-    Adjacency rows are sorted by work index; ``citers_idx`` is the exact
-    transpose of ``references_idx``.  Countries are a CSR too: row ``i``
-    holds indexes into the ascending ``country_table``, in the order the
-    codes were first seen in work ``i``'s record.  Construction is
-    single-writer.  The citing transpose, the id lookup behind
-    :meth:`work_index` and the sorted citation-year key behind
-    :meth:`citations_in_years` are built on first use, so that a corpus that
-    is only ingested and saved, or never scored, does not pay for them.
+    Adjacency rows are strictly ascending by work index, as the CD kernel
+    needs; ``citers_idx`` is the exact transpose of ``references_idx``.
+    Countries are a CSR too: row ``i`` holds indexes into the ascending
+    ``country_table``, in the order the codes were first seen in work ``i``'s
+    record.  The constructor refuses a reference CSR or a country code that
+    breaks this with a ``ValueError``.  Construction is single-writer.  The
+    citing transpose, the id lookup behind :meth:`work_index` and the sorted
+    citation-year key behind :meth:`citations_in_years` are built on first
+    use, so that a corpus that is only ingested and saved, or never scored,
+    does not pay for them.
     """
 
     def __init__(
@@ -276,6 +279,10 @@ class CitationCorpus:
         self._country_codes = np.asarray(country_codes, dtype=np.uint16)
         self._out_indptr = np.asarray(out_indptr, dtype=np.int64)
         self._out_indices = np.asarray(out_indices, dtype=np.int32)
+        codes = self._country_codes
+        fault = _reference_fault(self._out_indptr, self._out_indices, len(self._ids))
+        if fault or (len(codes) and codes.max() >= len(self._country_table)):
+            raise ValueError(fault or "country code beyond the country table")
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -495,26 +502,16 @@ class CitationCorpus:
         table = take("u1", 2 * int(n_codes)).tobytes().decode("ascii")
         country_indptr = np.concatenate(([0], np.cumsum(take("<u2", n))))
         country_codes = take("<u2", int(country_indptr[-1]))
-        if len(country_codes) and country_codes.max() >= n_codes:
-            raise SnapshotError(f"country code beyond the country table in snapshot: {path}")
         out_indptr = take("<u8", n + 1).astype(np.int64)
         out_indices = take("<u4", (len(body) - pos) // 4)
         if pos != len(body):
             raise SnapshotError(f"trailing bytes in snapshot: {path}")
-        # the checksum covers the bytes; the kernels rely on what they mean
-        fault = _reference_fault(out_indptr, out_indices, n)
-        if fault:
-            raise SnapshotError(f"{fault} in snapshot: {path}")
-        return cls(
-            ids,
-            pub_year,
-            subfield,
-            [table[k : k + 2] for k in range(0, len(table), 2)],
-            country_indptr,
-            country_codes,
-            out_indptr,
-            out_indices,
-        )
+        table = [table[k : k + 2] for k in range(0, len(table), 2)]
+        csr = (country_indptr, country_codes, out_indptr, out_indices)
+        try:  # the checksum covers the bytes, not what they mean
+            return cls(ids, pub_year, subfield, table, *csr)
+        except ValueError as exc:
+            raise SnapshotError(f"{exc} in snapshot: {path}") from None
 
 
 def ingest_works(

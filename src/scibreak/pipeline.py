@@ -17,9 +17,8 @@ import shutil
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,14 +68,6 @@ class StageOutcome:
     detail: str = ""
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _write_lines(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
     """Write a tab-separated table whose cells are already strings."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -86,30 +77,34 @@ def _write_lines(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]
             fh.write("\t".join(row) + "\n")
 
 
-def _write_tsv(path: Path, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
-    _write_lines(path, header, (map(_fmt, row) for row in rows))
+_FORMATS = {"f": repr, "i": str, "u": str, "b": ("false", "true").__getitem__}
 
 
-def _cell_text(matrix: np.ndarray) -> Iterator[list[str]]:
-    """Rows of cell text: ``repr`` of each float (as float64), ``str`` of each integer.
-
-    Each distinct value is formatted once.  Floats are told apart by their
-    bit pattern, so -0.0 and 0.0 keep their own text.
+def _cell_text(values) -> list:
+    """Cell text of a column (1-D) or of a matrix's rows (2-D): ``repr`` of
+    each float (as float64), ``str`` of each integer, ``true``/``false`` of
+    each bool, each distinct value formatted once.  Floats are told apart by
+    their bit pattern, so -0.0 and 0.0 keep their own text.  A list holds
+    text already and passes through as is; ids and labels come as one,
+    since a numpy string array drops trailing NULs.
     """
-    flat = matrix.ravel()
-    if flat.dtype.kind == "f":
-        bits, inverse = np.unique(
-            flat.astype(np.float64, copy=False).view(np.uint64), return_inverse=True
-        )
-        text = list(map(repr, bits.view(np.float64).tolist()))
-    elif flat.dtype.kind in "iu":
-        values, inverse = np.unique(flat, return_inverse=True)
-        text = list(map(str, values.tolist()))
-    else:
-        raise TypeError(f"no cell text for a {matrix.dtype} matrix")
-    distinct = np.array(text, dtype=object)
-    # the inverse's shape differs across numpy versions; flat's does not
-    return (distinct[row].tolist() for row in inverse.reshape(matrix.shape))
+    if isinstance(values, list):
+        return values
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind not in _FORMATS:
+        raise TypeError(f"no cell text for a {values.dtype} column")
+    keys = values.astype(np.float64, copy=False).view(np.uint64) if kind == "f" else values
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    distinct = distinct.view(np.float64) if kind == "f" else distinct
+    text = np.array(list(map(_FORMATS[kind], distinct.tolist())), dtype=object)
+    # the inverse's shape differs across numpy versions; values' does not
+    return text[inverse.reshape(values.shape)].tolist()
+
+
+def _write_table(path: Path, header: Iterable[str], columns: Iterable) -> None:
+    """Write a table from row-aligned columns, each cell by :func:`_cell_text`."""
+    _write_lines(path, header, zip(*map(_cell_text, columns)))
 
 
 def _write_matrix(
@@ -127,26 +122,24 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _flags(*pairs: tuple[str, bool]) -> str:
-    tokens = [name for name, on in pairs if on]
-    return ",".join(tokens) if tokens else "-"
-
-
 # -- stage writers -----------------------------------------------------------
 
 
 def _write_yearly(
-    directory: Path, stem: str, header: Iterable[str], years: list, within, columns: list
+    directory: Path, stem: str, header: Iterable[str], years: np.ndarray, columns: list
 ) -> None:
-    """One table per year, ``directory/{stem}_{year}.tsv``, from ``columns``.
+    """One table per year, ``directory/{stem}_{year}.tsv``, from row-aligned
+    ``columns`` whose rows are already in year order."""
+    text = [_cell_text(column) for column in columns]
+    starts = np.unique(years, return_index=True)[1].tolist()
+    for start, end in zip(starts, starts[1:] + [len(years)]):
+        path = directory / f"{stem}_{years[start]}.tsv"
+        _write_table(path, header, [cells[start:end] for cells in text])
 
-    Column entries are row-aligned with ``years``; within a year, rows are
-    ordered by the keys ``within``.
-    """
-    order = sorted(range(len(years)), key=lambda r: (years[r], within[r]))
-    for year, rows in groupby(order, key=years.__getitem__):
-        rows = ([column[r] for column in columns] for r in rows)
-        _write_tsv(directory / f"{stem}_{year}.tsv", header, rows)
+
+_METRIC_FLAGS = np.array(  # indexed by truncated_horizon + 2 * cd_zero_denominator
+    ["-", "truncated_horizon", "cd_zero_denominator", "truncated_horizon,cd_zero_denominator"]
+)
 
 
 def write_metrics_tables(
@@ -161,36 +154,34 @@ def write_metrics_tables(
         raise ValueError("NBNC and CD scores cover different works")
     ids = corpus.ids
     wids = [ids[idx] for idx in scores.works.tolist()]
-    flags = [
-        _flags(("truncated_horizon", truncated), ("cd_zero_denominator", zero))
-        for truncated, zero in zip(scores.truncated.tolist(), cds.zero_denominator.tolist())
-    ]
-    columns = [wids, scores.value.tolist(), cds.value.tolist(), flags]
-    years = corpus.pub_years[scores.works].tolist()
+    years = corpus.pub_years[scores.works]
+    by_id = np.array(sorted(range(len(wids)), key=wids.__getitem__), dtype=np.intp)
+    order = by_id[np.argsort(years[by_id], kind="stable")]
+    flags = _METRIC_FLAGS[scores.truncated[order] + 2 * cds.zero_denominator[order]].tolist()
+    columns = [[wids[row] for row in order.tolist()], scores.value[order], cds.value[order], flags]
     header = ("work_id", "nbnc", "cd", "flags")
-    _write_yearly(run_dir / "metrics", "metrics", header, years, wids, columns)
+    _write_yearly(run_dir / "metrics", "metrics", header, years[order], columns)
 
 
 def write_breakthrough_tables(
     run_dir: Path, corpus: CitationCorpus, chosen: ScoredWorks
 ) -> None:
-    """One file per publication year of the breakthroughs, in their order."""
+    """One file per publication year of the breakthroughs, in their order,
+    which is year order."""
     works = chosen.works.tolist()
-    years = corpus.pub_years[chosen.works].tolist()
-    cds = chosen.cd.tolist()
+    years = corpus.pub_years[chosen.works]
+    subfields = corpus.subfields[chosen.works]
     columns = [
         [corpus.ids[idx] for idx in works],
         years,
-        ["-" if sub < 0 else sub for sub in corpus.subfields[chosen.works].tolist()],
+        np.where(subfields < 0, "-", _cell_text(subfields)).tolist(),
         [",".join(corpus.countries_of(idx)) or "-" for idx in works],
-        chosen.nbnc.tolist(),
-        cds,
-        [BreakthroughClass.of(cd).value for cd in cds],
+        chosen.nbnc,
+        chosen.cd,
+        [BreakthroughClass.of(cd).value for cd in chosen.cd.tolist()],
     ]
     header = ("work_id", "year", "subfield", "countries", "nbnc", "cd", "class")
-    _write_yearly(
-        run_dir / "breakthroughs", "breakthroughs", header, years, range(len(works)), columns
-    )
+    _write_yearly(run_dir / "breakthroughs", "breakthroughs", header, years, columns)
 
 
 def read_scored_tables(
@@ -247,12 +238,12 @@ def write_series_table(run_dir: Path, series: SeriesTable) -> None:
         raise ValueError("series lacks scaled counts")
     values = (series.n_total, series.n_bt, series.n_cn, series.n_di)
     columns = [
-        np.repeat(series.subfields, len(series.years)).tolist(),
-        np.tile(series.years, len(series.subfields)).tolist(),
-        *(array.ravel().tolist() for array in values + (series.scaled_cn, series.scaled_di)),
-        [_flags(("zero_total", zero)) for zero in (series.n_total == 0).ravel().tolist()],
+        np.repeat(series.subfields, len(series.years)),
+        np.tile(series.years, len(series.subfields)),
+        *(array.ravel() for array in values + (series.scaled_cn, series.scaled_di)),
+        np.where(series.n_total.ravel() == 0, "zero_total", "-").tolist(),
     ]
-    _write_tsv(run_dir / "series" / "subfield_series.tsv", _SERIES_COLUMNS, zip(*columns))
+    _write_table(run_dir / "series" / "subfield_series.tsv", _SERIES_COLUMNS, columns)
 
 
 def read_series_table(path: Path) -> SeriesTable:
@@ -321,12 +312,14 @@ def _load_cells(lines: list[str], columns: Sequence[int], dtype: type) -> np.nda
 _REFUSED = (ValueError, OverflowError, DeprecationWarning)
 
 
-def _refused(cell: str, dtype: type) -> bool:
+def _refusal(cell: str, dtype: type) -> str | None:
+    """Why ``cell`` is refused as ``dtype``, or None: it does not parse, or
+    it is a float that is not finite."""
     try:
-        _load_cells([f"-\t{cell}"], range(1, 2), dtype)
+        value = _load_cells([f"-\t{cell}"], range(1, 2), dtype)
     except _REFUSED:
-        return True
-    return False
+        return f"{cell!r} is not {'a decimal int64' if dtype is np.int64 else 'a float64'}"
+    return None if np.isfinite(value).all() else f"{cell!r} is not finite"
 
 
 def _read_table(path: Path, names: Sequence[str] = ()) -> tuple[list[str], list[str]]:
@@ -353,22 +346,25 @@ def _parse_cells(
     path: Path, lines: list[str], columns: Sequence[int], dtype: type
 ) -> np.ndarray:
     """:func:`_load_cells` of lines whose field counts are checked; a cell
-    it refuses is a ``ValueError`` naming the file, line and field.  No line
-    or no column gives an empty array, where loadtxt would warn."""
+    it refuses, or a float that is not finite, is a ``ValueError`` naming the
+    file, line and field.  No line or no column gives an empty array, where
+    loadtxt would warn."""
     if not lines or not columns:
         return np.zeros((len(lines), len(columns)), dtype=dtype)
     try:
-        return _load_cells(lines, columns, dtype)
+        cells = _load_cells(lines, columns, dtype)
+        if np.isfinite(cells).all():
+            return cells
     except _REFUSED:
-        # the field counts are right, so some cell is refused on its own
-        number, field, cell = next(
-            (number, field + 1, cell)
-            for number, line in enumerate(lines, start=2)
-            for field, cell in enumerate(line.split("\t"))
-            if field in columns and _refused(cell, dtype)
-        )
-        kind = "a decimal int64" if dtype is np.int64 else "a float64"
-        raise ValueError(f"{path}, line {number}, field {field}: {cell!r} is not {kind}") from None
+        pass
+    # the field counts are right, so some cell is refused on its own
+    number, field, refusal = next(
+        (number, field + 1, refusal)
+        for number, line in enumerate(lines, start=2)
+        for field, cell in enumerate(line.split("\t"))
+        if field in columns and (refusal := _refusal(cell, dtype))
+    )
+    raise ValueError(f"{path}, line {number}, field {field}: {refusal}")
 
 
 def read_panel(matrix_path: Path) -> PanelMatrix:
@@ -412,24 +408,19 @@ def write_cluster_outputs(
     base = run_dir / "cluster"
     for name, pairs in (("dtw_distance", distances), ("similarity", similarity)):
         _write_matrix(base / f"{name}.tsv", "subfield", pairs.labels, pairs.labels, pairs.matrix)
-    _write_tsv(
-        base / "assignments.tsv",
-        ("subfield", "cluster", "singleton"),
-        (
-            (label, "-" if cid is None else cid, cid is None)
-            for label, cid in sorted(result.assignments.items())
-        ),
-    )
+    labels, cids = zip(*sorted(result.assignments.items()))
+    singleton = np.array([cid is None for cid in cids])
+    cluster = np.where(singleton, "-", _cell_text(tuple(cid or 0 for cid in cids))).tolist()
+    header = ("subfield", "cluster", "singleton")
+    _write_table(base / "assignments.tsv", header, (labels, cluster, singleton))
     means = result.mean_trajectories
-    _write_tsv(
-        base / "mean_trajectories.tsv",
-        ("cluster", "year", "mean_scaled_cn", "mean_scaled_di"),
-        (
-            (cid, year, float(cn), float(di))
-            for cid in sorted(means)
-            for year, (cn, di) in zip(means[cid].years, means[cid].points)
-        ),
-    )
+    rows = [
+        (cid, year, cn, di)
+        for cid in sorted(means)
+        for year, (cn, di) in zip(means[cid].years, means[cid].points.tolist())
+    ]
+    header = ("cluster", "year", "mean_scaled_cn", "mean_scaled_di")
+    _write_table(base / "mean_trajectories.tsv", header, zip(*rows))
 
 
 def write_rank_outputs(
@@ -450,11 +441,10 @@ def write_rank_outputs(
         adjacency.matrix,
     )
     for result in (countries, subfields):
-        _write_tsv(
-            base / f"{stem}_{result.side}.tsv",
-            ("rank", "label", "score", "tie_rank", "pruned"),
-            ((e.rank, e.label, e.score, e.tie_rank, e.pruned) for e in result.ranking),
-        )
+        entries = ((e.rank, e.label, e.score, e.tie_rank, e.pruned) for e in result.ranking)
+        rank, label, *rest = zip(*entries)
+        header = ("rank", "label", "score", "tie_rank", "pruned")
+        _write_table(base / f"{stem}_{result.side}.tsv", header, (rank, list(label), *rest))
     _write_json(
         base / f"{stem}_diagnostics.json",
         {
@@ -721,10 +711,11 @@ def _analyses_stage(
                     (kind.value, f"{last[0]}-{last[1]}", period, common, rho)
                 )
         if rows:
-            _write_tsv(
+            kinds, windows, *numbers = zip(*rows)
+            _write_table(
                 run_dir / "analysis" / "spearman.tsv",
                 ("kind", "window", "period", "n_common", "spearman"),
-                rows,
+                (list(kinds), list(windows), *numbers),
             )
             wrote_any = True
         else:
@@ -758,10 +749,11 @@ def _analyses_stage(
                     cells = (fit.exponent, fit.prefactor, fit.residual)
                     rows.append((kind.value, target, len(pairs), *cells))
         if rows:
-            _write_tsv(
+            kinds, targets, *numbers = zip(*rows)
+            _write_table(
                 run_dir / "analysis" / "gerd_fit.tsv",
                 ("kind", "target", "n", "exponent", "prefactor", "residual"),
-                rows,
+                (list(kinds), list(targets), *numbers),
             )
             wrote_any = True
         else:

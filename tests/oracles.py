@@ -569,3 +569,20 @@ def per_cell_matrix_text(corner, col_labels, row_labels, matrix):
         cells = [repr(v) if isinstance(v, float) else str(v) for v in row]
         lines.append("\t".join([str(label), *cells]))
     return "".join(line + "\n" for line in lines)
+
+
+def per_cell_table_text(header, columns):
+    """A table of row-aligned columns as text, formatting one cell at a
+    time: ``repr`` of each float, ``true``/``false`` of each bool, ``str``
+    of each integer, and strings as given."""
+
+    def cell(value):
+        if isinstance(value, float):
+            return repr(value)
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return value if isinstance(value, str) else str(value)
+
+    values = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
+    lines = ["\t".join(header), *("\t".join(map(cell, row)) for row in zip(*values))]
+    return "".join(line + "\n" for line in lines)

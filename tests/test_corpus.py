@@ -23,7 +23,8 @@ from scibreak.corpus import (
     sorted_member,
     sorted_unique,
 )
-from scibreak.impact import nbnc_all
+from scibreak.impact import cd_all, nbnc_all
+from scibreak.synth import synthetic_records
 
 from conftest import build, make_records, random_citation_records
 from oracles import _walk, naive_ingest
@@ -202,6 +203,24 @@ class TestGraphInvariants:
         build(records).save_snapshot(p1)
         build(records).save_snapshot(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_constructor_refuses_an_unsorted_reference_row(self):
+        # CD finds shared references by binary search, so an unsorted row once
+        # scored W0000016's CD (horizon 10) -0.013422818791946308, silently,
+        # where its sorted row gives -0.014492753623188406
+        corpus, _ = ingest_works(synthetic_records(300, seed=3))
+        row = corpus.work_index("W0000016")
+        first, last = corpus._out_indptr[row], corpus._out_indptr[row + 1] - 1
+        swapped = corpus._out_indices.copy()
+        swapped[[first, last]] = swapped[[last, first]]
+        columns = (
+            corpus.ids, corpus.pub_years, corpus.subfields, corpus.country_table,
+            corpus._country_indptr, corpus._country_codes, corpus._out_indptr,
+        )
+        rebuilt = cd_all(CitationCorpus(*columns, corpus._out_indices), 10)
+        assert rebuilt.value[rebuilt.works == row].tolist() == [-0.014492753623188406]
+        with pytest.raises(ValueError, match="reference row not strictly ascending"):
+            CitationCorpus(*columns, swapped)
 
     def test_unknown_work(self):
         corpus = build(make_records([("A", 2000, [])]))
@@ -502,19 +521,12 @@ class TestSnapshot:
 
     @staticmethod
     def save_with(path, corpus, **changes):
-        """Save ``corpus`` with some constructor arrays replaced.  The file
-        is well formed and checksummed: save_snapshot checks nothing."""
-        columns = {
-            "ids": corpus.ids,
-            "pub_year": corpus.pub_years,
-            "subfield": corpus.subfields,
-            "country_table": corpus.country_table,
-            "country_indptr": corpus._country_indptr,
-            "country_codes": corpus._country_codes,
-            "out_indptr": corpus._out_indptr,
-            "out_indices": corpus._out_indices,
-        }
-        CitationCorpus(**{**columns, **changes}).save_snapshot(path)
+        """Save ``corpus`` with some of its arrays replaced after it was
+        built, which the constructor would refuse.  The file is well formed
+        and checksummed: save_snapshot checks nothing."""
+        for name, values in changes.items():
+            setattr(corpus, f"_{name}", np.asarray(values))
+        corpus.save_snapshot(path)
 
     def test_crafted_arrays_reload_unchanged(self, tmp_path):
         corpus = build(self.STRUCTURE)
@@ -536,6 +548,8 @@ class TestSnapshot:
             ({"out_indices": [1, 0, 0, 1, 2]}, "ascending"),
             ({"out_indices": [0, 1, 0, 0, 2]}, "ascending"),
             ({"country_codes": [1, 0, 2, 0, 0]}, "country"),
+            # C's row read as int32 is [-2**31, 1]: ascending, but not a work
+            ({"out_indices": [2**31, 1, 0, 1, 2]}, "index"),
         ],
     )
     def test_bad_structure_names_the_file(self, tmp_path, changes, message):

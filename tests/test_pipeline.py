@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import per_cell_matrix_text
+from oracles import per_cell_matrix_text, per_cell_table_text
 from scibreak import cli
 from scibreak.cli import main as cli_main
 from scibreak.config import ConfigError, PipelineConfig, _render
@@ -29,6 +29,7 @@ from scibreak.panel import PanelMatrix
 from scibreak.pipeline import (
     StageError,
     _write_matrix,
+    _write_table,
     read_panel,
     read_scored_tables,
     read_series_table,
@@ -488,6 +489,67 @@ def _matrix_text(matrix, rows, cols) -> str:
         path = Path(tmp) / "m.tsv"
         _write_matrix(path, "corner", cols, rows, matrix)
         return path.read_text(encoding="utf-8")
+
+
+# ids end in NUL, which a numpy string array would drop: ingest accepts "W1\u0000"
+_TEXT_CELLS = ["W1", "W1\x00", "\x00", "", "-", "\u03a97", "a b", "truncated_horizon"]
+_INT64_EXTREMES = [-(2**63), 2**63 - 1, 0, -1]
+_FLOAT_CELLS = st.one_of(_float_cells, st.just(float(QUIET_NAN_WITH_PAYLOAD)))
+_COLUMN_ELEMENTS = {
+    np.bool_: None,
+    np.int8: None,
+    np.int64: st.one_of(st.sampled_from(_INT64_EXTREMES), st.integers(-(2**63), 2**63 - 1)),
+    np.float64: _FLOAT_CELLS,
+}
+
+
+@st.composite
+def _mixed_columns(draw):
+    """Row-aligned columns of the kinds the run tables hold: arrays, tuples
+    of Python floats (as ``zip(*rows)`` gives them) and lists of text."""
+    n = draw(st.integers(0, 6))
+    kinds = st.sampled_from([*_COLUMN_ELEMENTS, tuple, list])
+    columns = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind is list:
+            columns.append(draw(st.lists(st.sampled_from(_TEXT_CELLS), min_size=n, max_size=n)))
+        elif kind is tuple:
+            columns.append(tuple(draw(st.lists(_FLOAT_CELLS, min_size=n, max_size=n))))
+        else:
+            columns.append(draw(arrays(kind, n, elements=_COLUMN_ELEMENTS[kind])))
+    return columns
+
+
+def _assert_table_matches_oracle(columns) -> None:
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        _write_table(path, header, columns)
+        assert path.read_text(encoding="utf-8") == per_cell_table_text(header, columns)
+
+
+class TestRunTables:
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_columns())
+    def test_writer_matches_per_cell_oracle(self, columns):
+        _assert_table_matches_oracle(columns)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [["W1\x00", "W1", "\x00"], np.array([True, False, True]), (-0.0, 0.0, 1e-5)],
+            [np.array(SPECIAL_FLOATS), np.array([QUIET_NAN_WITH_PAYLOAD] * 12)],
+            [np.array(_INT64_EXTREMES), np.array([-128, 127, 0, -1], dtype=np.int8)],
+            [[], np.zeros(0), np.zeros(0, dtype=bool), ()],
+        ],
+        ids=["nul-ids", "special-floats", "int-extremes", "no-rows"],
+    )
+    def test_writer_edge_cases(self, columns):
+        _assert_table_matches_oracle(columns)
+
+    def test_text_column_must_be_a_list(self, tmp_path):
+        with pytest.raises(TypeError, match="<U2"):
+            _write_table(tmp_path / "t.tsv", ["id"], [("W1", "W2")])
 
 
 class TestMatrixTables:
@@ -1065,6 +1127,21 @@ class TestCliStages:
         assert capsys.readouterr().err == f"error: {where}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("{wid}\tinf\t0.5\t-", ", field 2: 'inf' is not finite"),
+            ("{wid}\t1.0\tnan\t-", ", field 3: 'nan' is not finite"),
+            ("{wid}\tNaN\t0.5\t-", ", field 2: 'NaN' is not finite"),
+            ("{wid}\t1.0\t-Infinity\t-", ", field 3: '-Infinity' is not finite"),
+        ],
+        ids=["inf-nbnc", "nan-cd", "nan-nbnc", "minus-infinity-cd"],
+    )
+    def test_select_non_finite_score_names_file_and_line(self, tmp_path, capsys, row, detail):
+        # an inf nbnc was once selected as its year's breakthrough and a nan
+        # one dropped, both with exit 0
+        self.test_select_bad_metrics_row_names_file_and_line(tmp_path, capsys, row, detail)
+
     @pytest.mark.parametrize("across_years", [False, True], ids=["one-file", "two-years"])
     def test_select_repeated_work_id_names_both_lines(self, tmp_path, capsys, across_years):
         # a repeated id used to be read as two rows: select wrote the work
@@ -1240,6 +1317,21 @@ class TestCliStages:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: {where}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("3101\t2000\t2\t1\t0\t1\tnan\t0.5\t-", ", field 7: 'nan' is not finite"),
+            ("3101\t2000\t2\t1\t0\t1\t0.0\tinf\t-", ", field 8: 'inf' is not finite"),
+        ],
+        ids=["nan-share", "inf-share"],
+    )
+    def test_series_table_non_finite_share_names_file_and_line(
+        self, tmp_path, capsys, row, detail
+    ):
+        # a nan share once failed as "similarity matrix must be symmetric",
+        # naming no file, and an inf share was written into dtw_distance.tsv
+        self.test_series_table_bad_row_names_file_and_line(tmp_path, capsys, row, detail)
 
     @pytest.mark.parametrize(
         "header",
