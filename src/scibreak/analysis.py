@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,27 +21,10 @@ class InsufficientDataError(ValueError):
 
 
 @dataclass(frozen=True)
-class IndicatorValue:
-    """One external indicator observation."""
-
-    country: str
-    period: int
-    value: float
-
-
-@dataclass(frozen=True)
 class PowerLawFit:
     exponent: float
     prefactor: float
     residual: float  # sum of squared log-residuals
-
-
-@dataclass(frozen=True)
-class GerdMean:
-    """Windowed mean research expenditure with data coverage in [0, 1]."""
-
-    value: float
-    coverage: float
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -120,9 +103,10 @@ def read_delimited(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
     """Header names and rows of a delimited text file with a header line.
 
     The delimiter is the first of tab, comma and semicolon found in the
-    header line, tab if it holds none of them.
+    header line, tab if it holds none of them.  A UTF-8 byte order mark
+    before the header is not part of the first name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = fh.readline()
         fh.seek(0)
         delimiter = next((d for d in "\t,;" if d in header), "\t")
@@ -130,69 +114,80 @@ def read_delimited(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
         return list(reader.fieldnames or ()), list(reader)
 
 
-def read_indicator_file(path: str | Path) -> list[IndicatorValue]:
-    """Read (country, period, value) rows from delimited text.
+_Column = tuple[str, Callable[[str], object]]
 
-    The delimiter follows :func:`read_delimited`; a header row naming the
-    columns is required.  Rows with unparseable periods or values, or
-    values that are not finite, are skipped.
+
+def _parsed_rows(rows: list[dict[str, str]], columns: Sequence[_Column]) -> list[tuple]:
+    """The cells of ``columns`` in each row, each read by its parser; a row
+    too short for a column or with a cell its parser refuses is skipped."""
+    out = []
+    for row in rows:
+        cells = [row[name] for name, _ in columns]
+        if None in cells:  # the row has fewer fields than the header
+            continue
+        try:
+            out.append(tuple(parse(cell) for (_, parse), cell in zip(columns, cells)))
+        except ValueError:
+            continue
+    return out
+
+
+def read_columns(path: str | Path, *columns: _Column) -> list[tuple]:
+    """The parsed cells of ``columns``, named exactly as in the header, in
+    each row of a delimited file (see :func:`read_delimited`) that holds
+    them all.  A column the header lacks is a ``ValueError``."""
+    fieldnames, rows = read_delimited(path)
+    for name, _ in columns:
+        if name not in fieldnames:
+            raise ValueError(f"{path}: header {fieldnames} has no column {name!r}")
+    return _parsed_rows(rows, columns)
+
+
+def read_indicator_file(path: str | Path) -> dict[tuple[str, int], float]:
+    """Value of each (country, period) in a delimited indicator file.
+
+    The header must name country, period and value columns, in any case;
+    a file with no header holds no values.  Rows with unparseable periods
+    or values, or values that are not finite, are skipped, and the last row
+    of a repeated (country, period) counts.
     """
-    fieldnames, records = read_delimited(path)
+    fieldnames, rows = read_delimited(path)
     if not fieldnames:
-        return []
+        return {}
     fields = {name.strip().lower(): name for name in fieldnames}
     try:
-        country_col = fields["country"]
-        period_col = fields["period"]
-        value_col = fields["value"]
-    except KeyError as exc:
+        names = [fields[k] for k in ("country", "period", "value")]
+    except KeyError:
         raise ValueError(
             f"{path}: indicator file must have country/period/value "
             f"columns, found {fieldnames}"
-        ) from exc
-    rows: list[IndicatorValue] = []
-    for row in records:
-        try:
-            rows.append(
-                IndicatorValue(
-                    country=row[country_col].strip().upper(),
-                    period=int(row[period_col]),
-                    value=finite_float(row[value_col]),
-                )
-            )
-        except (TypeError, ValueError, AttributeError):
-            continue
-    return rows
+        ) from None
+    parsers = (lambda cell: cell.strip().upper(), int, finite_float)
+    return {(c, p): v for c, p, v in _parsed_rows(rows, list(zip(names, parsers)))}
 
 
 def gerd_means(
-    rd_share: Sequence[IndicatorValue],
-    gdp: Sequence[IndicatorValue],
+    rd_share: Mapping[tuple[str, int], float],
+    gdp: Mapping[tuple[str, int], float],
     window: tuple[int, int],
-) -> dict[str, GerdMean]:
+) -> dict[str, float]:
     """Mean research expenditure (share/100 * GDP) per country over a window.
 
-    Years missing either series are skipped; coverage reports the fraction
-    of window years actually used.  Countries with no usable year are
-    omitted.
+    Both mappings are keyed by (country, year), as
+    :func:`read_indicator_file` returns them.  Years missing either series
+    are skipped; countries with no usable year are omitted.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
-    share_by = {(r.country, r.period): r.value for r in rd_share}
-    gdp_by = {(g.country, g.period): g.value for g in gdp}
-    countries = sorted({c for c, _ in share_by} & {c for c, _ in gdp_by})
-    span = hi - lo + 1
-    out: dict[str, GerdMean] = {}
+    countries = sorted({c for c, _ in rd_share} & {c for c, _ in gdp})
+    out: dict[str, float] = {}
     for country in countries:
         products = [
-            share_by[(country, year)] / 100.0 * gdp_by[(country, year)]
+            rd_share[(country, year)] / 100.0 * gdp[(country, year)]
             for year in range(lo, hi + 1)
-            if (country, year) in share_by and (country, year) in gdp_by
+            if (country, year) in rd_share and (country, year) in gdp
         ]
         if products:
-            out[country] = GerdMean(
-                value=sum(products) / len(products),
-                coverage=len(products) / span,
-            )
+            out[country] = sum(products) / len(products)
     return out

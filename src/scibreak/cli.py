@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 from . import analysis as stats
 from .config import ConfigError, PipelineConfig, with_overrides
@@ -206,26 +205,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return _report(detail, skipped, args.out_dir)
 
 
-def _read_columns(path: str, *columns: tuple[str, Callable[[str], object]]) -> list[tuple]:
-    """The cells of ``columns`` in each row of a delimited file, each read by
-    its parser; a row too short for a column or with a cell its parser
-    refuses is skipped.  A column the header lacks is a ``ValueError``."""
-    fieldnames, rows = stats.read_delimited(path)
-    for name, _ in columns:
-        if name not in fieldnames:
-            raise ValueError(f"{path}: header {fieldnames} has no column {name!r}")
-    out = []
-    for row in rows:
-        cells = [row[name] for name, _ in columns]
-        if None in cells:  # the row has fewer fields than the header
-            continue
-        try:
-            out.append(tuple(parse(cell) for (_, parse), cell in zip(columns, cells)))
-        except ValueError:
-            continue
-    return out
-
-
 def _column_pair(text: str) -> tuple[str, str]:
     """``--a-cols``/``--b-cols`` value: the label and value column names."""
     names = [name.strip() for name in text.split(",")]
@@ -248,8 +227,9 @@ def _add_correlate(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     (a_label, a_value), (b_label, b_value) = args.a_cols, args.b_cols
-    rank_a = dict(_read_columns(args.file_a, (a_label, str), (a_value, stats.finite_float)))
-    rank_b = dict(_read_columns(args.file_b, (b_label, str), (b_value, stats.finite_float)))
+    number = stats.finite_float
+    rank_a = dict(stats.read_columns(args.file_a, (a_label, str), (a_value, number)))
+    rank_b = dict(stats.read_columns(args.file_b, (b_label, str), (b_value, number)))
     rho = stats.spearman(rank_a, rank_b)
     common = len(set(rank_a) & set(rank_b))
     print(f"spearman={rho!r} n_common={common}")
@@ -266,7 +246,7 @@ def _add_fit(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     columns = ((args.x_col, stats.finite_float), (args.y_col, stats.finite_float))
-    points = _read_columns(args.data, *columns)
+    points = stats.read_columns(args.data, *columns)
     fit = stats.loglog_fit([x for x, _ in points], [y for _, y in points])
     print(
         f"exponent={fit.exponent!r} prefactor={fit.prefactor!r} "

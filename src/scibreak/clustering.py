@@ -5,7 +5,8 @@ scaled disruptive) plane: its row of the ``scaled_cn`` and ``scaled_di``
 arrays of a :class:`~scibreak.panel.SeriesTable`, over the table's year
 grid.  Pairwise dynamic time warping distances over those 2-d trajectories
 feed a Gaussian-kernel similarity matrix, which is clustered with Leiden
-community detection on the weighted complete graph.
+community detection on the weighted complete graph.  All trajectories of
+one distance matrix share one year grid; a single pair may differ in length.
 Every DTW distance, one pair or all pairs, comes from one numpy kernel that
 advances a batch of pairs one anti-diagonal of the DP at a time.  Its local
 cost is ``sqrt(dx² + dy²)`` on inputs that each pair first divides by a
@@ -35,7 +36,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import check_positive_finite
-from .corpus import sorted_unique
 from .panel import SeriesTable
 
 _EPS = 1e-12
@@ -111,11 +111,11 @@ def dtw_distance(
     Classic unconstrained DP over match/insert/delete steps with local cost
     ``sqrt(dx² + dy²)`` on the 2-d points; no path normalization.  With
     ``per_component`` the two coordinates are warped independently (absolute
-    local cost) and the costs summed.  This is a one-pair call of the batched
-    kernel behind :func:`distance_matrix`, so both give the same bits.
+    local cost) and the costs summed.  The two may differ in length.  This
+    is a one-pair call of the batched kernel behind :func:`distance_matrix`,
+    so both give the same bits.
     """
-    first, second = np.array([0]), np.array([1])
-    return float(_pair_distances((a, b), first, second, per_component)[0])
+    return float(_pair_distances(a.points[None], b.points[None], per_component)[0])
 
 
 def distance_matrix(
@@ -123,6 +123,8 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """Pairwise DTW distances, labels ordered by subfield id.
 
+    Every trajectory must lie on one year grid, as those of
+    :func:`trajectories_from_series` do; mixed grids are a ``ValueError``.
     All pairs go through one batched wavefront kernel (see
     :func:`_wavefront`); each entry equals :func:`dtw_distance` of its pair.
     """
@@ -130,9 +132,17 @@ def distance_matrix(
     labels = tuple(t.subfield_id for t in ordered)
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate trajectory labels")
+    if len({t.years for t in ordered}) > 1:
+        raise ValueError("trajectories lie on different year grids")
     n = len(ordered)
     first, second = np.triu_indices(n, 1)
-    distances = _pair_distances(ordered, first, second, per_component)
+    points = np.array([t.points for t in ordered])  # (n, years, 2)
+    distances = np.empty(len(first))
+    for start in range(0, len(first), _BATCH):
+        batch = slice(start, start + _BATCH)
+        distances[batch] = _pair_distances(
+            points[first[batch]], points[second[batch]], per_component
+        )
     matrix = np.zeros((n, n))
     matrix[first, second] = distances
     matrix[second, first] = distances
@@ -144,49 +154,31 @@ def distance_matrix(
 _BATCH = 256
 
 
-def _pair_distances(
-    trajectories: Sequence[Trajectory],
-    first: np.ndarray,
-    second: np.ndarray,
-    per_component: bool,
-) -> np.ndarray:
-    """DTW cost of every pair ``(trajectories[first[k]], trajectories[second[k]])``.
+def _pair_distances(a: np.ndarray, b: np.ndarray, per_component: bool) -> np.ndarray:
+    """DTW cost of each pair ``(a[k], b[k])``, given as ``(P, n, 2)`` and
+    ``(P, m, 2)`` point stacks.
 
-    Pairs are grouped by their two lengths and fed to :func:`_wavefront` in
-    batches of ``_BATCH``, each stacked as (coordinate, time, pair) with the
-    second side reversed in time.  Each pair is divided by the power of two
-    just above its largest |coordinate| and its cost multiplied back, so no
-    square in the local cost overflows, and only differences below about
-    1e-154 of that coordinate underflow.  Scaling by a power of two is
-    exact, so inputs far from both limits give the bits of the unscaled
-    kernel.
+    The stacks are copied as (coordinate, time, pair), the second side
+    reversed in time, for :func:`_wavefront`; the caller's arrays are never
+    changed.  Each pair is divided by the power of two just above its
+    largest |coordinate| and its cost multiplied back, so no square in the
+    local cost overflows, and only differences below about 1e-154 of that
+    coordinate underflow.  Scaling by a power of two is exact, so inputs far
+    from both limits give the bits of the unscaled kernel.
     """
-    lengths = np.array([len(t.points) for t in trajectories], dtype=np.int64)
-    if len(first) and not (lengths[first].all() and lengths[second].all()):
+    if not (a.shape[1] and b.shape[1]):
         raise ValueError("cannot warp an empty trajectory")
-    peaks = np.array([np.abs(t.points).max(initial=0.0) for t in trajectories])
-    _, exponents = np.frexp(np.maximum(peaks[first], peaks[second]))
-    out = np.empty(len(first))
-    groups = lengths[first] * (lengths.max(initial=0) + 1) + lengths[second]
-    for key in sorted_unique(groups):
-        pairs = np.flatnonzero(groups == key)
-        for start in range(0, len(pairs), _BATCH):
-            batch = pairs[start : start + _BATCH]
-            a = _time_major([trajectories[i].points for i in first[batch]])
-            b = _time_major([trajectories[j].points[::-1] for j in second[batch]])
-            np.ldexp(a, -exponents[batch], out=a)
-            np.ldexp(b, -exponents[batch], out=b)
-            if per_component:
-                cost = _wavefront(a[:1], b[:1]) + _wavefront(a[1:], b[1:])
-            else:
-                cost = _wavefront(a, b)
-            out[batch] = np.ldexp(cost, exponents[batch])
-    return out
-
-
-def _time_major(points: list[np.ndarray]) -> np.ndarray:
-    """Stack ``(n, c)`` point arrays as one contiguous ``(c, n, pairs)`` array."""
-    return np.ascontiguousarray(np.array(points).T)
+    peaks = np.maximum(np.abs(a).max(axis=(1, 2)), np.abs(b).max(axis=(1, 2)))
+    _, exponents = np.frexp(peaks)
+    a = np.array(a.transpose(2, 1, 0), order="C")
+    b = np.array(b[:, ::-1].transpose(2, 1, 0), order="C")
+    np.ldexp(a, -exponents, out=a)
+    np.ldexp(b, -exponents, out=b)
+    if per_component:
+        cost = _wavefront(a[:1], b[:1]) + _wavefront(a[1:], b[1:])
+    else:
+        cost = _wavefront(a, b)
+    return np.ldexp(cost, exponents)
 
 
 def _wavefront(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -215,14 +215,20 @@ def sorted_member(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return keys[np.minimum(at, len(keys) - 1)] == values
 
 
+def _offsets_rise(indptr: np.ndarray, n: int, total: int) -> bool:
+    """Whether ``indptr`` holds the ``n + 1`` offsets of a CSR with ``n``
+    rows and ``total`` entries: from 0 to ``total``, never decreasing."""
+    bounded = len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == total
+    return bool(bounded and (indptr[1:] >= indptr[:-1]).all())
+
+
 def _reference_fault(indptr: np.ndarray, indices: np.ndarray, n: int) -> str | None:
     """What breaks the reference CSR of ``n`` works, or None.
 
-    The ``n + 1`` offsets must run from 0 to the edge count without
-    decreasing, every index must be a work, and every row strictly ascending.
+    The offsets must rise (see :func:`_offsets_rise`), every index must be
+    a work, and every row strictly ascending.
     """
-    bounded = len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(indices)
-    if not bounded or (indptr[1:] < indptr[:-1]).any():
+    if not _offsets_rise(indptr, n, len(indices)):
         return "reference offsets not rising from 0 to the edge count"
     if len(indices) and (indices.min() < 0 or indices.max() >= n):
         return "reference index beyond the works"
@@ -252,12 +258,12 @@ class CitationCorpus:
     needs; ``citers_idx`` is the exact transpose of ``references_idx``.
     Countries are a CSR too: row ``i`` holds indexes into the ascending
     ``country_table``, in the order the codes were first seen in work ``i``'s
-    record.  The constructor refuses a reference CSR or a country code that
-    breaks this with a ``ValueError``.  Construction is single-writer.  The
-    citing transpose, the id lookup behind :meth:`work_index` and the sorted
-    citation-year key behind :meth:`citations_in_years` are built on first
-    use, so that a corpus that is only ingested and saved, or never scored,
-    does not pay for them.
+    record.  The constructor refuses a column without one entry per id, or
+    a CSR or country code that breaks this, with a ``ValueError``.
+    Construction is single-writer.  The citing transpose, the id lookup
+    behind :meth:`work_index` and the sorted citation-year key behind
+    :meth:`citations_in_years` are built on first use, so that a corpus
+    that is only ingested and saved, or never scored, does not pay for them.
     """
 
     def __init__(
@@ -279,8 +285,12 @@ class CitationCorpus:
         self._country_codes = np.asarray(country_codes, dtype=np.uint16)
         self._out_indptr = np.asarray(out_indptr, dtype=np.int64)
         self._out_indices = np.asarray(out_indices, dtype=np.int32)
-        codes = self._country_codes
-        fault = _reference_fault(self._out_indptr, self._out_indices, len(self._ids))
+        n, codes = len(self._ids), self._country_codes
+        if len(self._pub_year) != n or len(self._subfield) != n:
+            raise ValueError(f"{n} ids need {n} publication years and subfields")
+        if not _offsets_rise(self._country_indptr, n, len(codes)):
+            raise ValueError("country offsets not rising from 0 to the code count")
+        fault = _reference_fault(self._out_indptr, self._out_indices, n)
         if fault or (len(codes) and codes.max() >= len(self._country_table)):
             raise ValueError(fault or "country code beyond the country table")
 
@@ -696,12 +706,13 @@ def _country_csr(
 
 
 def iter_json_lines(path: str | Path) -> Iterable[str]:
-    """Yield non-blank lines from a plain or gzip-compressed text file."""
+    """Yield non-blank lines from a plain or gzip-compressed text file; a
+    UTF-8 byte order mark at its start is not data."""
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(2)
     opener = gzip.open if head == b"\x1f\x8b" else open
-    with opener(path, "rt", encoding="utf-8") as fh:  # type: ignore[arg-type]
+    with opener(path, "rt", encoding="utf-8-sig") as fh:  # type: ignore[arg-type]
         for line in fh:
             if line.strip():
                 yield line

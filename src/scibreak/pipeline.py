@@ -692,8 +692,8 @@ def _analyses_stage(
 
     if comparator and rankings:
         by_period: dict[int, dict[str, float]] = {}
-        for row in stats.read_indicator_file(comparator):
-            by_period.setdefault(row.period, {})[row.country] = row.value
+        for (country, period), value in stats.read_indicator_file(comparator).items():
+            by_period.setdefault(period, {})[country] = value
         rows = []
         for kind in (BreakthroughClass.DISRUPTIVE, BreakthroughClass.CONSOLIDATING):
             windows = sorted(w for k, w in rankings if k is kind)
@@ -740,9 +740,9 @@ def _analyses_stage(
             # counts and ranks are >= 1, so only the GERD side can be non-positive
             for target, values in targets:
                 pairs = [
-                    (gerd[country].value, values[country])
+                    (gerd[country], values[country])
                     for country in sorted(values)
-                    if country in gerd and gerd[country].value > 0
+                    if country in gerd and gerd[country] > 0
                 ]
                 if len(pairs) >= 3:
                     fit = stats.loglog_fit(*zip(*pairs))

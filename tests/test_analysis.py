@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scibreak.analysis import (
     InsufficientDataError,
     gerd_means,
-    IndicatorValue,
     loglog_fit,
     read_indicator_file,
     spearman,
@@ -160,16 +159,12 @@ class TestIndicatorFiles:
             "DE\t2005\tinf\nFR\t2005\tnan\nES\t2005\t-inf\n",
             encoding="utf-8",
         )
-        rows = read_indicator_file(path)
-        assert rows == [
-            IndicatorValue("US", 2005, 2.5),
-            IndicatorValue("IL", 2005, 4.1),
-        ]
+        assert read_indicator_file(path) == {("US", 2005): 2.5, ("IL", 2005): 4.1}
 
     def test_csv_detected(self, tmp_path):
         path = tmp_path / "gdp.csv"
         path.write_text("country,period,value\nDE,2001,3.2\n", encoding="utf-8")
-        assert read_indicator_file(path) == [IndicatorValue("DE", 2001, 3.2)]
+        assert read_indicator_file(path) == {("DE", 2001): 3.2}
 
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -177,27 +172,40 @@ class TestIndicatorFiles:
         with pytest.raises(ValueError):
             read_indicator_file(path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # a BOM once read as part of the first name: "must have
+        # country/period/value columns, found ['\ufeffcountry', ...]"
+        path = tmp_path / "gdp.csv"
+        path.write_text("\ufeffcountry,period,value\nDE,2001,3.2\n", encoding="utf-8")
+        assert read_indicator_file(path) == {("DE", 2001): 3.2}
+
+    def test_last_row_of_a_repeated_key_counts(self, tmp_path):
+        path = tmp_path / "gdp.tsv"
+        path.write_text(
+            "Country\tPERIOD\tvalue\nDE\t2001\t3.2\nUS\t2001\t1.0\nde\t2001\t4.5\n"
+            "DE\t2001\tnan\nDE\t2001\n",
+            encoding="utf-8",
+        )
+        assert read_indicator_file(path) == {("DE", 2001): 4.5, ("US", 2001): 1.0}
+
+    def test_file_without_header_holds_no_values(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("", encoding="utf-8")
+        assert read_indicator_file(path) == {}
+
 
 class TestGerdMeans:
-    def test_windowed_product_mean_and_coverage(self):
-        rd = [
-            IndicatorValue("US", 2000, 2.0),
-            IndicatorValue("US", 2001, 3.0),
-            IndicatorValue("US", 2005, 9.0),  # outside window
-        ]
-        gdp = [
-            IndicatorValue("US", 2000, 100.0),
-            IndicatorValue("US", 2001, 200.0),
-        ]
-        means = gerd_means(rd, gdp, (2000, 2003))
-        assert means["US"].value == pytest.approx((2.0 + 6.0) / 2)
-        assert means["US"].coverage == pytest.approx(2 / 4)
+    def test_windowed_product_mean_over_covered_years(self):
+        rd = {("US", 2000): 2.0, ("US", 2001): 3.0, ("US", 2005): 9.0}  # 2005 outside
+        gdp = {("US", 2000): 100.0, ("US", 2001): 200.0}
+        # 2002 and 2003 lack both series: the mean is over the two covered years
+        assert gerd_means(rd, gdp, (2000, 2003)) == {"US": pytest.approx((2.0 + 6.0) / 2)}
 
     def test_countries_without_overlap_omitted(self):
-        rd = [IndicatorValue("US", 2000, 2.0)]
-        gdp = [IndicatorValue("DE", 2000, 50.0)]
+        rd = {("US", 2000): 2.0}
+        gdp = {("DE", 2000): 50.0}
         assert gerd_means(rd, gdp, (2000, 2001)) == {}
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            gerd_means([], [], (2005, 2000))
+            gerd_means({}, {}, (2005, 2000))

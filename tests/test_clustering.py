@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scibreak.clustering import (
     _BATCH,
@@ -30,6 +31,22 @@ def _traj(label, points):
     points = np.asarray(points, dtype=float)
     years = tuple(range(2000, 2000 + len(points)))
     return Trajectory(label, years, points)
+
+
+@st.composite
+def one_grid_trajectories(draw, min_count=2, max_count=12):
+    """``min_count`` to ``max_count`` trajectories of 1-9 points on one year
+    grid, labels shuffled, magnitudes from tiny to huge so that the kernel's
+    scaling is not 1."""
+    length = draw(st.integers(1, 9))
+    count = draw(st.integers(min_count, max_count))
+    values = draw(
+        arrays(float, (count, length, 2), elements=st.floats(-1e6, 1e6, allow_nan=False))
+    )
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e200]))
+    years = tuple(range(1990, 1990 + length))
+    labels = draw(st.permutations(range(count)))
+    return [Trajectory(label, years, values[i] * scale) for i, label in enumerate(labels)]
 
 
 class TestDtw:
@@ -124,9 +141,9 @@ class TestDistanceMatrix:
         "lengths",
         [
             [64] * 40,  # 780 pairs: more than one batch of pairs
-            [5, 9, 5, 1, 9, 7, 5, 1, 9, 7, 3],  # several (n, m) groups
+            [1] * 24,  # 276 one-point pairs: more than one batch too
         ],
-        ids=["one-grid", "mixed-lengths"],
+        ids=["one-grid", "one-point"],
     )
     def test_batch_equals_one_pair_call(self, lengths, per_component):
         rng = np.random.default_rng(len(lengths))
@@ -146,18 +163,24 @@ class TestDistanceMatrix:
                 assert D.matrix[j, i] == expected
 
     def test_empty_trajectory_rejected(self):
-        trajs = [_traj(1, [[0, 0]]), Trajectory(2, (), np.zeros((0, 2)))]
+        trajs = [Trajectory(label, (), np.zeros((0, 2))) for label in (1, 2)]
         with pytest.raises(ValueError, match="empty"):
+            distance_matrix(trajs)
+
+    @pytest.mark.parametrize(
+        "years", [(2000,), (2001, 2002)], ids=["other-length", "same-length-shifted"]
+    )
+    def test_mixed_year_grids_rejected(self, years):
+        trajs = [_traj(1, [[0, 0], [1, 1]]), Trajectory(2, years, np.zeros((len(years), 2)))]
+        with pytest.raises(ValueError, match="year grids"):
             distance_matrix(trajs)
 
     @pytest.mark.parametrize("per_component", [False, True])
     def test_every_pair_matches_full_dp(self, per_component):
-        # 24 trajectories of one length make one (n, m) group of 276 pairs,
-        # more than a batch; two shorter ones add groups on either side
-        assert 24 * 23 // 2 > _BATCH
+        # 26 trajectories on one grid make 325 pairs, more than a batch
+        assert 26 * 25 // 2 > _BATCH
         rng = np.random.default_rng(26)
-        lengths = rng.permutation([12] * 24 + [1, 5])
-        trajs = [_traj(label, rng.random((n, 2))) for label, n in enumerate(lengths)]
+        trajs = [_traj(label, rng.random((12, 2))) for label in range(26)]
         D = distance_matrix(trajs, per_component=per_component)
         first, second = np.triu_indices(len(trajs), 1)
         assert len(first) == 325
@@ -190,6 +213,32 @@ class TestDistanceMatrix:
             expected = dp_dtw(trajs[i].points, trajs[j].points)
             assert math.isfinite(D.matrix[i, j])
             assert D.matrix[i, j] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_grid_trajectories(), st.booleans())
+    def test_every_cell_is_bit_equal_to_its_pair(self, trajs, per_component):
+        D = distance_matrix(trajs, per_component=per_component)
+        ordered = sorted(trajs, key=lambda t: t.subfield_id)
+        expected = np.zeros((len(ordered), len(ordered)))
+        for i, j in zip(*np.triu_indices(len(ordered), 1)):
+            pair = dtw_distance(ordered[i], ordered[j], per_component=per_component)
+            expected[i, j] = expected[j, i] = pair
+        assert D.matrix.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_grid_trajectories(min_count=1, max_count=6), st.booleans())
+    # one-point trajectories whose scaling is not 1: a kernel that scaled the
+    # caller's points in place changed these, and dtw(a, b) != dtw(b, a)
+    @example([_traj(1, [[3.0, 4.0]]), _traj(2, [[0.5, 0.25]])], False)
+    @example([_traj(1, [[3.0, 4.0]]), _traj(2, [[0.5, 0.25]])], True)
+    def test_inputs_are_never_changed(self, trajs, per_component):
+        before = [t.points.copy() for t in trajs]
+        distance_matrix(trajs, per_component=per_component)
+        for a in trajs:
+            for b in trajs:
+                dtw_distance(a, b, per_component=per_component)
+        for t, points in zip(trajs, before):
+            assert t.points.tobytes() == points.tobytes()
 
 
 class TestSimilarity:

@@ -171,6 +171,19 @@ class TestIngestion:
         assert corpus.n_works == 2
         assert report.works_ingested == 2
 
+    @pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+    def test_byte_order_mark_is_not_data(self, tmp_path, compressed):
+        # a BOM once made the first line a parse error, and the second
+        # work's reference to it dangling
+        lines = [json.dumps(r) for r in make_records([("A", 2000, []), ("B", 2001, ["A"])])]
+        data = ("\ufeff" + "\n".join(lines) + "\n").encode("utf-8")
+        path = tmp_path / "works.jsonl"
+        path.write_bytes(gzip.compress(data) if compressed else data)
+        corpus, report = ingest_files(path)
+        assert corpus.ids == ["A", "B"]
+        assert report.works_ingested == 2
+        assert report.rejected["parse_error"] == report.dangling_refs == 0
+
 
 class TestGraphInvariants:
     def test_transpose_property(self):
@@ -221,6 +234,40 @@ class TestGraphInvariants:
         assert rebuilt.value[rebuilt.works == row].tolist() == [-0.014492753623188406]
         with pytest.raises(ValueError, match="reference row not strictly ascending"):
             CitationCorpus(*columns, swapped)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            # three ids, two years: once built, saved, and then refused on
+            # load as a truncated snapshot
+            (
+                (["A", "B", "C"], [2000, 2001], [1, 2, 3], ["US"], [0, 0, 0, 0], [],
+                 [0, 0, 0, 0], []),
+                "3 ids need 3 publication years and subfields",
+            ),
+            (
+                (["A", "B"], [2000, 2001], [1], ["US"], [0, 0, 0], [], [0, 0, 0], []),
+                "2 ids need 2 publication years and subfields",
+            ),
+            (
+                (["A", "B"], [2000, 2001], [1, 2], ["US"], [0, 1], [0], [0, 0, 0], []),
+                "country offsets",
+            ),
+            (
+                (["A", "B"], [2000, 2001], [1, 2], ["US"], [0, 1, 1], [0, 0], [0, 0, 0], []),
+                "country offsets",
+            ),
+            (
+                (["A", "B"], [2000, 2001], [1, 2], ["US"], [0, 2, 1], [0], [0, 0, 0], []),
+                "country offsets",
+            ),
+        ],
+        ids=["short-years", "short-subfields", "short-offsets", "offsets-short-of-codes",
+             "falling-offsets"],
+    )
+    def test_constructor_refuses_columns_that_do_not_fit_the_ids(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            CitationCorpus(*columns)
 
     def test_unknown_work(self):
         corpus = build(make_records([("A", 2000, [])]))

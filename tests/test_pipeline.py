@@ -1021,6 +1021,21 @@ class TestCliStages:
         assert cli_main(["correlate", str(a), str(b)]) == 0
         assert "spearman=0.5 n_common=3" in capsys.readouterr().out
 
+    def test_correlate_and_fit_read_past_a_byte_order_mark(self, tmp_path, capsys):
+        # a BOM once read as part of the first name: exit 2 with
+        # "header ['\ufefflabel', 'rank'] has no column 'label'"
+        a = tmp_path / "a.tsv"
+        a.write_text("\ufefflabel\trank\nAA\t1\nBB\t2\nCC\t3\n", encoding="utf-8")
+        b = tmp_path / "b.tsv"
+        b.write_text("label\trank\nAA\t1\nBB\t3\nCC\t2\n", encoding="utf-8")
+        assert cli_main(["correlate", str(a), str(b)]) == 0
+        assert "spearman=0.5 n_common=3" in capsys.readouterr().out
+        data = tmp_path / "data.tsv"
+        rows = ["\ufeffx\ty"] + [f"{x}\t{2 * x ** 1.5}" for x in (1.0, 2.0, 4.0, 8.0)]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert cli_main(["fit", str(data), "--x-col", "x", "--y-col", "y"]) == 0
+        assert "exponent=1.5" in capsys.readouterr().out
+
     def test_fit_skips_rows_with_a_blank_value(self, tmp_path, capsys):
         # a blank y once left x one value longer than y: "length mismatch",
         # and an inf or nan x reached np.polyfit: "SVD did not converge"
