@@ -41,7 +41,7 @@ class RcaMatrix:
     """Revealed comparative advantage per country/subfield cell.
 
     Rows or columns of the source counts that sum to zero yield all-zero RCA
-    entries; such rows are listed in ``zero_rows``.
+    entries, so :func:`binarize` prunes them.
     """
 
     window: tuple[int, int]
@@ -49,7 +49,6 @@ class RcaMatrix:
     values: np.ndarray
     countries: tuple[str, ...]
     subfields: tuple[int, ...]
-    zero_rows: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def rca(counts: PanelMatrix) -> RcaMatrix:
 
     Computed as X * total / (rowsum x colsum), which is exact for integer
     counts.  An all-zero matrix is an error; all-zero rows or columns get
-    zero RCA, and all-zero rows are flagged.
+    zero RCA.
     """
     X = np.asarray(counts.counts, dtype=float)
     if X.size == 0 or not (X > 0).any():
@@ -112,16 +111,12 @@ def rca(counts: PanelMatrix) -> RcaMatrix:
     denom = row_sums[:, None] * col_sums[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(denom > 0, X * total / denom, 0.0)
-    zero_rows = tuple(
-        counts.countries[i] for i in np.nonzero(row_sums == 0)[0]
-    )
     return RcaMatrix(
         window=counts.window,
         kind=counts.kind,
         values=values,
         countries=counts.countries,
         subfields=counts.subfields,
-        zero_rows=zero_rows,
     )
 
 

@@ -128,7 +128,7 @@ class PipelineConfig:
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         values: dict[str, object] = {}
         for lineno, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
+            Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
         ):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -299,6 +299,15 @@ class CitationCorpus:
         return {wid: i for i, wid in enumerate(self._ids)}
 
     @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Read-only rank of each work's id in ascending ``str`` order, built
+        on first use.  Ids are unique, so it orders any subset of works by id.
+        Python sorts the ids: a numpy string array drops trailing NULs."""
+        rank = np.argsort(sorted(range(len(self._ids)), key=self._ids.__getitem__))
+        rank.flags.writeable = False
+        return rank
+
+    @cached_property
     def _in_indices(self) -> np.ndarray:
         n = len(self._ids)
         # one sort of target * n + source orders by target, then source

@@ -86,12 +86,8 @@ def select_breakthroughs(
     """
     if not (0.0 < top_fraction < 1.0):
         raise ValueError(f"top fraction must be in (0, 1), got {top_fraction}")
-    ids = corpus.ids
-    wids = [ids[idx] for idx in scored.works.tolist()]
-    id_rank = np.empty(len(wids), dtype=np.int64)
-    id_rank[sorted(range(len(wids)), key=wids.__getitem__)] = np.arange(len(wids))
     years = corpus.pub_years[scored.works]
-    order = np.lexsort((id_rank, -scored.nbnc, years))
+    order = np.lexsort((corpus.id_rank[scored.works], -scored.nbnc, years))
     pools = np.split(order, np.flatnonzero(np.diff(years[order])) + 1)
     return scored.take(
         np.concatenate(

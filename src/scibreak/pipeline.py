@@ -152,13 +152,12 @@ def write_metrics_tables(
     """
     if not np.array_equal(scores.works, cds.works):
         raise ValueError("NBNC and CD scores cover different works")
-    ids = corpus.ids
-    wids = [ids[idx] for idx in scores.works.tolist()]
     years = corpus.pub_years[scores.works]
-    by_id = np.array(sorted(range(len(wids)), key=wids.__getitem__), dtype=np.intp)
-    order = by_id[np.argsort(years[by_id], kind="stable")]
+    order = np.lexsort((corpus.id_rank[scores.works], years))
     flags = _METRIC_FLAGS[scores.truncated[order] + 2 * cds.zero_denominator[order]].tolist()
-    columns = [[wids[row] for row in order.tolist()], scores.value[order], cds.value[order], flags]
+    ids = corpus.ids
+    wids = [ids[idx] for idx in scores.works[order].tolist()]
+    columns = [wids, scores.value[order], cds.value[order], flags]
     header = ("work_id", "nbnc", "cd", "flags")
     _write_yearly(run_dir / "metrics", "metrics", header, years[order], columns)
 
@@ -329,7 +328,7 @@ def _read_table(path: Path, names: Sequence[str] = ()) -> tuple[list[str], list[
     empty; it is checked before any line.  A line, numbered from 2, that has
     not as many fields as the header is a ``ValueError``.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         head, *lines = fh.read().removesuffix("\n").split("\n")
     expected = "\t".join(names)
     if names and head != expected and (head or lines):
@@ -687,8 +686,7 @@ def _analyses_stage(
     gerd_inputs = config.rd_share_path and config.gdp_path
     if not comparator and not gerd_inputs:
         return None, "no external indicators configured", True
-    notes = []
-    wrote_any = False
+    tables = []  # (file, header, rows, note when there are no rows)
 
     if comparator and rankings:
         by_period: dict[int, dict[str, float]] = {}
@@ -710,18 +708,14 @@ def _analyses_stage(
                 rows.append(
                     (kind.value, f"{last[0]}-{last[1]}", period, common, rho)
                 )
-        if rows:
-            kinds, windows, *numbers = zip(*rows)
-            _write_table(
-                run_dir / "analysis" / "spearman.tsv",
-                ("kind", "window", "period", "n_common", "spearman"),
-                (list(kinds), list(windows), *numbers),
-            )
-            wrote_any = True
-        else:
-            notes.append("comparator given but no comparable periods")
+        tables.append((
+            "spearman.tsv",
+            ("kind", "window", "period", "n_common", "spearman"),
+            rows,
+            "comparator given but no comparable periods",
+        ))
     elif comparator:
-        notes.append("comparator given but no rankings to compare")
+        tables.append(("spearman.tsv", (), [], "comparator given but no rankings to compare"))
 
     if gerd_inputs:
         rd = stats.read_indicator_file(config.rd_share_path)
@@ -748,18 +742,23 @@ def _analyses_stage(
                     fit = stats.loglog_fit(*zip(*pairs))
                     cells = (fit.exponent, fit.prefactor, fit.residual)
                     rows.append((kind.value, target, len(pairs), *cells))
-        if rows:
-            kinds, targets, *numbers = zip(*rows)
-            _write_table(
-                run_dir / "analysis" / "gerd_fit.tsv",
-                ("kind", "target", "n", "exponent", "prefactor", "residual"),
-                (list(kinds), list(targets), *numbers),
-            )
-            wrote_any = True
-        else:
-            notes.append("GERD inputs given but too few overlapping countries")
+        tables.append((
+            "gerd_fit.tsv",
+            ("kind", "target", "n", "exponent", "prefactor", "residual"),
+            rows,
+            "GERD inputs given but too few overlapping countries",
+        ))
 
-    return None, "; ".join(notes) if notes else "analyses written", not wrote_any
+    notes = []
+    for name, header, rows, note in tables:
+        if rows:
+            kinds, labels, *numbers = zip(*rows)
+            _write_table(
+                run_dir / "analysis" / name, header, (list(kinds), list(labels), *numbers)
+            )
+        else:
+            notes.append(note)
+    return None, "; ".join(notes) or "analyses written", len(notes) == len(tables)
 
 
 def _write_manifest(

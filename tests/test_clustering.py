@@ -432,6 +432,43 @@ class TestLeidenCore:
                 brute_modularity(W, membership, resolution), abs=1e-12
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(8, 60),
+        st.integers(1, 5),
+        st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+    )
+    def test_no_merge_of_two_communities_raises_modularity(self, seed, n, blobs, resolution):
+        # gamma-separation: the returned partition is a local optimum against
+        # merging any two of its communities, singletons included
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(blobs, 2))[rng.integers(0, blobs, n)] * 3
+        points += rng.normal(size=(n, 2))
+        distances = DistanceMatrix(
+            tuple(range(n)), np.linalg.norm(points[:, None] - points[None], axis=-1)
+        )
+        similarity = similarity_matrix(distances, default_sigma(distances))
+        result = leiden_clusters(similarity, resolution=resolution, seed=seed % 1000)
+        W = similarity.matrix.copy()
+        np.fill_diagonal(W, 0.0)
+        membership = _membership(result)
+        _, community = np.unique(membership, return_inverse=True)
+        indicator = np.eye(community.max() + 1)[community]
+        between = indicator.T @ W @ indicator
+        tot = W.sum(axis=1) @ indicator
+        if len(tot) < 2:
+            return
+        two_m = W.sum()
+        gain = 2 * between / two_m - 2 * resolution * np.outer(tot, tot) / two_m**2
+        np.fill_diagonal(gain, -np.inf)
+        a, b = np.unravel_index(np.argmax(gain), gain.shape)
+        merged = np.where(community == b, a, community)
+        assert gain[a, b] == pytest.approx(
+            modularity(W, merged, resolution) - modularity(W, community, resolution), abs=1e-12
+        )
+        assert gain[a, b] <= 1e-12
+
     def test_negative_weights_rejected(self):
         W = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(ValueError, match="negative"):

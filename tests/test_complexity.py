@@ -5,6 +5,7 @@ import pytest
 
 from scibreak.complexity import (
     BinaryAdjacency,
+    _build_ranking,
     binarize,
     degree_vectors,
     genepy_scores,
@@ -57,7 +58,7 @@ class TestRca:
     def test_zero_row_flagged(self):
         result = rca(make_panel([[2, 3], [0, 0]]))
         assert (result.values[1] == 0.0).all()
-        assert result.zero_rows == ("C01",)
+        assert binarize(result).pruned_countries == ("C01",)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -316,3 +317,12 @@ class TestRankTable:
         assert rows[-1].pruned is True
         assert rows[-1].rank == 4
         assert {row.tie_rank for row in rows[:-1]} == {1}
+
+    def test_score_ties_measured_from_the_first_member_of_a_class(self):
+        # b is within 1e-9 of c and a within 1e-9 of b, but a is 1.2e-9
+        # below c: a chain measured from each class's last member ties all three
+        scores = np.array([1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9])
+        rows = _build_ranking(("c", "b", "a"), scores, ())
+        assert [(e.label, e.rank, e.tie_rank) for e in rows] == [
+            ("b", 1, 1), ("c", 2, 1), ("a", 3, 3)
+        ]

@@ -276,14 +276,14 @@ class TestGraphInvariants:
 
 
 class TestLazyLookups:
-    """The citing transpose and the id lookup are built on first use."""
+    """The citing transpose, the id lookup and the id rank are built on first use."""
 
     def test_a_built_and_saved_corpus_builds_neither(self, tmp_path):
         corpus = build(random_citation_records(np.random.default_rng(3), 40))
         corpus.save_snapshot(tmp_path / "c.snap")
         loaded = CitationCorpus.load_snapshot(tmp_path / "c.snap")
         for built in (corpus, loaded):
-            assert not {"_in_indices", "_in_indptr", "_index"} & set(vars(built))
+            assert not {"_in_indices", "_in_indptr", "_index", "id_rank"} & set(vars(built))
 
     def test_first_use_answers_as_the_records_say(self, tmp_path):
         records = random_citation_records(np.random.default_rng(4), 60)
@@ -303,6 +303,13 @@ class TestLazyLookups:
             assert [built.work_index(wid) for wid in ids] == list(range(len(ids)))
             with pytest.raises(UnknownWorkError):
                 built.work_index("W-absent")
+
+    def test_id_rank_follows_python_str_order(self):
+        # "W1" < "W1\x00" < "W10" < "W2"; a numpy string array would read
+        # "W1\x00" as "W1" and leave the pair in corpus order
+        corpus = build(make_records([(wid, 2000, []) for wid in ["W2", "W1\x00", "W10", "W1"]]))
+        assert corpus.id_rank.tolist() == [3, 1, 2, 0]
+        assert not corpus.id_rank.flags.writeable
 
 
 class TestYearlyCitationSeries:

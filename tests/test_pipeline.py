@@ -139,6 +139,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        # a BOM once read as part of the first key: "unknown key '\ufeffcorpus_path'"
+        text = "corpus_path = data/works.jsonl\nhorizon = 8\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        assert PipelineConfig.from_file(bom) == PipelineConfig.from_file(plain)
+
     def test_bad_value(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("horizon = soon\n")
@@ -887,6 +895,29 @@ class TestCliStages:
         assert len(from_run) > 50
         for rel in from_run:
             assert from_run[rel] == from_cli[rel], rel
+
+    @pytest.mark.parametrize("stage", ["cluster", "select"])
+    def test_stage_tables_read_past_a_byte_order_mark(self, tmp_path, stage):
+        # a BOM once read as part of the header: cluster exited 2 with
+        # "header '\ufeffsubfield\t...'", select with "header lacks work_id, nbnc or cd"
+        config = small_config(tmp_path, n_works=400)
+        run_dir = Path(config.out_root) / run_pipeline(config)["config_hash"]
+        if stage == "cluster":
+            table = run_dir / "series" / "subfield_series.tsv"
+            flag, argv = "--series", ["--seed", str(config.leiden_seed)]
+        else:
+            table = max((run_dir / "metrics").glob("*.tsv"), key=lambda p: p.stat().st_size)
+            flag, argv = "--metrics-dir", ["--snapshot", str(run_dir / "corpus.snap")]
+        written = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            source = tmp_path / name / "in"
+            source.mkdir(parents=True)
+            (source / table.name).write_bytes(prefix + table.read_bytes())
+            given = source / table.name if stage == "cluster" else source
+            out = tmp_path / name / "out"
+            assert cli_main([stage, flag, str(given), "--out-dir", str(out), *argv]) == 0
+            written.append({p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert written[0] and written[0] == written[1]
 
     def test_cluster_single_subfield_is_skipped(self, tmp_path, capsys):
         series = tmp_path / "subfield_series.tsv"
