@@ -388,6 +388,18 @@ def _membership(result):
     ]
 
 
+def _blob_similarity(seed, n, blobs, scale=1.0):
+    """Gaussian kernel over n points scattered around seeded blob centres,
+    at ``scale`` times the default width."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(blobs, 2))[rng.integers(0, blobs, n)] * 3
+    points += rng.normal(size=(n, 2))
+    distances = DistanceMatrix(
+        tuple(range(n)), np.linalg.norm(points[:, None] - points[None], axis=-1)
+    )
+    return similarity_matrix(distances, default_sigma(distances) * scale)
+
+
 class TestLeidenCore:
     def test_quality_matches_modularity(self):
         rng = np.random.default_rng(44)
@@ -442,13 +454,7 @@ class TestLeidenCore:
     def test_no_merge_of_two_communities_raises_modularity(self, seed, n, blobs, resolution):
         # gamma-separation: the returned partition is a local optimum against
         # merging any two of its communities, singletons included
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(blobs, 2))[rng.integers(0, blobs, n)] * 3
-        points += rng.normal(size=(n, 2))
-        distances = DistanceMatrix(
-            tuple(range(n)), np.linalg.norm(points[:, None] - points[None], axis=-1)
-        )
-        similarity = similarity_matrix(distances, default_sigma(distances))
+        similarity = _blob_similarity(seed, n, blobs)
         result = leiden_clusters(similarity, resolution=resolution, seed=seed % 1000)
         W = similarity.matrix.copy()
         np.fill_diagonal(W, 0.0)
@@ -468,6 +474,37 @@ class TestLeidenCore:
             modularity(W, merged, resolution) - modularity(W, community, resolution), abs=1e-12
         )
         assert gain[a, b] <= 1e-12
+
+    # (graph seed, nodes, blobs, kernel width scale, resolution, Leiden seed,
+    # cluster id by label, modularity).  The first four reach the three
+    # branches no other test tells apart: a node striking out alone in local
+    # moving, a refinement node that is not well connected, and a
+    # subcommunity that is not.  Deleting any one of them changes some pinned
+    # result.  The last reaches the level loop's early break: refinement
+    # merges nothing at the second level.
+    @pytest.mark.parametrize(
+        "seed, n, blobs, scale, resolution, leiden_seed, clusters, quality",
+        [
+            (3860345312, 8, 1, 1.0, 1.5, 818,
+             [2, 1, 2, 1, 1, 2, 1, None], -0.10045080633774384),
+            (3116031787, 34, 1, 1.0, 1.5, 787,
+             [3, 1, 2, 1, 3, 1, 4, 4, None, 5, 2, None, None, 1, 4, 3, 2,
+              4, 1, 1, 2, 5, 2, 2, 1, 3, 5, 5, 4, 1, 3, 3, 2, 1], 0.08666471156290322),
+            (2080416671, 6, 2, 0.5, 1.5, 953, [1, 2, 1, None, 1, 2], 0.09418095328637378),
+            (3550707941, 8, 3, 0.5, 3.0, 360,
+             [1, 2, 1, None, 2, None, None, None], -0.36997618581000014),
+            (3200627078, 10, 4, 0.25, 3.0, 699,
+             [1, 2, 3, 4, 1, 2, None, 4, None, 3], -0.6409001141106624),
+        ],
+        ids=["skips-8", "skips-34", "skips-6", "strike-out-8", "early-break-10"],
+    )
+    def test_pinned_partitions(
+        self, seed, n, blobs, scale, resolution, leiden_seed, clusters, quality
+    ):
+        similarity = _blob_similarity(seed, n, blobs, scale)
+        result = leiden_clusters(similarity, resolution=resolution, seed=leiden_seed)
+        assert [result.assignments[label] for label in range(n)] == clusters
+        assert result.quality == pytest.approx(quality, abs=1e-12)
 
     def test_negative_weights_rejected(self):
         W = np.array([[1.0, -1.0], [-1.0, 1.0]])
