@@ -18,12 +18,26 @@ numbering.
 Leiden (Traag, Waltman & van Eck 2019) runs three phases per level:
 queue-based local moving, a refinement pass that only merges
 well-connected nodes inside their current community, and aggregation.  It
-optimizes modularity with a resolution parameter.  Randomness is confined
-to visit-order shuffles drawn from ``random.Random(seed)``, and every tie
-is broken by lowest index, so a fixed seed yields a fixed partition.  The
-leaf graph has a zero diagonal; aggregate levels carry twice the internal
-weight of each merged group on the diagonal, so that row sums remain node
-strengths.
+optimizes modularity with a resolution γ; below, w is edge weight, k a
+node's strength, K a group's total strength and 2m the leaf graph's total.
+The leaf graph has a zero diagonal; aggregate levels carry twice the
+internal weight of each merged group on the diagonal, so that row sums
+remain node strengths.  The decision rules:
+
+* One ``random.Random(seed)`` draws every visit order.  Each level shuffles
+  its nodes once for local moving, then the nodes of each community of two
+  or more, in ascending community id, for refinement.  Nothing else draws.
+* Local moving scores staying in C as w(v, C - v) - γ k_v (K_C - k_v) / 2m
+  and each community D that v has weight to as w(v, D) - γ k_v K_D / 2m.
+  Taken in ascending id, D replaces the running best only if it beats it by
+  more than 1e-12.  If v shares its community and the best is below
+  -1e-12, v moves alone into the lowest empty id.
+* Refinement starts from singletons.  A node that is still alone may join
+  the subcommunity S of its community C with the largest gain
+  w(v, S) - γ k_v K_S / 2m above 1e-12; ties go to the lowest id.
+* Two well-connectedness tests, each with 1e-12 of slack: v is considered
+  only if w(v, C - v) >= γ k_v (K_C - k_v) / 2m, and S is a candidate only
+  if w(S, C - S) >= γ K_S (K_C - K_S) / 2m.
 """
 
 from __future__ import annotations
@@ -244,9 +258,20 @@ def default_sigma(distances: DistanceMatrix) -> float:
 
 
 def similarity_matrix(distances: DistanceMatrix, sigma: float) -> SimilarityMatrix:
-    """Gaussian kernel exp(-D^2 / (2 sigma^2)) applied elementwise."""
+    """Gaussian kernel exp(-D^2 / (2 sigma^2)) applied elementwise.
+
+    Where 2 sigma^2 is not a normal float (sigma below about 1.5e-154; it is
+    0 below about 1.6e-162, and 0/0 would be nan) the distances are divided
+    by sigma before squaring, so a zero distance gives 1 at every sigma.  A
+    square past the float range is a similarity of 0, without a warning.
+    """
     check_positive_finite("sigma", sigma)
-    matrix = np.exp(-(distances.matrix**2) / (2.0 * sigma * sigma))
+    scale = 2.0 * sigma * sigma
+    with np.errstate(over="ignore"):
+        if scale < np.finfo(float).tiny:
+            matrix = np.exp(-0.5 * (distances.matrix / sigma) ** 2)
+        else:
+            matrix = np.exp(-(distances.matrix**2) / scale)
     return SimilarityMatrix(distances.labels, matrix, float(sigma))
 
 
@@ -256,8 +281,8 @@ def leiden_clusters(
     """Cluster the weighted complete graph of pairwise similarities.
 
     This is the one place that checks a graph: at least 2 labels, a
-    positive finite resolution, a square matrix matching the labels, symmetric
-    within 1e-9 with a unit diagonal and no negative entry.  Labels are
+    positive finite resolution, a square matrix matching the labels, finite,
+    symmetric within 1e-9 with a unit diagonal and no negative entry.  Labels are
     reordered canonically before the seeded run, so any input permutation
     of the same data yields the identical assignment mapping.
     """
@@ -269,6 +294,8 @@ def leiden_clusters(
     matrix = np.asarray(similarity.matrix, dtype=float)
     if matrix.shape != (n, n):
         raise ValueError(f"{n} labels need a {n} x {n} similarity matrix, got {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("similarity matrix must be finite")
     if not np.allclose(matrix, matrix.T, atol=1e-9):
         raise ValueError("similarity matrix must be symmetric")
     if not np.allclose(np.diag(matrix), 1.0, atol=1e-9):
@@ -301,7 +328,7 @@ def leiden_clusters(
     )
 
 
-def _leiden(W: np.ndarray, resolution: float, seed: int) -> list[int]:
+def _leiden(W: np.ndarray, resolution: float, seed: int) -> np.ndarray:
     """Leiden partition of a checked zero-diagonal graph, compact ids.
 
     A graph with no weight gives all singletons.  Each level that does not
@@ -311,41 +338,43 @@ def _leiden(W: np.ndarray, resolution: float, seed: int) -> list[int]:
     n = W.shape[0]
     two_m = float(W.sum())
     if two_m <= 0:
-        return list(range(n))
+        return np.arange(n)
 
     rng = random.Random(seed)
-    carrier = list(range(n))  # leaf node -> current-level node
-    membership = list(range(n))
+    carrier = np.arange(n)  # leaf node -> current-level node
+    membership = np.arange(n)
     for _ in range(n):
         strengths = W.sum(axis=1)
         _local_move(W, strengths, two_m, membership, resolution, rng)
-        membership, n_comms = _compact(membership)
-        if n_comms == W.shape[0]:
+        membership = _compact(membership)
+        if membership.max() + 1 == len(membership):
             break
-        refined = _refine(W, strengths, two_m, membership, resolution, rng)
-        W, membership, node_map = _aggregate(W, refined, membership)
-        carrier = [node_map[c] for c in carrier]
-        if W.shape[0] == len(node_map):
-            # refinement kept everything separate: nothing left to collapse
-            break
-    return _compact([membership[c] for c in carrier])[0]
+        refined = _compact(_refine(W, strengths, two_m, membership, resolution, rng))
+        if refined.max() + 1 == len(refined):
+            break  # refinement kept everything separate: nothing left to collapse
+        indicator = np.eye(refined.max() + 1)[refined]  # node x refined community
+        W = indicator.T @ W @ indicator
+        # each refined community lies in one community: that of its first node
+        membership = membership[np.unique(refined, return_index=True)[1]]
+        carrier = refined[carrier]
+    return _compact(membership[carrier])
 
 
-def _compact(labels: list[int]) -> tuple[list[int], int]:
-    """Renumber labels by first appearance."""
-    mapping = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    return [mapping[label] for label in labels], len(mapping)
+def _compact(labels: np.ndarray) -> np.ndarray:
+    """Renumber labels 0, 1, ... by first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def _local_move(
     W: np.ndarray,
     strengths: np.ndarray,
     two_m: float,
-    membership: list[int],
+    membership: np.ndarray,
     resolution: float,
     rng: random.Random,
 ) -> None:
-    """Greedy node moves until no queued node improves modularity."""
+    """Greedy node moves, in place, until no queued node improves modularity."""
     n = len(membership)
     # bincount adds in node order, as a loop over the nodes would
     comm_tot = np.bincount(membership, weights=strengths, minlength=n)
@@ -354,7 +383,7 @@ def _local_move(
     order = list(range(n))
     rng.shuffle(order)
     queue = deque(order)
-    queued = [True] * n
+    queued = np.ones(n, dtype=bool)
 
     while queue:
         v = queue.popleft()
@@ -363,22 +392,17 @@ def _local_move(
         k_v = strengths[v]
         row = W[v]
         w_to = np.bincount(membership, weights=row, minlength=n)
-        w_own = w_to[c_v] - row[v]
-        stay = w_own - resolution * k_v * (comm_tot[c_v] - k_v) / two_m
-
         best_c = c_v
-        best_score = stay
-        for c in np.nonzero(w_to > 0)[0]:
-            c = int(c)
-            if c == c_v:
-                continue
+        best_score = w_to[c_v] - row[v] - resolution * k_v * (comm_tot[c_v] - k_v) / two_m
+        # a community must beat the running best by more than _EPS, so the
+        # lowest of near-equal scores wins; no argmax expresses that
+        for c in np.flatnonzero(w_to > 0).tolist():
             score = w_to[c] - resolution * k_v * comm_tot[c] / two_m
-            if score > best_score + _EPS:
+            if c != c_v and score > best_score + _EPS:
                 best_c, best_score = c, score
         if comm_size[c_v] > 1 and 0.0 > best_score + _EPS:
-            # striking out alone beats every occupied option
-            empty = int(np.nonzero(comm_size == 0)[0][0])
-            best_c, best_score = empty, 0.0
+            # striking out alone, into the first empty community, beats all
+            best_c = int(np.argmin(comm_size))
 
         if best_c != c_v:
             comm_tot[c_v] -= k_v
@@ -386,21 +410,19 @@ def _local_move(
             comm_tot[best_c] += k_v
             comm_size[best_c] += 1
             membership[v] = best_c
-            for u in np.nonzero(row > 0)[0]:
-                u = int(u)
-                if u != v and membership[u] != best_c and not queued[u]:
-                    queue.append(u)
-                    queued[u] = True
+            requeue = (row > 0) & (membership != best_c) & ~queued  # never v
+            queued |= requeue
+            queue.extend(np.flatnonzero(requeue).tolist())
 
 
 def _refine(
     W: np.ndarray,
     strengths: np.ndarray,
     two_m: float,
-    membership: list[int],
+    membership: np.ndarray,
     resolution: float,
     rng: random.Random,
-) -> list[int]:
+) -> np.ndarray:
     """Split each community into well-connected subcommunities.
 
     Starting from singletons, each node that is still alone may merge into a
@@ -408,67 +430,40 @@ def _refine(
     connected within the community and the merge improves modularity.  The
     best candidate wins; ties go to the lowest subcommunity id.
     """
-    n = len(membership)
-    refined = list(range(n))
-    ref_tot = [float(s) for s in strengths]
-
-    for c in sorted(set(membership)):
-        nodes = [v for v in range(n) if membership[v] == c]
+    refined = np.arange(len(membership))  # a node alone keeps its own id
+    ref_tot = strengths.copy()
+    by_community = np.argsort(membership, kind="stable")
+    for nodes in np.split(by_community, np.cumsum(np.bincount(membership))[:-1]):
         if len(nodes) < 2:
             continue
-        node_arr = np.array(nodes)
-        sub = W[np.ix_(node_arr, node_arr)]
+        sub = W[np.ix_(nodes, nodes)]
         within = sub.sum(axis=1) - np.diag(sub)
-        local = {v: i for i, v in enumerate(nodes)}
-        s_tot = float(strengths[node_arr].sum())
-
-        order = nodes.copy()
+        s_tot = strengths[nodes].sum()
+        members = {v: [v] for v in nodes.tolist()}  # in join order
+        order = list(range(len(nodes)))
         rng.shuffle(order)
-        members: dict[int, list[int]] = {refined[v]: [v] for v in nodes}
-        for v in order:
+        for i in order:
+            v = int(nodes[i])
             if len(members[refined[v]]) != 1:
                 continue
-            k_v = float(strengths[v])
-            if within[local[v]] + _EPS < resolution * k_v * (s_tot - k_v) / two_m:
+            k_v = strengths[v]
+            if within[i] + _EPS < resolution * k_v * (s_tot - k_v) / two_m:
                 continue
-            gains: dict[int, float] = {}
-            for u in nodes:
-                if u == v:
-                    continue
-                t = refined[u]
-                gains[t] = gains.get(t, 0.0) + float(W[v, u])
-            best_t = -1
-            best_gain = _EPS
-            for t in sorted(gains):
-                t_members = members[t]
-                outside = [u for u in nodes if refined[u] != t]
-                cut = float(W[np.ix_(t_members, outside)].sum())
+            labels = refined[nodes]
+            gains = np.bincount(labels, weights=sub[i])  # in node order
+            best_t, best_gain = -1, _EPS
+            for t in sorted(members.keys() - {v}):
+                cut = W[np.ix_(members[t], nodes[labels != t])].sum()
                 if cut + _EPS < resolution * ref_tot[t] * (s_tot - ref_tot[t]) / two_m:
                     continue
                 gain = gains[t] - resolution * k_v * ref_tot[t] / two_m
                 if gain > best_gain:
                     best_t, best_gain = t, gain
             if best_t >= 0:
-                old = refined[v]
-                members[best_t].append(v)
-                members[old].remove(v)
+                members[best_t] += members.pop(v)
                 ref_tot[best_t] += k_v
-                ref_tot[old] -= k_v
                 refined[v] = best_t
     return refined
-
-
-def _aggregate(
-    W: np.ndarray, refined: list[int], membership: list[int]
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Collapse refined communities into nodes; keep the parent partition."""
-    compact, n_agg = _compact(refined)
-    indicator = np.eye(n_agg)[compact]  # node x refined community
-    W_agg = indicator.T @ W @ indicator
-    parent = np.empty(n_agg, dtype=np.int64)
-    parent[compact] = membership  # a refined community lies in one community
-    parent, _ = _compact(parent.tolist())
-    return W_agg, parent, compact
 
 
 def modularity(

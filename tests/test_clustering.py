@@ -1,6 +1,7 @@
 """DTW distances, kernel similarity, Leiden clustering, mean trajectories."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,12 +245,24 @@ class TestDistanceMatrix:
 class TestSimilarity:
     def test_zero_distance_gives_unit(self):
         D = DistanceMatrix((1, 2), np.array([[0.0, 0.0], [0.0, 0.0]]))
-        assert similarity_matrix(D, 1.0).matrix.tolist() == [[1, 1], [1, 1]]
+        # 2 sigma^2 underflows to 0 at sigma 1e-300: a zero distance must not
+        # become 0/0
+        for sigma in (1.0, 1e-300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert similarity_matrix(D, sigma).matrix.tolist() == [[1, 1], [1, 1]]
 
     def test_kernel_at_sigma(self):
-        D = DistanceMatrix((1, 2), np.array([[0.0, 2.0], [2.0, 0.0]]))
-        S = similarity_matrix(D, 2.0)
-        assert S.matrix[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-15)
+        for sigma in (2.0, 1e-300):
+            D = DistanceMatrix((1, 2), np.array([[0.0, sigma], [sigma, 0.0]]))
+            S = similarity_matrix(D, sigma)
+            assert S.matrix[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-15)
+
+    def test_tiny_sigma_far_pairs_are_dissimilar(self):
+        D = DistanceMatrix((1, 2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert similarity_matrix(D, 1e-300).matrix.tolist() == [[1, 0], [0, 1]]
 
     def test_monotone_decay_and_bounds(self):
         distances = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 50.0])
@@ -339,24 +352,28 @@ class TestLeidenClusters:
             leiden_clusters(similarity, seed=0)
 
     @pytest.mark.parametrize(
-        "labels, matrix, resolution",
+        "labels, matrix, resolution, message",
         [
-            ((0, 1, 2), np.array([[1, 0.5, 0], [0.4, 1, 0], [0, 0, 1]]), 1.0),
-            ((0, 1, 2), np.array([[1, 0.5, 0], [0.5, 0.9, 0], [0, 0, 1]]), 1.0),
-            ((0, 1, 2), np.array([[1, -0.5, 0], [-0.5, 1, 0], [0, 0, 1]]), 1.0),
-            ((0,), np.ones((1, 1)), 1.0),
-            ((0, 1), np.ones((2, 2)), 0.0),
+            ((0, 1, 2), np.array([[1, 0.5, 0], [0.4, 1, 0], [0, 0, 1]]), 1.0, "symmetric"),
+            ((0, 1, 2), np.array([[1, 0.5, 0], [0.5, 0.9, 0], [0, 0, 1]]), 1.0, "unit diagonal"),
+            ((0, 1, 2), np.array([[1, -0.5, 0], [-0.5, 1, 0], [0, 0, 1]]), 1.0, "negative"),
+            ((0,), np.ones((1, 1)), 1.0, "at least 2"),
+            ((0, 1), np.ones((2, 2)), 0.0, "resolution"),
             # a 3 x 3 block of a larger matrix was once clustered silently,
             # and more labels than rows raised IndexError
-            ((0, 1, 2), np.ones((4, 4)), 1.0),
-            ((0, 1, 2, 3, 4), np.ones((4, 4)), 1.0),
+            ((0, 1, 2), np.ones((4, 4)), 1.0, "3 x 3"),
+            ((0, 1, 2, 3, 4), np.ones((4, 4)), 1.0, "5 x 5"),
+            # a symmetric inf would give quality nan, and nan != nan would make
+            # a nan read as asymmetric: each is refused as not finite
+            ((0, 1, 2), np.array([[1, np.inf, 0], [np.inf, 1, 0], [0, 0, 1]]), 1.0, "finite"),
+            ((0, 1, 2), np.array([[1, np.nan, 0], [np.nan, 1, 0], [0, 0, 1]]), 1.0, "finite"),
         ],
         ids=["asymmetric", "non-unit-diagonal", "negative", "one-label", "zero-resolution",
-             "fewer-labels-than-rows", "more-labels-than-rows"],
+             "fewer-labels-than-rows", "more-labels-than-rows", "inf", "nan"],
     )
-    def test_invalid_graph_rejected(self, labels, matrix, resolution):
+    def test_invalid_graph_rejected(self, labels, matrix, resolution, message):
         similarity = SimilarityMatrix(labels, matrix, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             leiden_clusters(similarity, resolution=resolution, seed=0)
 
     def test_singleton_flagging(self):
