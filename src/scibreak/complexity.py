@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from typing import Iterator
 
 import numpy as np
 
@@ -157,16 +158,14 @@ def degree_vectors(adjacency: BinaryAdjacency) -> tuple[np.ndarray, np.ndarray]:
     return k, k_prime
 
 
-def _tie_classes(values: list[float]) -> list[tuple[int, int]]:
-    """Contiguous [start, end) classes of tied eigenvalues (descending input)."""
-    runs = []
+def _tie_classes(values: list[float]) -> Iterator[tuple[int, int]]:
+    """Contiguous [start, end) classes of tied eigenvalues (descending input), in order."""
     scale = max(1.0, abs(values[0])) if values else 1.0
     start = 0
     for i in range(1, len(values) + 1):
         if i == len(values) or abs(values[i] - values[start]) > _TIE_TOL * scale:
-            runs.append((start, i))
+            yield start, i
             start = i
-    return runs
 
 
 def top_eigenpairs_symmetric(matrix: np.ndarray, count: int = 2) -> list[EigenPair]:
@@ -222,14 +221,15 @@ def _build_ranking(
     scores: np.ndarray,
     pruned: tuple[str, ...],
 ) -> tuple[RankedEntity, ...]:
-    order = sorted(range(len(labels)), key=lambda i: (-scores[i], labels[i]))
+    values = scores.tolist()
+    order = sorted(range(len(labels)), key=lambda i: (-values[i], labels[i]))
     # group scores tied within tolerance, then order each group by label so
     # ulp-level noise between mathematically equal scores cannot leak into
     # the published order
     groups: list[list[int]] = []
     for idx in order:
-        if groups and abs(scores[idx] - scores[groups[-1][0]]) <= (
-            _SCORE_TIE_TOL * max(1.0, abs(scores[groups[-1][0]]))
+        if groups and abs(values[idx] - values[groups[-1][0]]) <= (
+            _SCORE_TIE_TOL * max(1.0, abs(values[groups[-1][0]]))
         ):
             groups[-1].append(idx)
         else:
@@ -245,7 +245,7 @@ def _build_ranking(
                     label=labels[idx],
                     rank=position,
                     tie_rank=tie_rank,
-                    score=float(scores[idx]),
+                    score=values[idx],
                     pruned=False,
                 )
             )

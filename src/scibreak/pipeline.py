@@ -83,10 +83,10 @@ _FORMATS = {"f": repr, "i": str, "u": str, "b": ("false", "true").__getitem__}
 def _cell_text(values) -> list:
     """Cell text of a column (1-D) or of a matrix's rows (2-D): ``repr`` of
     each float (as float64), ``str`` of each integer, ``true``/``false`` of
-    each bool, each distinct value formatted once.  Floats are told apart by
-    their bit pattern, so -0.0 and 0.0 keep their own text.  A list holds
-    text already and passes through as is; ids and labels come as one,
-    since a numpy string array drops trailing NULs.
+    each bool, each distinct value formatted once (one sort, then a binary
+    search per cell).  Floats are keyed by their bit pattern, so -0.0, 0.0
+    and NaN payloads keep their own text.  A list is text already and passes
+    through; ids and labels come as one (numpy strings drop trailing NULs).
     """
     if isinstance(values, list):
         return values
@@ -95,11 +95,10 @@ def _cell_text(values) -> list:
     if kind not in _FORMATS:
         raise TypeError(f"no cell text for a {values.dtype} column")
     keys = values.astype(np.float64, copy=False).view(np.uint64) if kind == "f" else values
-    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    distinct = distinct.view(np.float64) if kind == "f" else distinct
-    text = np.array(list(map(_FORMATS[kind], distinct.tolist())), dtype=object)
-    # the inverse's shape differs across numpy versions; values' does not
-    return text[inverse.reshape(values.shape)].tolist()
+    distinct = sorted_unique(keys)
+    shown = distinct.view(np.float64) if kind == "f" else distinct
+    text = np.array(list(map(_FORMATS[kind], shown.tolist())), dtype=object)
+    return text[np.searchsorted(distinct, keys)].tolist()
 
 
 def _write_table(path: Path, header: Iterable[str], columns: Iterable) -> None:

@@ -219,8 +219,8 @@ class TestGraphInvariants:
 
     def test_constructor_refuses_an_unsorted_reference_row(self):
         # CD finds shared references by binary search, so an unsorted row once
-        # scored W0000016's CD (horizon 10) -0.013422818791946308, silently,
-        # where its sorted row gives -0.014492753623188406
+        # scored W0000016's CD (horizon 10) wrong, silently: on this draw,
+        # -0.013422818791946308 where its sorted row gives -0.014492753623188406
         corpus, _ = ingest_works(synthetic_records(300, seed=3))
         row = corpus.work_index("W0000016")
         first, last = corpus._out_indptr[row], corpus._out_indptr[row + 1] - 1
@@ -230,8 +230,11 @@ class TestGraphInvariants:
             corpus.ids, corpus.pub_years, corpus.subfields, corpus.country_table,
             corpus._country_indptr, corpus._country_codes, corpus._out_indptr,
         )
+        ingested = cd_all(corpus, 10)
         rebuilt = cd_all(CitationCorpus(*columns, corpus._out_indices), 10)
-        assert rebuilt.value[rebuilt.works == row].tolist() == [-0.014492753623188406]
+        assert row in ingested.works.tolist()
+        np.testing.assert_array_equal(rebuilt.works, ingested.works)
+        np.testing.assert_array_equal(rebuilt.value, ingested.value)
         with pytest.raises(ValueError, match="reference row not strictly ascending"):
             CitationCorpus(*columns, swapped)
 
