@@ -341,9 +341,6 @@ class CitationCorpus:
         except KeyError:
             raise UnknownWorkError(work_id) from None
 
-    def work_id(self, idx: int) -> str:
-        return self._ids[idx]
-
     def pub_year_of(self, idx: int) -> int:
         return int(self._pub_year[idx])
 

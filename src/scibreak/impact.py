@@ -37,11 +37,11 @@ Citing works dated before the focal year are corpus noise and never count.
   each reference row of the corpus is strictly ascending, the CSR order
   that ingest builds and ``load_snapshot`` checks.
 
-Both kernels take an array of focal works and process it in blocks of one
-publication year, so the expanded edges of only one year are held at a
-time.  Results are tables of arrays with one row per focal work, in the
-order of ``works``; the one-work calls :func:`nbnc` and :func:`cd_index`
-read row 0 of a one-work table into a score object.
+:func:`nbnc_all` and :func:`cd_all` score the works of a year range in
+blocks of one publication year, so the expanded edges of only one year are
+held at a time.  Results are tables of arrays with one row per focal work,
+in the order of ``works``; there is no one-work call, and one work's scores
+are its row in any range that holds it.
 """
 
 from __future__ import annotations
@@ -62,48 +62,10 @@ class BreakthroughClass(Enum):
     DISRUPTIVE = "DI"
     CONSOLIDATING = "CN"
 
-    @classmethod
-    def of(cls, cd_value: float) -> "BreakthroughClass":
-        """The class of one CD value, by the rule of :meth:`holds`."""
-        return cls.DISRUPTIVE if cls.DISRUPTIVE.holds(cd_value) else cls.CONSOLIDATING
-
     def holds(self, cd: np.ndarray | float) -> np.ndarray:
         """Whether each CD value is of this class: disruptive iff CD > 0, so
         zero (including flagged zeros) consolidates."""
         return (np.asarray(cd) > 0) == (self is BreakthroughClass.DISRUPTIVE)
-
-
-@dataclass(frozen=True)
-class NbncScore:
-    """NBNC value of one work plus its per-year terms.
-
-    ``truncated_horizon`` flags works whose horizon extends past the last
-    publication year in the corpus, so late years are structurally empty.
-    """
-
-    work_id: str
-    horizon: int
-    value: float
-    yearly_terms: tuple[float, ...]
-    truncated_horizon: bool
-
-
-@dataclass(frozen=True)
-class CdScore:
-    """CD index of one work with its integer components.
-
-    ``c_total`` is always ``c_x + c_y``.  ``zero_denominator`` marks works
-    where no citation evidence exists at all; their value is 0.
-    """
-
-    work_id: str
-    horizon: int
-    value: float
-    c_x: int
-    c_y: int
-    c_total: int
-    c_refs: int
-    zero_denominator: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +73,9 @@ class NbncTable:
     """NBNC of a set of works, one array row per work of ``works``.
 
     ``terms`` is (works, horizon + 1) and ``value`` adds each row's terms
-    left to right; ``truncated`` is the ``truncated_horizon`` flag.
+    left to right.  ``truncated`` is the ``truncated_horizon`` flag: the
+    horizon extends past the corpus's last publication year, so late years
+    are structurally empty.
     """
 
     works: np.ndarray
@@ -126,7 +90,11 @@ class NbncTable:
 
 @dataclass(frozen=True, eq=False)
 class CdTable:
-    """CD of a set of works with its integer components, one row per work."""
+    """CD of a set of works with its integer components, one row per work.
+
+    ``zero_denominator`` marks works with no citation evidence at all; their
+    value is 0.
+    """
 
     works: np.ndarray
     horizon: int
@@ -140,32 +108,6 @@ class CdTable:
         return len(self.works)
 
 
-def nbnc(
-    corpus: CitationCorpus,
-    work_id: str,
-    horizon: int,
-    *,
-    cocited_semantics: str = "multiset",
-    gamma_convention: str = "own_age",
-) -> NbncScore:
-    """Normalized citation score of one work at the given horizon.
-
-    ``gamma_convention`` selects how a co-cited work j is aged in the
-    denominator: ``own_age`` reads its citations at offset t from j's own
-    publication year; ``focal_calendar`` reads them in the calendar year the
-    focal work turns t.
-    """
-    works = np.array([corpus.work_index(work_id)])
-    table = _nbnc_table(corpus, works, horizon, cocited_semantics, gamma_convention)
-    return NbncScore(
-        work_id,
-        horizon,
-        table.value.item(0),
-        tuple(table.terms[0].tolist()),
-        table.truncated.item(0),
-    )
-
-
 def nbnc_all(
     corpus: CitationCorpus,
     horizon: int,
@@ -176,38 +118,23 @@ def nbnc_all(
 ) -> NbncTable:
     """NBNC for every work published in ``year_range`` (whole corpus if None).
 
-    Row i equals calling :func:`nbnc` on ``works[i]``; rows are in work-index
-    order, so the result is deterministic however the corpus was built up.
+    Rows are in work-index order, so the result is deterministic however the
+    corpus was built up; a work's row is the same in any range that holds it.
     """
-    return _nbnc_table(
-        corpus,
-        _works_in_range(corpus, year_range),
-        horizon,
-        cocited_semantics,
-        gamma_convention,
-    )
-
-
-def cd_index(corpus: CitationCorpus, work_id: str, horizon: int) -> CdScore:
-    """Disruption index of one work over citers within the horizon window.
-
-    The window covers citing works published between the focal year and
-    focal year + horizon inclusive; earlier citing works are corpus noise
-    and ignored.  Reference citations are counted per citing edge.
-    """
-    works = np.array([corpus.work_index(work_id)])
-    table = _cd_table(corpus, works, horizon)
-    c_x, c_y = table.c_x.item(0), table.c_y.item(0)
-    return CdScore(
-        work_id,
-        horizon,
-        table.value.item(0),
-        c_x,
-        c_y,
-        c_x + c_y,
-        table.c_refs.item(0),
-        table.zero_denominator.item(0),
-    )
+    _check_horizon(horizon)
+    if cocited_semantics not in COCITED_SEMANTICS:
+        raise ValueError(f"unknown co-citation semantics: {cocited_semantics!r}")
+    if gamma_convention not in GAMMA_CONVENTIONS:
+        raise ValueError(f"unknown gamma convention: {gamma_convention!r}")
+    works = _works_in_range(corpus, year_range)
+    terms = np.zeros((len(works), horizon + 1))
+    for year, rows in _year_blocks(corpus, works):
+        terms[rows] = _nbnc_terms(
+            corpus, works[rows], year, horizon, cocited_semantics, gamma_convention
+        )
+    value = sum(terms.T)  # left to right, as the oracle's sum() adds the terms
+    truncated = corpus.pub_years[works] + horizon > (corpus.year_max or 0)
+    return NbncTable(works, horizon, terms, value, truncated)
 
 
 def cd_all(
@@ -215,8 +142,17 @@ def cd_all(
     horizon: int,
     year_range: tuple[int, int] | None = None,
 ) -> CdTable:
-    """CD index for every work published in ``year_range``."""
-    return _cd_table(corpus, _works_in_range(corpus, year_range), horizon)
+    """CD index for every work published in ``year_range``, rows as in
+    :func:`nbnc_all`."""
+    _check_horizon(horizon)
+    works = _works_in_range(corpus, year_range)
+    parts = np.zeros((3, len(works)), dtype=np.int64)
+    for year, rows in _year_blocks(corpus, works):
+        parts[:, rows] = _cd_parts(corpus, works[rows], year, horizon)
+    c_x, c_y, c_refs = parts
+    denom = c_x + c_y + c_refs
+    value = np.divide(c_x - c_y, denom, out=np.zeros(len(works)), where=denom > 0)
+    return CdTable(works, horizon, c_x, c_y, c_refs, value, denom == 0)
 
 
 # -- kernels -------------------------------------------------------------------
@@ -261,28 +197,6 @@ def _window_edges(
     return owner[keep], citer[keep], offset[keep]
 
 
-def _nbnc_table(
-    corpus: CitationCorpus,
-    works: np.ndarray,
-    horizon: int,
-    semantics: str,
-    convention: str,
-) -> NbncTable:
-    _check_horizon(horizon)
-    if semantics not in COCITED_SEMANTICS:
-        raise ValueError(f"unknown co-citation semantics: {semantics!r}")
-    if convention not in GAMMA_CONVENTIONS:
-        raise ValueError(f"unknown gamma convention: {convention!r}")
-    terms = np.zeros((len(works), horizon + 1))
-    for year, rows in _year_blocks(corpus, works):
-        terms[rows] = _nbnc_terms(
-            corpus, works[rows], year, horizon, semantics, convention
-        )
-    value = sum(terms.T)  # left to right, as the oracle's sum() adds the terms
-    truncated = corpus.pub_years[works] + horizon > (corpus.year_max or 0)
-    return NbncTable(works, horizon, terms, value, truncated)
-
-
 def _nbnc_terms(
     corpus: CitationCorpus,
     works: np.ndarray,
@@ -315,17 +229,6 @@ def _nbnc_terms(
     denom = np.bincount(member_cell, weights=gamma, minlength=n_cells)
     terms = np.divide(size * cites, denom, out=np.zeros(n_cells), where=denom > 0)
     return terms.reshape(len(works), horizon + 1)
-
-
-def _cd_table(corpus: CitationCorpus, works: np.ndarray, horizon: int) -> CdTable:
-    _check_horizon(horizon)
-    parts = np.zeros((3, len(works)), dtype=np.int64)
-    for year, rows in _year_blocks(corpus, works):
-        parts[:, rows] = _cd_parts(corpus, works[rows], year, horizon)
-    c_x, c_y, c_refs = parts
-    denom = c_x + c_y + c_refs
-    value = np.divide(c_x - c_y, denom, out=np.zeros(len(works)), where=denom > 0)
-    return CdTable(works, horizon, c_x, c_y, c_refs, value, denom == 0)
 
 
 def _cd_parts(

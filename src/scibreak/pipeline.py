@@ -176,7 +176,11 @@ def write_breakthrough_tables(
         [",".join(corpus.countries_of(idx)) or "-" for idx in works],
         chosen.nbnc,
         chosen.cd,
-        [BreakthroughClass.of(cd).value for cd in chosen.cd.tolist()],
+        np.where(
+            BreakthroughClass.DISRUPTIVE.holds(chosen.cd),
+            BreakthroughClass.DISRUPTIVE.value,
+            BreakthroughClass.CONSOLIDATING.value,
+        ).tolist(),
     ]
     header = ("work_id", "year", "subfield", "countries", "nbnc", "cd", "class")
     _write_yearly(run_dir / "breakthroughs", "breakthroughs", header, years, columns)

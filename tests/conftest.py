@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from scibreak.corpus import ingest_works
+from scibreak.impact import cd_all, nbnc_all
 
 
 def make_records(spec, subfields=None, countries=None):
@@ -35,6 +38,35 @@ def make_records(spec, subfields=None, countries=None):
 def build(records, **kw):
     corpus, _ = ingest_works(records, **kw)
     return corpus
+
+
+def table_row(table, row):
+    """Row ``row`` of an NBNC or CD table as one Python value per field: the
+    work index as ``works``, a 2-D field's row as a tuple."""
+    values = {}
+    for field in fields(table):
+        column = getattr(table, field.name)
+        if isinstance(column, np.ndarray):
+            column = tuple(column[row].tolist()) if column.ndim == 2 else column[row].item()
+        values[field.name] = column
+    return SimpleNamespace(**values)
+
+
+def _own_year_row(score_all, corpus, wid, horizon, **options):
+    idx = corpus.work_index(wid)
+    year = int(corpus.pub_years[idx])
+    table = score_all(corpus, horizon, (year, year), **options)
+    return table_row(table, int(np.flatnonzero(table.works == idx)[0]))
+
+
+def nbnc_row(corpus, wid, horizon, **options):
+    """Work ``wid``'s row of ``nbnc_all`` scored over its own publication year."""
+    return _own_year_row(nbnc_all, corpus, wid, horizon, **options)
+
+
+def cd_row(corpus, wid, horizon):
+    """Work ``wid``'s row of ``cd_all`` scored over its own publication year."""
+    return _own_year_row(cd_all, corpus, wid, horizon)
 
 
 def random_citation_records(

@@ -24,12 +24,12 @@ from scibreak.clustering import (
 from scibreak.complexity import BinaryAdjacency, binarize, genepy_scores, rca
 from scibreak.config import PipelineConfig
 from scibreak.corpus import ingest_works
-from scibreak.impact import BreakthroughClass, cd_all, cd_index, nbnc, nbnc_all
+from scibreak.impact import BreakthroughClass, cd_all, nbnc_all
 from scibreak.panel import PanelMatrix, ScoredWorks, select_breakthroughs, subfield_series
 from scibreak.pipeline import run_pipeline
 from scibreak.synth import synthetic_records, write_jsonl
 
-from conftest import build, make_records, random_citation_records
+from conftest import build, cd_row, make_records, nbnc_row, random_citation_records
 from oracles import brute_cd, citation_graph, exhaustive_dtw, naive_nbnc
 
 
@@ -72,7 +72,7 @@ def test_c01_nbnc_oracle_equivalence():
                 ]
             )
         )
-        assert nbnc(fixture, "f", 10).value == 1.5
+        assert nbnc_row(fixture, "f", 10).value == 1.5
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
 
@@ -84,7 +84,7 @@ def test_c02_cd_oracle_equivalence_and_bounds():
             records = random_citation_records(rng, int(rng.integers(30, 201)))
             corpus = build(records)
             for record in records:
-                mine = cd_index(corpus, record["id"], 10)
+                mine = cd_row(corpus, record["id"], 10)
                 expected, parts = brute_cd(records, record["id"], 10)
                 assert mine.value == expected
                 assert (mine.c_x, mine.c_y, mine.c_refs) == parts
@@ -92,11 +92,11 @@ def test_c02_cd_oracle_equivalence_and_bounds():
         disruptive = [("r", 1999, []), ("f", 2000, ["r"])] + [
             (f"c{i}", 2001, ["f"]) for i in range(7)
         ]
-        assert cd_index(build(make_records(disruptive)), "f", 10).value == 1.0
+        assert cd_row(build(make_records(disruptive)), "f", 10).value == 1.0
         consolidating = [("r", 1999, []), ("f", 2000, ["r"])] + [
             (f"c{i}", 2001, ["f", "r"]) for i in range(7)
         ]
-        assert cd_index(build(make_records(consolidating)), "f", 10).value == -1.0
+        assert cd_row(build(make_records(consolidating)), "f", 10).value == -1.0
         balanced = [
             ("r1", 1999, []),
             ("r2", 1999, []),
@@ -105,7 +105,7 @@ def test_c02_cd_oracle_equivalence_and_bounds():
             ("b", 2001, ["f", "r1"]),
             ("d", 2001, ["r2"]),
         ]
-        assert cd_index(build(make_records(balanced)), "f", 10).value == 0.0
+        assert cd_row(build(make_records(balanced)), "f", 10).value == 0.0
 
 
 def test_c03_breakthrough_identity_and_selection_size():

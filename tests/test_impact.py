@@ -6,49 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scibreak.corpus import UnknownWorkError
-from scibreak.impact import (
-    BreakthroughClass,
-    cd_all,
-    cd_index,
-    nbnc,
-    nbnc_all,
+from scibreak.impact import BreakthroughClass, cd_all, nbnc_all
+
+from conftest import (
+    build,
+    cd_row,
+    make_records,
+    nbnc_row,
+    random_citation_records,
+    table_row,
 )
-
-from conftest import build, make_records, random_citation_records
 from oracles import brute_cd, naive_nbnc
-
-
-def assert_nbnc_row(table, row, score):
-    """Row ``row`` of an NBNC table holds the one-work ``score``, field by field."""
-    assert table.horizon == score.horizon
-    assert table.value[row] == score.value
-    assert tuple(table.terms[row].tolist()) == score.yearly_terms
-    assert table.truncated[row] == score.truncated_horizon
-
-
-def assert_cd_row(table, row, score):
-    """Row ``row`` of a CD table holds the one-work ``score``, field by field."""
-    assert table.horizon == score.horizon
-    assert table.value[row] == score.value
-    assert table.c_x[row] == score.c_x
-    assert table.c_y[row] == score.c_y
-    assert table.c_refs[row] == score.c_refs
-    assert table.zero_denominator[row] == score.zero_denominator
 
 
 class TestNbncFixtures:
     def test_six_work_fixture(self, six_work_corpus):
-        score = nbnc(six_work_corpus, "f", 10)
+        score = nbnc_row(six_work_corpus, "f", 10)
         # hand evaluation: offset 1 gives 1*1/2, offset 2 gives 1*1/1
-        assert score.yearly_terms[1] == 0.5
-        assert score.yearly_terms[2] == 1.0
+        assert score.terms[1] == 0.5
+        assert score.terms[2] == 1.0
         assert score.value == 1.5
 
     def test_uncited_work_scores_zero(self):
         corpus = build(make_records([("f", 2000, []), ("x", 2001, [])]))
-        score = nbnc(corpus, "f", 10)
+        score = nbnc_row(corpus, "f", 10)
         assert score.value == 0.0
-        assert all(t == 0.0 for t in score.yearly_terms)
+        assert all(t == 0.0 for t in score.terms)
 
     def test_symmetric_fixture_gives_one_per_cited_year(self):
         # f and g published together, always cited jointly: every co-cited
@@ -64,18 +47,18 @@ class TestNbncFixtures:
                 ]
             )
         )
-        score = nbnc(corpus, "f", 5)
-        assert score.yearly_terms[1] == 1.0
-        assert score.yearly_terms[3] == 1.0
+        score = nbnc_row(corpus, "f", 5)
+        assert score.terms[1] == 1.0
+        assert score.terms[3] == 1.0
         assert score.value == 2.0
 
     def test_truncated_horizon_flag(self, six_work_corpus):
-        assert nbnc(six_work_corpus, "f", 10).truncated_horizon
-        assert not nbnc(six_work_corpus, "f", 2).truncated_horizon
+        assert nbnc_row(six_work_corpus, "f", 10).truncated
+        assert not nbnc_row(six_work_corpus, "f", 2).truncated
 
     def test_unknown_work(self, six_work_corpus):
         with pytest.raises(UnknownWorkError):
-            nbnc(six_work_corpus, "missing", 10)
+            nbnc_row(six_work_corpus, "missing", 10)
 
     def test_gamma_convention_toggle(self):
         # co-cited works published in a different year than the focal make
@@ -90,12 +73,12 @@ class TestNbncFixtures:
                 ]
             )
         )
-        own_age = nbnc(corpus, "f", 3, gamma_convention="own_age")
-        calendar = nbnc(corpus, "f", 3, gamma_convention="focal_calendar")
+        own_age = nbnc_row(corpus, "f", 3, gamma_convention="own_age")
+        calendar = nbnc_row(corpus, "f", 3, gamma_convention="focal_calendar")
         # own age: gamma_1(j) counts q (1996 = 1995+1) and p (2001? no, 2001-1995=6)
-        assert own_age.yearly_terms[1] == 1.0 * 1 / 1
+        assert own_age.terms[1] == 1.0 * 1 / 1
         # focal calendar: j's citations in 2001 -> p only
-        assert calendar.yearly_terms[1] == 1.0 * 1 / 1
+        assert calendar.terms[1] == 1.0 * 1 / 1
         corpus2 = build(
             make_records(
                 [
@@ -107,10 +90,10 @@ class TestNbncFixtures:
                 ]
             )
         )
-        own2 = nbnc(corpus2, "f", 3, gamma_convention="own_age")
-        cal2 = nbnc(corpus2, "f", 3, gamma_convention="focal_calendar")
-        assert own2.yearly_terms[1] == 1.0  # still only q at j-age 1
-        assert cal2.yearly_terms[1] == 0.5  # p and r cite j in 2001
+        own2 = nbnc_row(corpus2, "f", 3, gamma_convention="own_age")
+        cal2 = nbnc_row(corpus2, "f", 3, gamma_convention="focal_calendar")
+        assert own2.terms[1] == 1.0  # still only q at j-age 1
+        assert cal2.terms[1] == 0.5  # p and r cite j in 2001
 
     def test_set_semantics_toggle(self):
         corpus = build(
@@ -123,11 +106,11 @@ class TestNbncFixtures:
                 ]
             )
         )
-        multi = nbnc(corpus, "f", 1)
-        single = nbnc(corpus, "f", 1, cocited_semantics="set")
+        multi = nbnc_row(corpus, "f", 1)
+        single = nbnc_row(corpus, "f", 1, cocited_semantics="set")
         # multiset: bag {b, b}, denom 2+2; set: bag {b}, denom 2
-        assert multi.yearly_terms[1] == 2 * 2 / 4
-        assert single.yearly_terms[1] == 1 * 2 / 2
+        assert multi.terms[1] == 2 * 2 / 4
+        assert single.terms[1] == 1 * 2 / 2
 
 
 class TestNbncProperties:
@@ -137,28 +120,19 @@ class TestNbncProperties:
             records = random_citation_records(rng, int(rng.integers(20, 80)))
             corpus = build(records)
             for record in records[:20]:
-                mine = nbnc(corpus, record["id"], 8)
+                mine = nbnc_row(corpus, record["id"], 8)
                 expected, terms = naive_nbnc(records, record["id"], 8)
                 assert mine.value == expected
-                assert mine.yearly_terms == tuple(terms)
+                assert mine.terms == tuple(terms)
 
     def test_oracle_equivalence_set_semantics(self):
         rng = np.random.default_rng(22)
         records = random_citation_records(rng, 60)
         corpus = build(records)
         for record in records[:20]:
-            mine = nbnc(corpus, record["id"], 6, cocited_semantics="set")
+            mine = nbnc_row(corpus, record["id"], 6, cocited_semantics="set")
             expected, _ = naive_nbnc(records, record["id"], 6, semantics="set")
             assert mine.value == expected
-
-    def test_batch_equals_pointwise(self):
-        rng = np.random.default_rng(23)
-        records = random_citation_records(rng, 120)
-        corpus = build(records)
-        batch = nbnc_all(corpus, 5, (1995, 2005))
-        assert len(batch)  # non-trivial range
-        for row, idx in enumerate(batch.works.tolist()):
-            assert_nbnc_row(batch, row, nbnc(corpus, corpus.work_id(idx), 5))
 
     def test_empty_range(self):
         corpus = build(make_records([("f", 2000, [])]))
@@ -175,7 +149,7 @@ class TestNbncProperties:
         refs = {r["id"]: r["referenced_works"] for r in records}
         for record in records:
             wid = record["id"]
-            score = nbnc(corpus, wid, 6, gamma_convention="focal_calendar")
+            score = nbnc_row(corpus, wid, 6, gamma_convention="focal_calendar")
             assert score.value >= 0.0
             idx = corpus.work_index(wid)
             # under the focal-calendar convention each bag member already
@@ -184,7 +158,7 @@ class TestNbncProperties:
             # co-cites a companion at least as old as the citing year
             cocited_in_window = False
             for c in corpus.citers_idx(idx):
-                cid = corpus.work_id(int(c))
+                cid = corpus.ids[int(c)]
                 offset = year[cid] - year[wid]
                 if not 0 <= offset <= 6:
                     continue
@@ -205,23 +179,23 @@ class TestNbncProperties:
             ("q", 2002, ["f", "a", "b"]),
         ]
         clones = [("p2", 2001, ["f", "a"]), ("q2", 2002, ["f", "a", "b"])]
-        before = nbnc(build(make_records(base)), "f", 4)
-        after = nbnc(build(make_records(base + clones)), "f", 4)
-        assert before.yearly_terms == after.yearly_terms
+        before = nbnc_row(build(make_records(base)), "f", 4)
+        after = nbnc_row(build(make_records(base + clones)), "f", 4)
+        assert before.terms == after.terms
 
 
 class TestCdFixtures:
     def test_maximal_disruption(self):
         spec = [("r", 1999, []), ("f", 2000, ["r"])]
         spec += [(f"c{i}", 2001, ["f"]) for i in range(5)]
-        cd = cd_index(build(make_records(spec)), "f", 10)
+        cd = cd_row(build(make_records(spec)), "f", 10)
         assert cd.value == 1.0
         assert (cd.c_x, cd.c_y, cd.c_refs) == (5, 0, 0)
 
     def test_maximal_consolidation(self):
         spec = [("r", 1999, []), ("f", 2000, ["r"])]
         spec += [(f"c{i}", 2001, ["f", "r"]) for i in range(4)]
-        cd = cd_index(build(make_records(spec)), "f", 10)
+        cd = cd_row(build(make_records(spec)), "f", 10)
         assert cd.value == -1.0
         assert (cd.c_x, cd.c_y, cd.c_refs) == (0, 4, 0)
 
@@ -238,17 +212,24 @@ class TestCdFixtures:
                 ]
             )
         )
-        cd = cd_index(corpus, "f", 10)
+        cd = cd_row(corpus, "f", 10)
         assert (cd.c_x, cd.c_y, cd.c_refs) == (1, 1, 1)
         assert cd.value == 0.0
         assert not cd.zero_denominator
 
+    def test_work_without_references_is_disruptive_once_cited(self):
+        # no reference: C_y = C_refs = 0, so any in-window citer gives +1
+        spec = [("o", 1999, []), ("f", 2000, []), ("c", 2001, ["f", "o"])]
+        cd = cd_row(build(make_records(spec)), "f", 10)
+        assert (cd.c_x, cd.c_y, cd.c_refs) == (1, 0, 0)
+        assert cd.value == 1.0
+
     def test_zero_denominator_flag(self):
         corpus = build(make_records([("r", 1999, []), ("f", 2000, ["r"])]))
-        cd = cd_index(corpus, "f", 10)
+        cd = cd_row(corpus, "f", 10)
         assert cd.value == 0.0
         assert cd.zero_denominator
-        assert BreakthroughClass.of(cd.value) is BreakthroughClass.CONSOLIDATING
+        assert BreakthroughClass.CONSOLIDATING.holds(cd.value)
 
     def test_window_excludes_late_and_noise_citers(self):
         corpus = build(
@@ -261,8 +242,8 @@ class TestCdFixtures:
                 ]
             )
         )
-        cd = cd_index(corpus, "f", 10)
-        assert cd.c_total == 1
+        cd = cd_row(corpus, "f", 10)
+        assert cd.c_x + cd.c_y == 1
 
     def test_reference_citation_window(self):
         corpus = build(
@@ -276,7 +257,7 @@ class TestCdFixtures:
                 ]
             )
         )
-        cd = cd_index(corpus, "f", 10)
+        cd = cd_row(corpus, "f", 10)
         assert cd.c_refs == 1  # only the in-window edge w -> r
 
 
@@ -287,7 +268,7 @@ class TestCdProperties:
             records = random_citation_records(rng, int(rng.integers(30, 120)))
             corpus = build(records)
             for record in records[:25]:
-                mine = cd_index(corpus, record["id"], 7)
+                mine = cd_row(corpus, record["id"], 7)
                 expected, parts = brute_cd(records, record["id"], 7)
                 assert mine.value == expected
                 assert (mine.c_x, mine.c_y, mine.c_refs) == parts
@@ -302,8 +283,8 @@ class TestCdProperties:
         live = ~cds.zero_denominator
         assert (np.sign(cds.value[live]) == np.sign(cds.c_x - cds.c_y)[live]).all()
         for record in records:
-            score = cd_index(corpus, record["id"], 10)
-            assert score.c_total == score.c_x + score.c_y
+            row = corpus.work_index(record["id"])
+            assert cd_row(corpus, record["id"], 10) == table_row(cds, row)
 
     def test_pure_citer_never_decreases_cd(self):
         spec = [
@@ -312,8 +293,8 @@ class TestCdProperties:
             ("c1", 2001, ["f", "r"]),
             ("o", 2002, ["r"]),
         ]
-        before = cd_index(build(make_records(spec)), "f", 10)
-        after = cd_index(
+        before = cd_row(build(make_records(spec)), "f", 10)
+        after = cd_row(
             build(make_records(spec + [("new", 2003, ["f"])])), "f", 10
         )
         assert after.value >= before.value
@@ -324,8 +305,8 @@ class TestCdProperties:
             ("f", 2000, ["r"]),
             ("c1", 2001, ["f"]),
         ]
-        before = cd_index(build(make_records(spec)), "f", 10)
-        after = cd_index(
+        before = cd_row(build(make_records(spec)), "f", 10)
+        after = cd_row(
             build(make_records(spec + [("new", 2003, ["f", "r"])])), "f", 10
         )
         assert after.value <= before.value
@@ -339,7 +320,7 @@ class TestCdProperties:
         ][:15]
         for wid in focal_ids:
             year = next(r["publication_year"] for r in records if r["id"] == wid)
-            before = cd_index(corpus, wid, 10).value
+            before = cd_row(corpus, wid, 10).value
             refs = next(r["referenced_works"] for r in records if r["id"] == wid)
             pure = records + [
                 {"id": "Zpure", "publication_year": year + 1, "referenced_works": [wid]}
@@ -351,8 +332,8 @@ class TestCdProperties:
                     "referenced_works": [wid, refs[0]],
                 }
             ]
-            assert cd_index(build(pure), wid, 10).value >= before
-            assert cd_index(build(coupled), wid, 10).value <= before
+            assert cd_row(build(pure), wid, 10).value >= before
+            assert cd_row(build(coupled), wid, 10).value <= before
 
 
 @st.composite
@@ -396,12 +377,12 @@ class TestKernelsAgainstOracles:
             value, terms = naive_nbnc(records, wid, horizon, semantics, convention)
             assert scores.value[row] == value
             assert tuple(scores.terms[row].tolist()) == tuple(terms)
-            assert_nbnc_row(scores, row, nbnc(corpus, wid, horizon, **options))
+            assert nbnc_row(corpus, wid, horizon, **options) == table_row(scores, row)
             cd_value, parts = brute_cd(records, wid, horizon)
             assert cds.value[row] == cd_value
             assert (cds.c_x[row], cds.c_y[row], cds.c_refs[row]) == parts
             assert cds.zero_denominator[row] == (sum(parts) == 0)
-            assert_cd_row(cds, row, cd_index(corpus, wid, horizon))
+            assert cd_row(corpus, wid, horizon) == table_row(cds, row)
 
         # year blocks are an evaluation detail: a sub-range scores the same
         lo, hi = bounds
@@ -409,7 +390,7 @@ class TestKernelsAgainstOracles:
         inside = [
             row
             for row, idx in enumerate(scores.works.tolist())
-            if lo <= year[corpus.work_id(idx)] <= hi
+            if lo <= year[corpus.ids[idx]] <= hi
         ]
         sub_scores = nbnc_all(corpus, horizon, (lo, hi), **options)
         sub_cds = cd_all(corpus, horizon, (lo, hi))
@@ -432,7 +413,7 @@ class TestClassify:
         ],
     )
     def test_sign_rule(self, value, expected):
-        assert BreakthroughClass.of(value) is expected
+        assert [kind for kind in BreakthroughClass if kind.holds(value)] == [expected]
 
 
 def test_kernels_refuse_negative_horizon():

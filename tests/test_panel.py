@@ -132,7 +132,7 @@ class TestSelection:
                 if cd > 0
                 else BreakthroughClass.CONSOLIDATING
             )
-            assert BreakthroughClass.of(cd) is expected
+            assert expected.holds(cd)
             assert (di, cn) == (cd > 0, not cd > 0)
 
     def test_bad_fraction(self):
@@ -257,7 +257,7 @@ class TestCountrySubfieldCounts:
             expected = sum(
                 len(corpus.countries_of(idx))
                 for idx, cd in zip(chosen.works.tolist(), chosen.cd.tolist())
-                if BreakthroughClass.of(cd) is kind
+                if kind.holds(cd)
                 and window[0] <= corpus.pub_year_of(idx) <= window[1]
                 and corpus.subfield_of(idx) is not None
             )
