@@ -66,15 +66,6 @@ class BinaryAdjacency:
 
 
 @dataclass(frozen=True)
-class RankedEntity:
-    label: str
-    rank: int  # positional, 1 = best, ties broken by label
-    tie_rank: int  # shared min position among equal scores
-    score: float
-    pruned: bool
-
-
-@dataclass(frozen=True)
 class GenepyResult:
     """Eigen decomposition summary and composite ranking for one side."""
 
@@ -82,8 +73,21 @@ class GenepyResult:
     labels: tuple[str, ...]  # retained entities, matrix order
     eigenvalues: tuple[float, ...]
     scores: np.ndarray  # composite score per retained entity
-    ranking: tuple[RankedEntity, ...]  # retained sorted, then pruned
+    order: np.ndarray  # retained entity indexes in rank order
+    tie_rank: np.ndarray  # per ranked position: its tie group's first position
+    pruned: tuple[str, ...]  # sorted; they rank after every retained entity
     residuals: tuple[float, ...]
+
+    def table(self) -> tuple:
+        """The ranking table's columns rank, label, score, tie_rank and
+        pruned: the retained entities in rank order, then the pruned ones,
+        each with score 0 and the tie rank n + 1 that follows the n retained."""
+        n, m = len(self.order), len(self.pruned)
+        rank = np.arange(1, n + m + 1)
+        labels = [self.labels[i] for i in self.order.tolist()] + list(self.pruned)
+        scores = np.concatenate([self.scores[self.order], np.zeros(m)])
+        tie_rank = np.concatenate([self.tie_rank, np.full(m, n + 1)])
+        return rank, labels, scores, tie_rank, rank > n
 
 
 @dataclass(frozen=True)
@@ -216,53 +220,25 @@ def _composite_scores(pairs: list[EigenPair], count: int) -> np.ndarray:
     return weighted**2 + 2.0 * squared
 
 
-def _build_ranking(
-    labels: tuple[str, ...],
-    scores: np.ndarray,
-    pruned: tuple[str, ...],
-) -> tuple[RankedEntity, ...]:
-    values = scores.tolist()
-    order = sorted(range(len(labels)), key=lambda i: (-values[i], labels[i]))
-    # group scores tied within tolerance, then order each group by label so
-    # ulp-level noise between mathematically equal scores cannot leak into
-    # the published order
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and abs(values[idx] - values[groups[-1][0]]) <= (
-            _SCORE_TIE_TOL * max(1.0, abs(values[groups[-1][0]]))
-        ):
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    entities: list[RankedEntity] = []
-    position = 1
-    for group in groups:
-        group.sort(key=lambda i: labels[i])
-        tie_rank = position
-        for idx in group:
-            entities.append(
-                RankedEntity(
-                    label=labels[idx],
-                    rank=position,
-                    tie_rank=tie_rank,
-                    score=values[idx],
-                    pruned=False,
-                )
-            )
-            position += 1
-    # pruned entities follow positionally but share the worst tied rank
-    trailing = len(labels) + 1
-    for offset, label in enumerate(sorted(pruned)):
-        entities.append(
-            RankedEntity(
-                label=label,
-                rank=trailing + offset,
-                tie_rank=trailing,
-                score=0.0,
-                pruned=True,
-            )
-        )
-    return tuple(entities)
+def _rank_order(labels: tuple[str, ...], scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank order and per-position tie ranks of scored entities.
+
+    Walking the scores in descending order, a score joins the current tie
+    group while it lies within ``_SCORE_TIE_TOL * max(1, |s|)`` of the
+    group's first score s; labels ascend within a group, so ulp-level noise
+    between mathematically equal scores cannot leak into the order.  Label
+    ranks come from a Python sort, since numpy strings drop trailing NULs.
+    """
+    label_rank = np.empty(len(labels), dtype=np.intp)
+    label_rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    order = np.lexsort((label_rank, -scores))
+    starts = []
+    for position, score in enumerate(scores[order].tolist(), start=1):
+        if not starts or abs(score - first) > _SCORE_TIE_TOL * max(1.0, abs(first)):
+            first, start = score, position
+        starts.append(start)
+    tie_rank = np.array(starts, dtype=np.int64)
+    return order[np.lexsort((label_rank[order], tie_rank))], tie_rank
 
 
 def _genepy_side(
@@ -275,12 +251,15 @@ def _genepy_side(
     count = min(count, proximity.shape[0])
     pairs = top_eigenpairs_symmetric(proximity, count)
     scores = _composite_scores(pairs, count)
+    order, tie_rank = _rank_order(labels, scores)
     return GenepyResult(
         side=side,
         labels=labels,
         eigenvalues=tuple(p.value for p in pairs[:count]),
         scores=scores,
-        ranking=_build_ranking(labels, scores, pruned),
+        order=order,
+        tie_rank=tie_rank,
+        pruned=tuple(sorted(pruned)),
         residuals=tuple(p.residual for p in pairs[:count]),
     )
 

@@ -442,11 +442,9 @@ def write_rank_outputs(
         base / f"{stem}_adjacency.tsv", "country", adjacency.subfields, adjacency.countries,
         adjacency.matrix,
     )
+    header = ("rank", "label", "score", "tie_rank", "pruned")
     for result in (countries, subfields):
-        entries = ((e.rank, e.label, e.score, e.tie_rank, e.pruned) for e in result.ranking)
-        rank, label, *rest = zip(*entries)
-        header = ("rank", "label", "score", "tie_rank", "pruned")
-        _write_table(base / f"{stem}_{result.side}.tsv", header, (rank, list(label), *rest))
+        _write_table(base / f"{stem}_{result.side}.tsv", header, result.table())
     _write_json(
         base / f"{stem}_diagnostics.json",
         {
@@ -675,7 +673,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 def _country_ranks(rankings: dict, key: tuple) -> dict[str, float]:
     """Rank of every unpruned country in the countries ranking under ``key``."""
-    return {e.label: float(e.rank) for e in rankings[key][0].ranking if not e.pruned}
+    countries = rankings[key][0]
+    labels = [countries.labels[i] for i in countries.order.tolist()]
+    return dict(zip(labels, np.arange(1.0, len(labels) + 1).tolist()))
 
 
 def _analyses_stage(

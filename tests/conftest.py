@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from scibreak.complexity import GenepyResult, _rank_order
 from scibreak.corpus import ingest_works
 from scibreak.impact import cd_all, nbnc_all
 
@@ -67,6 +69,27 @@ def nbnc_row(corpus, wid, horizon, **options):
 def cd_row(corpus, wid, horizon):
     """Work ``wid``'s row of ``cd_all`` scored over its own publication year."""
     return _own_year_row(cd_all, corpus, wid, horizon)
+
+
+RankRow = namedtuple("RankRow", "label rank tie_rank score pruned")
+
+
+def ranking_rows(result):
+    """A GENEPY result's ranking as (label, rank, tie_rank, score, pruned)
+    rows, best first and pruned entities last: its ranking table's columns
+    as Python values."""
+    rank, label, score, tie_rank, pruned = result.table()
+    columns = (label, rank.tolist(), tie_rank.tolist(), score.tolist(), pruned.tolist())
+    return [RankRow(*row) for row in zip(*columns)]
+
+
+def scored(labels, scores, pruned=()):
+    """A GENEPY result that ranks entities ``labels`` by composite
+    ``scores`` and appends ``pruned``, as ``genepy_scores`` builds one;
+    its eigenvalues and residuals are empty."""
+    labels, scores = tuple(labels), np.asarray(scores, dtype=float)
+    order, tie_rank = _rank_order(labels, scores)
+    return GenepyResult("countries", labels, (), scores, order, tie_rank, tuple(sorted(pruned)), ())
 
 
 def random_citation_records(

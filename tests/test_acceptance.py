@@ -29,7 +29,14 @@ from scibreak.panel import PanelMatrix, ScoredWorks, select_breakthroughs, subfi
 from scibreak.pipeline import run_pipeline
 from scibreak.synth import synthetic_records, write_jsonl
 
-from conftest import build, cd_row, make_records, nbnc_row, random_citation_records
+from conftest import (
+    build,
+    cd_row,
+    make_records,
+    nbnc_row,
+    random_citation_records,
+    ranking_rows,
+)
 from oracles import brute_cd, citation_graph, exhaustive_dtw, naive_nbnc
 
 
@@ -275,8 +282,8 @@ def test_c07_genepy_eigen_correctness():
                 tuple(range(7)),
             )
         )
-        assert {e.label: e.rank for e in base.ranking} == {
-            e.label: e.rank for e in permuted.ranking
+        assert {e.label: e.rank for e in ranking_rows(base)} == {
+            e.label: e.rank for e in ranking_rows(permuted)
         }
 
         complete, _ = genepy_scores(
@@ -288,7 +295,7 @@ def test_c07_genepy_eigen_correctness():
                 tuple(range(4)),
             )
         )
-        assert all(e.tie_rank == 1 for e in complete.ranking)
+        assert all(e.tie_rank == 1 for e in ranking_rows(complete))
 
 
 def test_c08_statistics():

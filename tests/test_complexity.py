@@ -5,7 +5,6 @@ import pytest
 
 from scibreak.complexity import (
     BinaryAdjacency,
-    _build_ranking,
     binarize,
     degree_vectors,
     genepy_scores,
@@ -14,6 +13,7 @@ from scibreak.complexity import (
 from scibreak.impact import BreakthroughClass
 from scibreak.panel import PanelMatrix
 
+from conftest import ranking_rows, scored
 from oracles import dense_genepy, share_ratio_rca
 
 KIND = BreakthroughClass.DISRUPTIVE
@@ -166,7 +166,7 @@ class TestGenepy:
         assert max(countries.residuals) <= 1e-9
         assert max(subfields.residuals) <= 1e-9
         assert np.allclose(countries.scores, countries.scores[0], rtol=1e-9)
-        assert all(e.tie_rank == 1 for e in countries.ranking)
+        assert all(e.tie_rank == 1 for e in ranking_rows(countries))
 
     def test_random_matrices_match_oracle(self):
         rng = np.random.default_rng(64)
@@ -190,8 +190,8 @@ class TestGenepy:
     def test_complete_bipartite_all_tied(self):
         countries, _ = genepy_scores(make_adjacency(np.ones((5, 3))))
         assert np.allclose(countries.scores, countries.scores[0], rtol=1e-9)
-        assert all(e.tie_rank == 1 for e in countries.ranking)
-        assert [e.label for e in countries.ranking] == sorted(countries.labels)
+        assert all(e.tie_rank == 1 for e in ranking_rows(countries))
+        assert [e.label for e in ranking_rows(countries)] == sorted(countries.labels)
 
     def test_superset_country_scores_higher(self):
         # rows 0 and 1 nest; every column keeps equal degree-adjusted weight
@@ -223,8 +223,8 @@ class TestGenepy:
         permuted_c, permuted_s = genepy_scores(
             make_adjacency(M[perm], countries=tuple(labels[i] for i in perm))
         )
-        base_rank = {e.label: e.rank for e in base_c.ranking}
-        perm_rank = {e.label: e.rank for e in permuted_c.ranking}
+        base_rank = {e.label: e.rank for e in ranking_rows(base_c)}
+        perm_rank = {e.label: e.rank for e in ranking_rows(permuted_c)}
         assert base_rank == perm_rank
         assert np.allclose(sorted(base_s.scores), sorted(permuted_s.scores))
 
@@ -245,7 +245,7 @@ class TestGenepy:
         countries, _ = genepy_scores(make_adjacency(M))
         (_, oracle_scores), _ = dense_genepy(M)
         assert np.allclose(countries.scores, oracle_scores, atol=1e-9)
-        by_label = {e.label: e.rank for e in countries.ranking}
+        by_label = {e.label: e.rank for e in ranking_rows(countries)}
         assert max(by_label["C00"], by_label["C01"]) < min(
             by_label["C02"], by_label["C03"]
         )
@@ -293,7 +293,7 @@ class TestGenepy:
         countries, _ = genepy_scores(
             make_adjacency([[1, 1], [1, 0]], pruned=("ZZ", "XX"))
         )
-        tail = countries.ranking[-2:]
+        tail = ranking_rows(countries)[-2:]
         assert [e.label for e in tail] == ["XX", "ZZ"]
         assert all(e.pruned for e in tail)
         assert all(e.tie_rank == 3 for e in tail)
@@ -304,7 +304,7 @@ class TestRankTable:
     def test_sorting(self):
         adjacency = make_adjacency(np.eye(3, dtype=np.int8))
         countries, _ = genepy_scores(adjacency)
-        rows = countries.ranking
+        rows = ranking_rows(countries)
         assert [row.rank for row in rows] == [1, 2, 3]
         scores = [row.score for row in rows]
         assert scores == sorted(scores, reverse=True)
@@ -313,7 +313,7 @@ class TestRankTable:
         countries, _ = genepy_scores(
             make_adjacency(np.ones((3, 2)), pruned=("QQ",))
         )
-        rows = countries.ranking
+        rows = ranking_rows(countries)
         assert rows[-1].pruned is True
         assert rows[-1].rank == 4
         assert {row.tie_rank for row in rows[:-1]} == {1}
@@ -322,7 +322,7 @@ class TestRankTable:
         # b is within 1e-9 of c and a within 1e-9 of b, but a is 1.2e-9
         # below c: a chain measured from each class's last member ties all three
         scores = np.array([1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9])
-        rows = _build_ranking(("c", "b", "a"), scores, ())
+        rows = ranking_rows(scored(("c", "b", "a"), scores))
         assert [(e.label, e.rank, e.tie_rank) for e in rows] == [
             ("b", 1, 1), ("c", 2, 1), ("a", 3, 3)
         ]
