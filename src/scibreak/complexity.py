@@ -35,6 +35,7 @@ from .panel import PanelMatrix
 
 _TIE_TOL = 1e-8
 _SCORE_TIE_TOL = 1e-9
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,16 @@ def top_eigenpairs_symmetric(matrix: np.ndarray, count: int = 2) -> list[EigenPa
     S = np.asarray(matrix, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"matrix must be square, got {S.shape}")
-    if not np.allclose(S, S.T, atol=1e-9):
-        raise ValueError("matrix must be symmetric")
+    # averaging a matrix that equals its transpose bit for bit returns it
+    # unchanged unless an entry is NaN or overflows when doubled; GENEPY's
+    # own A A' and A' A are such matrices, so they skip both passes
+    bits = S.view(np.int64)
+    if not (np.array_equal(bits, bits.T) and np.abs(S).max(initial=0.0) <= _HALF_MAX):
+        if not np.allclose(S, S.T, atol=1e-9):
+            raise ValueError("matrix must be symmetric")
+        S = 0.5 * (S + S.T)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    S = 0.5 * (S + S.T)
     values, vectors = np.linalg.eigh(S)
     values, vectors = values[::-1].tolist(), vectors[:, ::-1]
     cut = min(count, len(values))

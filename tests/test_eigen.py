@@ -20,6 +20,11 @@ def _random_proximity(rng, n_rows, n_cols):
     return U
 
 
+def _bits(pairs):
+    """Each pair's value, residual and vector as bytes, so -0.0 and 0.0 differ."""
+    return [np.array([p.value, p.residual, *p.vector]).tobytes() for p in pairs]
+
+
 class TestAgainstDenseOracle:
     def test_random_proximity_matrices(self):
         rng = np.random.default_rng(51)
@@ -117,6 +122,27 @@ class TestValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             top_eigenpairs_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]), 1)
+
+    def test_near_symmetric_accepted_and_averaged(self):
+        # 1e-12 apart is inside the tolerance; eigh reads the lower triangle,
+        # so the pairs show whether the matrix was averaged first
+        S = np.array([[0.0, 1.0, 0.5], [1.0 + 1e-12, 0.0, 0.25], [0.5, 0.25, 0.0]])
+        averaged = top_eigenpairs_symmetric(0.5 * (S + S.T), 2)
+        assert _bits(top_eigenpairs_symmetric(S, 2)) == _bits(averaged)
+        assert _bits(averaged) != _bits(top_eigenpairs_symmetric(np.tril(S) + np.tril(S, -1).T, 2))
+
+    def test_nan_rejected(self):
+        for S in ([[np.nan, 1.0], [1.0, 0.0]], [[0.0, np.nan], [np.nan, 0.0]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                top_eigenpairs_symmetric(np.array(S), 1)
+
+    def test_zeros_of_opposite_sign_averaged(self):
+        # S[1, 0] is -0.0 and S[0, 1] is 0.0: equal values, unequal bits.  In
+        # the lower triangle that eigh reads, the -0.0 flips the sign of the
+        # second eigenvector, and -0.0 components then survive the sign rule
+        S = np.array([[-0.135, 0.0, -1.23], [-0.0, -0.57, 0.0], [-1.23, 0.0, 0.36]])
+        averaged = top_eigenpairs_symmetric(0.5 * (S + S.T), 2)
+        assert _bits(top_eigenpairs_symmetric(S, 2)) == _bits(averaged)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
