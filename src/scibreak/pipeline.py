@@ -374,8 +374,9 @@ def read_panel(matrix_path: Path) -> PanelMatrix:
 
     The window and class come from the file name, e.g. ``DI_1950-1959.tsv``.
     Every count must be an ASCII decimal int64.  A bad name is a
-    ``ValueError`` naming the file; a bad label, a row with the wrong number
-    of fields or a bad count is one naming the file and line.
+    ``ValueError`` naming the file; a bad or repeated label (subfield ids
+    compared as integers), a row with the wrong number of fields or a bad
+    count is one naming the file and line.
     """
     matrix_path = Path(matrix_path)
     kind_token, _, span = matrix_path.stem.partition("_")
@@ -389,14 +390,21 @@ def read_panel(matrix_path: Path) -> PanelMatrix:
         subfields = tuple(int(s) for s in header[1:])
     except ValueError as exc:
         raise ValueError(f"{matrix_path}, line 1: {exc}") from None
+    if (field := _first_repeat(subfields)) is not None:
+        raise ValueError(f"{matrix_path}, line 1: subfield {subfields[field]} repeats")
+    countries = tuple(line.partition("\t")[0] for line in lines)
+    if (row := _first_repeat(countries)) is not None:
+        raise ValueError(f"{matrix_path}, line {row + 2}: country {countries[row]!r} repeats")
     counts = _parse_cells(matrix_path, lines, range(1, len(subfields) + 1), np.int64)
     return PanelMatrix(
-        window=window,
-        kind=kind,
-        counts=counts,
-        countries=tuple(line.partition("\t")[0] for line in lines),
-        subfields=subfields,
+        window=window, kind=kind, counts=counts, countries=countries, subfields=subfields
     )
+
+
+def _first_repeat(labels: Sequence) -> int | None:
+    """Index of the first of ``labels`` that equals an earlier one, or None."""
+    first: dict = {}
+    return next((i for i, label in enumerate(labels) if first.setdefault(label, i) != i), None)
 
 
 def write_cluster_outputs(

@@ -671,6 +671,28 @@ class TestMatrixTables:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 1: "):
             read_panel(path)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("country\t1\t2\t3\nAA\t1\t2\t3\nAB\t4\t5\t6\nAA\t7\t8\t9\n",
+             "line 4: country 'AA' repeats"),
+            ("country\t1\t1\t3\nAA\t1\t2\t3\nAB\t4\t5\t6\n", "line 1: subfield 1 repeats"),
+            ("country\t1\t2\t01\nAA\t1\t2\t3\nAB\t4\t5\t6\n", "line 1: subfield 1 repeats"),
+        ],
+        ids=["row", "column", "column-as-int"],
+    )
+    def test_repeated_label_names_file_and_line(self, tmp_path, capsys, text, where):
+        # a repeated row was once ranked twice (2nd and 3rd) with exit 0, and
+        # a repeated column written as two subfields
+        path = tmp_path / "CN_2000-2009.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, {where}')}$"):
+            read_panel(path)
+        out = tmp_path / "out"
+        assert cli_main(["rank", "--panel", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}, {where}\n"
+        assert not out.exists()
+
 
 class TestIngestionRobustness:
     def test_openalex_shaped_file_with_noise(self, tmp_path):
