@@ -226,6 +226,34 @@ def dense_genepy(M, count=2):
     return side(U), side(V)
 
 
+def brute_ranking(labels, scores, pruned=()):
+    """(label, rank, tie_rank, score, pruned) rows by the README's ranking
+    rule, walked one entity at a time.
+
+    Entities sort by descending score, then label.  Walking that order, a
+    score joins the current group while it lies within 1e-9 * max(1, |s|)
+    of the group's first score s; labels ascend within each group.  rank is
+    the position and tie_rank the group's first position.  Pruned labels
+    follow in label order with score 0.0 and tie rank n + 1.
+    """
+    walk = sorted(zip(labels, scores), key=lambda entity: (-entity[1], entity[0]))
+    groups = []
+    for label, score in walk:
+        if groups and abs(score - groups[-1][0][1]) <= 1e-9 * max(1.0, abs(groups[-1][0][1])):
+            groups[-1].append((label, score))
+        else:
+            groups.append([(label, score)])
+    rows = []
+    for group in groups:
+        first = len(rows) + 1
+        for label, score in sorted(group):
+            rows.append((label, len(rows) + 1, first, score, False))
+    trailing = len(rows) + 1
+    for label in sorted(pruned):
+        rows.append((label, len(rows) + 1, trailing, 0.0, True))
+    return rows
+
+
 def normal_equations_loglog(x, y):
     """Least-squares line on logs via the explicit 2x2 normal equations."""
     lx = np.log(np.asarray(x, dtype=float))

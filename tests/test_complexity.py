@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scibreak.complexity import (
     BinaryAdjacency,
@@ -14,7 +16,7 @@ from scibreak.impact import BreakthroughClass
 from scibreak.panel import PanelMatrix
 
 from conftest import ranking_rows, scored
-from oracles import dense_genepy, share_ratio_rca
+from oracles import brute_ranking, dense_genepy, share_ratio_rca
 
 KIND = BreakthroughClass.DISRUPTIVE
 
@@ -326,3 +328,40 @@ class TestRankTable:
         assert [(e.label, e.rank, e.tie_rank) for e in rows] == [
             ("b", 1, 1), ("c", 2, 1), ("a", 3, 3)
         ]
+
+
+# bases where max(1, |s|) switches, signed zeros, and steps below the 1e-9
+# tolerance that chain past it within a few multiples
+_BASES = (0.0, -0.0, 1.0, -1.0, 1.0 - 7e-10, 1.0 + 7e-10, 1.5, 2.0, 0.25, -3.0, 1e4)
+_STEPS = (0.0, 3e-10, 6e-10, 9e-10, 1.1e-9, 2.5e-9, 1e-6)
+# shared prefixes, a NUL, and characters beyond ASCII and the BMP
+_LABEL_TEXT = st.text(st.sampled_from(["A", "a", "b", "\x00", "é", "ß", "中", "\U0001f600"]), max_size=4)
+
+
+@st.composite
+def near_tied_ranking(draw):
+    """(labels, scores, pruned): scores drawn as base + k * step, so they
+    hold exact duplicates, -0.0 beside 0.0, and chains of near ties."""
+    n = draw(st.integers(1, 14))
+    step = draw(st.sampled_from(_STEPS))
+    scores = []
+    for _ in range(n):
+        base, k = draw(st.sampled_from(_BASES)), draw(st.integers(0, 5))
+        scores.append(base + k * step if k else base)
+    names = draw(st.lists(_LABEL_TEXT, min_size=n, max_size=n + 3, unique=True))
+    return names[:n], scores, names[n:]
+
+
+class TestRankingOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(near_tied_ranking())
+    def test_matches_brute_ranking(self, drawn):
+        labels, scores, pruned = drawn
+        rows = ranking_rows(scored(labels, scores, pruned))
+        assert _exact(rows) == _exact(brute_ranking(labels, scores, pruned))
+
+
+def _exact(rows):
+    """Ranking rows with each score as its hex text, which keeps the sign
+    of a zero that == ignores."""
+    return [(*row[:3], float.hex(row[3]), row[4]) for row in rows]
