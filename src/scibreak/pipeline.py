@@ -680,10 +680,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 def _country_ranks(rankings: dict, key: tuple) -> dict[str, float]:
-    """Rank of every unpruned country in the countries ranking under ``key``."""
+    """Tie rank of every unpruned country in the countries ranking under
+    ``key``, so countries whose scores tie share a rank whatever their codes."""
     countries = rankings[key][0]
     labels = [countries.labels[i] for i in countries.order.tolist()]
-    return dict(zip(labels, np.arange(1.0, len(labels) + 1).tolist()))
+    return dict(zip(labels, countries.tie_rank.astype(float).tolist()))
 
 
 def _analyses_stage(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import string
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,9 @@ YEAR_MAX = 2040
 INPUT_RECORDS = {"corpus.snap", "ingest_report.json", "manifest.json"}
 
 
-def _run(corpus_path, out_root) -> dict[str, bytes]:
-    """The golden pipeline config on ``corpus_path``: every output file's bytes."""
+def _run(corpus_path, out_root, indicators=INPUTS) -> dict[str, bytes]:
+    """The golden pipeline config on ``corpus_path``, with the indicator
+    files of directory ``indicators``: every output file's bytes."""
     config = PipelineConfig(
         corpus_path=str(corpus_path),
         out_root=str(out_root),
@@ -41,9 +43,9 @@ def _run(corpus_path, out_root) -> dict[str, bytes]:
         analysis_end=ANALYSIS_END,
         year_max=YEAR_MAX,
         leiden_seed=11,
-        comparator_rank_path=str(INPUTS / "comparator.tsv"),
-        rd_share_path=str(INPUTS / "rd.tsv"),
-        gdp_path=str(INPUTS / "gdp.tsv"),
+        comparator_rank_path=str(indicators / "comparator.tsv"),
+        rd_share_path=str(indicators / "rd.tsv"),
+        gdp_path=str(indicators / "gdp.tsv"),
         gerd_window=(1995, 2004),
     )
     run_dir = out_root / run_pipeline(config)["config_hash"]
@@ -81,20 +83,29 @@ def _late_works(records: list[dict], count: int, seed: int) -> list[dict]:
     return works
 
 
+def _golden_lines() -> list[str]:
+    return gzip.decompress((INPUTS / "corpus.jsonl.gz").read_bytes()).decode("utf-8").splitlines()
+
+
 @pytest.fixture(scope="module")
-def late_works_runs(tmp_path_factory):
+def plain_run(tmp_path_factory):
+    """The golden config on the golden corpus: every output file's bytes."""
+    return _run(INPUTS / "corpus.jsonl.gz", tmp_path_factory.mktemp("plain"))
+
+
+@pytest.fixture(scope="module")
+def late_works_runs(tmp_path_factory, plain_run):
     """The plain run and the run with 300 late works appended, and the year
     of the plain corpus's last work."""
     root = tmp_path_factory.mktemp("late-works")
-    plain_path = INPUTS / "corpus.jsonl.gz"
-    lines = gzip.decompress(plain_path.read_bytes()).decode("utf-8").splitlines()
+    lines = _golden_lines()
     records = [json.loads(line) for line in lines]
     added = _late_works(records, 300, seed=18)
     plus_path = root / "corpus.jsonl"
     plus_path.write_text(
         "\n".join(lines + [json.dumps(work) for work in added]) + "\n", encoding="utf-8"
     )
-    plain = _run(plain_path, root / "plain")
+    plain = plain_run
     plus = _run(plus_path, root / "plus")
     # the derivation's premises: no reference points forward in time, and
     # ingest kept every added work
@@ -173,3 +184,102 @@ def test_works_after_every_window_change_only_the_input_records(late_works_runs)
     flag should not depend on works dated after every window."""
     plain, plus, _ = late_works_runs
     assert _changed(plain, plus) == INPUT_RECORDS
+
+
+# A <-> Z, B <-> Y, ... in each letter: an involution on two-letter codes
+# that reverses their order
+_MIRROR = str.maketrans(string.ascii_uppercase, string.ascii_uppercase[::-1])
+
+
+@pytest.fixture(scope="module")
+def mirrored_run(tmp_path_factory):
+    """The golden config with every country code mirrored, in the corpus and
+    in the comparator, R&D and GDP files alike."""
+    root = tmp_path_factory.mktemp("mirrored")
+    records = [json.loads(line) for line in _golden_lines()]
+    for record in records:
+        for authorship in record["authorships"]:
+            authorship["countries"] = [code.translate(_MIRROR) for code in authorship["countries"]]
+    corpus_path = root / "corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    for name in ("comparator.tsv", "rd.tsv", "gdp.tsv"):
+        header, *rows = (INPUTS / name).read_text(encoding="utf-8").splitlines()
+        rows = [row[:2].translate(_MIRROR) + row[2:] for row in rows]
+        (root / name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return _run(corpus_path, root / "run", indicators=root)
+
+
+def _rows(data: bytes) -> list[list[str]]:
+    """The cells of each line of a run table, its header first."""
+    return [line.split("\t") for line in data.decode("utf-8").splitlines()]
+
+
+def _by_label(rows: list[list[str]], column: int, mirror: bool) -> dict[str, list[str]]:
+    """Table rows by the label in ``column``, mirrored back if asked, and
+    without that cell."""
+    by_label = {
+        (row[column].translate(_MIRROR) if mirror else row[column]): row[:column] + row[column + 1:]
+        for row in rows
+    }
+    assert len(by_label) == len(rows)
+    return by_label
+
+
+def _close_cells(want: list[str], got: list[str]) -> bool:
+    """Equal labels and integers, floats within 1e-12 relative."""
+    return len(want) == len(got) and all(
+        abs(float(b) - float(a)) <= 1e-12 * abs(float(a)) if "." in a else a == b
+        for a, b in zip(want, got)
+    )
+
+
+def test_mirrored_country_codes_permute_panels_and_rankings(plain_run, mirrored_run):
+    """Relation 4: mirroring every country code (A <-> Z, B <-> Y, ... in
+    each letter, which reverses the order of two-letter codes) in the corpus
+    and in the indicator files permutes the panels and the rankings, and
+    leaves the analyses unchanged.
+
+    The pipeline reads a code only to tell countries apart and to order them.
+    So each panel holds the same count rows under the mirrored labels, in
+    reverse order; RCA and the RCA >= 1 adjacency are the same per label
+    (integer sums are exact in any order), and so is pruning.  GENEPY is
+    equivariant under a permutation of the rows, so each entity keeps its
+    score, up to the summation order of the permuted products, which moves
+    a score by some ulp of the table's largest one.  Tie groups are set by
+    scores alone; within a group labels ascend, so the mirror reverses a
+    group's positional ranks but keeps its tie rank, the group's first
+    position.  Pruned entities keep tie rank n + 1.
+
+    The analyses pair each country's tie rank, or its breakthrough count,
+    with the same country's comparator rank or mean GERD, looked up by code:
+    the same pairs in another order, so every label and integer is equal and
+    every float equal up to summation order.  Positional ranks would rank
+    the countries of a tie group by their codes, so the mirror would change
+    Spearman's rho and the rank fit.
+    """
+    assert mirrored_run.keys() == plain_run.keys()
+    names = [name for name in plain_run if name.endswith(".tsv")]
+    panels = [name for name in names if name.startswith("panels/")]
+    rankings = [name for name in names if name.endswith(("_countries.tsv", "_subfields.tsv"))]
+    analyses = [name for name in names if name.startswith("analysis/")]
+    assert (len(panels), len(rankings), len(analyses)) == (8, 16, 2)
+    for name in panels:
+        (header, *want), (mirrored_header, *got) = _rows(plain_run[name]), _rows(mirrored_run[name])
+        assert mirrored_header == header
+        assert _by_label(got, 0, mirror=True) == _by_label(want, 0, mirror=False)
+    for name in rankings:
+        (header, *want), (_, *got) = _rows(plain_run[name]), _rows(mirrored_run[name])
+        assert header == ["rank", "label", "score", "tie_rank", "pruned"]
+        want = _by_label(want, 1, mirror=False)
+        got = _by_label(got, 1, mirror=name.endswith("_countries.tsv"))
+        assert got.keys() == want.keys()
+        ulp_room = 1e-12 * max(abs(float(row[1])) for row in want.values())
+        for label, (_, score, tie_rank, pruned) in want.items():
+            assert got[label][2:] == [tie_rank, pruned], (name, label)
+            assert abs(float(got[label][1]) - float(score)) <= ulp_room, (name, label)
+    differ = [
+        name for name in analyses
+        if len(_rows(plain_run[name])) != len(_rows(mirrored_run[name]))
+        or not all(map(_close_cells, _rows(plain_run[name]), _rows(mirrored_run[name])))
+    ]
+    assert differ == []
