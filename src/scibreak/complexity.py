@@ -183,9 +183,8 @@ def top_eigenpairs_symmetric(matrix: np.ndarray, count: int = 2) -> list[EigenPa
     S = np.asarray(matrix, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"matrix must be square, got {S.shape}")
-    # averaging a matrix that equals its transpose bit for bit returns it
-    # unchanged unless an entry is NaN or overflows when doubled; GENEPY's
-    # own A A' and A' A are such matrices, so they skip both passes
+    # averaging a matrix equal to its transpose bit for bit returns it unless an
+    # entry is NaN or overflows when doubled; GENEPY's A A' and A' A skip both
     bits = S.view(np.int64)
     if not (np.array_equal(bits, bits.T) and np.abs(S).max(initial=0.0) <= _HALF_MAX):
         if not np.allclose(S, S.T, atol=1e-9):
@@ -235,8 +234,7 @@ def _rank_order(labels: tuple[str, ...], scores: np.ndarray) -> tuple[np.ndarray
     between mathematically equal scores cannot leak into the order.  Label
     ranks come from a Python sort, since numpy strings drop trailing NULs.
     """
-    label_rank = np.empty(len(labels), dtype=np.intp)
-    label_rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    label_rank = np.argsort(sorted(range(len(labels)), key=labels.__getitem__))
     order = np.lexsort((label_rank, -scores))
     starts = []
     for position, score in enumerate(scores[order].tolist(), start=1):
@@ -248,11 +246,7 @@ def _rank_order(labels: tuple[str, ...], scores: np.ndarray) -> tuple[np.ndarray
 
 
 def _genepy_side(
-    side: str,
-    proximity: np.ndarray,
-    labels: tuple[str, ...],
-    pruned: tuple[str, ...],
-    count: int,
+    side: str, proximity: np.ndarray, labels: tuple[str, ...], pruned: tuple[str, ...], count: int
 ) -> GenepyResult:
     count = min(count, proximity.shape[0])
     pairs = top_eigenpairs_symmetric(proximity, count)
@@ -282,23 +276,12 @@ def genepy_scores(
     """
     k, k_prime = degree_vectors(adjacency)
     A = adjacency.matrix.astype(float) / (k[:, None] * k_prime[None, :])
-    U = A @ A.T
-    V = A.T @ A
+    U, V = A @ A.T, A.T @ A
     np.fill_diagonal(U, 0.0)
     np.fill_diagonal(V, 0.0)
-    countries = _genepy_side(
-        "countries",
-        U,
-        adjacency.countries,
-        adjacency.pruned_countries,
-        count,
+    subfields = tuple(map(str, adjacency.subfields))
+    pruned_subfields = tuple(map(str, adjacency.pruned_subfields))
+    return (
+        _genepy_side("countries", U, adjacency.countries, adjacency.pruned_countries, count),
+        _genepy_side("subfields", V, subfields, pruned_subfields, count),
     )
-    subfields = _genepy_side(
-        "subfields",
-        V,
-        tuple(str(s) for s in adjacency.subfields),
-        tuple(str(s) for s in adjacency.pruned_subfields),
-        count,
-    )
-    return countries, subfields
-

@@ -6,9 +6,10 @@ copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
 applies the replacement there and runs the tests in a subprocess.  The
 mutant is killed when pytest reports a failing test; it survives when they
 all pass.  Any other outcome is an error: a snippet that no longer occurs
-exactly once in its file (so the list cannot rot silently), or a pytest run
-that does not get as far as running the tests.  Before the mutants, the
-union of their tests must pass on the unmutated copy.
+exactly once in its file (so the list cannot rot silently), a pytest run
+that does not get as far as running the tests, or one that runs longer than
+``TIMEOUT`` seconds (a mutant can make a loop endless).  Before the
+mutants, the union of their tests must pass on the unmutated copy.
 
 Usage, from the repository root (stdlib only; the tests need numpy, pytest
 and hypothesis)::
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,7 @@ _KERNEL_TESTS = (
     "tests/test_acceptance.py::test_c02_cd_oracle_equivalence_and_bounds",
     "tests/test_impact.py",
 )
+_RANKING_ORACLE = "tests/test_complexity.py::TestRankingOracle"
 _RUN_TABLE_TESTS = (
     "tests/test_pipeline.py::TestRunTables",
     "tests/test_pipeline.py::TestMatrixTables",
@@ -160,6 +163,124 @@ MUTANTS = (
             "::test_near_tie_chain_cut_at_the_class_of_the_last_pair",
         ),
     ),
+    # eigen input: every matrix skips the symmetry check and the average
+    Mutant(
+        "symmetry-always-exact",
+        "src/scibreak/complexity.py",
+        "if not (np.array_equal(bits, bits.T) and np.abs(S).max(initial=0.0) <= _HALF_MAX):",
+        "if False:",
+        ("tests/test_eigen.py::TestValidation::test_asymmetric_rejected",),
+    ),
+    # score tie groups measured from the previous score, so a chain of near
+    # ties joins one group
+    Mutant(
+        "rank-ties-chain",
+        "src/scibreak/complexity.py",
+        "            first, start = score, position\n",
+        "            start = position\n        first = score\n",
+        (
+            "tests/test_complexity.py::TestRankTable"
+            "::test_score_ties_measured_from_the_first_member_of_a_class",
+            _RANKING_ORACLE,
+        ),
+    ),
+    # a score tie group ordered by matrix index instead of label
+    Mutant(
+        "rank-ties-by-matrix-index",
+        "src/scibreak/complexity.py",
+        "order[np.lexsort((label_rank[order], tie_rank))]",
+        "order[np.lexsort((order, tie_rank))]",
+        ("tests/test_complexity.py::TestGenepy::test_complete_bipartite_all_tied", _RANKING_ORACLE),
+    ),
+    # pruned entities share tie rank n, the last retained position
+    Mutant(
+        "pruned-tie-rank-n",
+        "src/scibreak/complexity.py",
+        "np.full(m, n + 1)",
+        "np.full(m, n)",
+        ("tests/test_complexity.py::TestGenepy::test_pruned_entities_appended_with_trailing_tie",),
+    ),
+    # the analyses rank tied countries by their codes again
+    Mutant(
+        "analyses-positional-ranks",
+        "src/scibreak/pipeline.py",
+        "countries.tie_rank.astype(float).tolist()",
+        "np.arange(1.0, len(labels) + 1).tolist()",
+        ("tests/test_metamorphic.py::test_mirrored_country_codes_permute_panels_and_rankings",),
+    ),
+    # panels: a repeated country or subfield id is read as two
+    Mutant(
+        "panel-repeats-read",
+        "src/scibreak/pipeline.py",
+        "    return next((i for i, label in enumerate(labels)"
+        " if first.setdefault(label, i) != i), None)\n",
+        "    return None\n",
+        ("tests/test_pipeline.py::TestMatrixTables::test_repeated_label_names_file_and_line",),
+    ),
+    # Spearman: tied values share their lowest position, not the average
+    Mutant(
+        "average-ranks-min-rank",
+        "src/scibreak/analysis.py",
+        "(np.cumsum(counts) - (counts - 1) / 2)[inverse]",
+        "(np.cumsum(counts) - (counts - 1))[inverse]",
+        ("tests/test_analysis.py::TestSpearman",),
+    ),
+    # modularity doubled
+    Mutant(
+        "modularity-scaled",
+        "src/scibreak/clustering.py",
+        "return float(np.sum(internal / two_m - resolution * (tot / two_m) ** 2))",
+        "return float(2 * np.sum(internal / two_m - resolution * (tot / two_m) ** 2))",
+        ("tests/test_clustering.py::TestLeidenCore::test_modularity_matches_its_definition",),
+    ),
+    # Leiden local moving: a move queues none of the node's neighbours
+    Mutant(
+        "local-move-no-requeue",
+        "src/scibreak/clustering.py",
+        "requeue = (row > 0) & (membership != best_c) & ~queued  # never v",
+        "requeue = np.zeros(n, dtype=bool)",
+        ("tests/test_clustering.py::TestLeidenCore::test_pinned_partitions",),
+    ),
+    # Leiden local moving: no node ever strikes out alone
+    Mutant(
+        "leiden-no-strike-out",
+        "src/scibreak/clustering.py",
+        "if comm_size[c_v] > 1 and 0.0 > best_score + _EPS:",
+        "if False:",
+        ("tests/test_clustering.py::TestLeidenCore::test_pinned_partitions",),
+    ),
+    # Leiden refinement: badly connected nodes are refined too
+    Mutant(
+        "leiden-no-node-connectedness-skip",
+        "src/scibreak/clustering.py",
+        "if within[i] + _EPS < resolution * k_v * (s_tot - k_v) / two_m:",
+        "if False:",
+        ("tests/test_clustering.py::TestLeidenCore::test_pinned_partitions",),
+    ),
+    # Leiden refinement: badly connected subcommunities are merge targets too
+    Mutant(
+        "leiden-no-subcommunity-connectedness-skip",
+        "src/scibreak/clustering.py",
+        "if cut + _EPS < resolution * ref_tot[t] * (s_tot - ref_tot[t]) / two_m:",
+        "if False:",
+        ("tests/test_clustering.py::TestLeidenCore::test_pinned_partitions",),
+    ),
+    # DTW: each full kernel batch leaves its last pair unset
+    Mutant(
+        "dtw-batch-drops-last-pair",
+        "src/scibreak/clustering.py",
+        "batch = slice(start, start + _BATCH)",
+        "batch = slice(start, start + _BATCH - 1)",
+        ("tests/test_clustering.py::TestDistanceMatrix::test_every_pair_matches_full_dp",),
+    ),
+    # ingest: a country repeated within a work is kept twice
+    Mutant(
+        "country-csr-keeps-repeats",
+        "src/scibreak/corpus.py",
+        "kept = np.sort(np.unique(owner * len(codes) + keys, return_index=True)[1])",
+        "kept = np.arange(len(keys))",
+        ("tests/test_corpus.py::TestAgainstNaiveIngest",),
+    ),
 )
 
 
@@ -193,7 +314,12 @@ def _run(mutant: Mutant | None, tests) -> subprocess.CompletedProcess:
             _apply(tree, mutant)
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-        return subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+        try:
+            return subprocess.run(
+                command, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT
+            )
+        except subprocess.TimeoutExpired:
+            return subprocess.CompletedProcess(command, -1, "", f"timed out after {TIMEOUT} s")
 
 
 def _tail(result: subprocess.CompletedProcess, lines: int = 15) -> str:

@@ -190,7 +190,9 @@ class TestGenepy:
                 assert np.allclose(subfields.scores, scores_v, atol=1e-8)
 
     def test_complete_bipartite_all_tied(self):
-        countries, _ = genepy_scores(make_adjacency(np.ones((5, 3))))
+        # labels out of matrix order, so the label order within the tie shows
+        labels = ("C03", "C00", "C04", "C01", "C02")
+        countries, _ = genepy_scores(make_adjacency(np.ones((5, 3)), countries=labels))
         assert np.allclose(countries.scores, countries.scores[0], rtol=1e-9)
         assert all(e.tie_rank == 1 for e in ranking_rows(countries))
         assert [e.label for e in ranking_rows(countries)] == sorted(countries.labels)
