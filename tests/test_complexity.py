@@ -337,7 +337,9 @@ class TestRankTable:
 _BASES = (0.0, -0.0, 1.0, -1.0, 1.0 - 7e-10, 1.0 + 7e-10, 1.5, 2.0, 0.25, -3.0, 1e4)
 _STEPS = (0.0, 3e-10, 6e-10, 9e-10, 1.1e-9, 2.5e-9, 1e-6)
 # shared prefixes, a NUL, and characters beyond ASCII and the BMP
-_LABEL_TEXT = st.text(st.sampled_from(["A", "a", "b", "\x00", "é", "ß", "中", "\U0001f600"]), max_size=4)
+_LABEL_TEXT = st.text(
+    st.sampled_from(["A", "a", "b", "\x00", "é", "ß", "中", "\U0001f600"]), max_size=4
+)
 
 
 @st.composite

@@ -225,11 +225,13 @@ def _by_label(rows: list[list[str]], column: int, mirror: bool) -> dict[str, lis
     return by_label
 
 
-def _close_cells(want: list[str], got: list[str]) -> bool:
-    """Equal labels and integers, floats within 1e-12 relative."""
-    return len(want) == len(got) and all(
+def _close_tables(want: bytes, got: bytes) -> bool:
+    """The same shape, equal labels and integers, floats within 1e-12 relative."""
+    want, got = _rows(want), _rows(got)
+    return [len(row) for row in want] == [len(row) for row in got] and all(
         abs(float(b) - float(a)) <= 1e-12 * abs(float(a)) if "." in a else a == b
-        for a, b in zip(want, got)
+        for want_row, got_row in zip(want, got)
+        for a, b in zip(want_row, got_row)
     )
 
 
@@ -277,9 +279,5 @@ def test_mirrored_country_codes_permute_panels_and_rankings(plain_run, mirrored_
         for label, (_, score, tie_rank, pruned) in want.items():
             assert got[label][2:] == [tie_rank, pruned], (name, label)
             assert abs(float(got[label][1]) - float(score)) <= ulp_room, (name, label)
-    differ = [
-        name for name in analyses
-        if len(_rows(plain_run[name])) != len(_rows(mirrored_run[name]))
-        or not all(map(_close_cells, _rows(plain_run[name]), _rows(mirrored_run[name])))
-    ]
+    differ = [name for name in analyses if not _close_tables(plain_run[name], mirrored_run[name])]
     assert differ == []
