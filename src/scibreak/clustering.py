@@ -57,7 +57,7 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered 2-d points of one subfield (or one cluster mean)."""
+    """Time-ordered 2-d points of one subfield."""
 
     subfield_id: int
     years: tuple[int, ...]
@@ -87,19 +87,18 @@ class SimilarityMatrix:
 
 @dataclass(frozen=True)
 class ClusteringResult:
-    """Cluster assignment of subfields; singletons carry no cluster id.
+    """Cluster id ``cluster[i]`` (int64) of subfield ``labels[i]``, ascending.
 
-    Clusters are numbered from 1 by decreasing size (ties by smallest member
-    label).  ``assignments`` maps every label to its cluster id or None for
-    singletons.  ``mean_trajectories`` is filled via
-    :func:`with_mean_trajectories`.
+    Clusters are numbered from 1 by decreasing size, ties by smallest member
+    label; a singleton has id 0.  :func:`with_mean_trajectories` fills the
+    grid ``years`` and ``means``, whose row k - 1 is cluster k's mean.
     """
 
-    assignments: dict[int, int | None]
-    cluster_members: dict[int, tuple[int, ...]]
-    singletons: tuple[int, ...]
+    labels: np.ndarray
+    cluster: np.ndarray
     quality: float  # modularity at the resolution used
-    mean_trajectories: dict[int, Trajectory] | None = None
+    years: np.ndarray | None = None
+    means: np.ndarray | None = None
 
 
 def trajectories_from_series(series: SeriesTable) -> list[Trajectory]:
@@ -284,7 +283,7 @@ def leiden_clusters(
     positive finite resolution, a square matrix matching the labels, finite,
     symmetric within 1e-9 with a unit diagonal and no negative entry.  Labels are
     reordered canonically before the seeded run, so any input permutation
-    of the same data yields the identical assignment mapping.
+    of the same data yields the same labels and cluster ids.
     """
     labels = similarity.labels
     n = len(labels)
@@ -304,26 +303,16 @@ def leiden_clusters(
         raise ValueError("similarity matrix must not have negative entries")
 
     order = np.argsort(np.asarray(labels))
-    canonical = tuple(labels[i] for i in order)
     weights = matrix[np.ix_(order, order)]
     np.fill_diagonal(weights, 0.0)
     membership = _leiden(weights, resolution, seed)
 
-    groups: dict[int, list[int]] = {}
-    for label, community in zip(canonical, membership):
-        groups.setdefault(community, []).append(label)
-    clusters = sorted(
-        (members for members in groups.values() if len(members) >= 2),
-        key=lambda m: (-len(m), min(m)),
-    )
-    singletons = tuple(sorted(m[0] for m in groups.values() if len(m) == 1))
-    cluster_members = {cid: tuple(sorted(m)) for cid, m in enumerate(clusters, start=1)}
-    assignments: dict[int, int | None] = {label: None for label in canonical}
-    assignments.update((label, cid) for cid, m in cluster_members.items() for label in m)
+    sizes = np.bincount(membership)
+    _, first = np.unique(membership, return_index=True)  # smallest member's position
+    ids = np.argsort(np.lexsort((first, -sizes))) + 1  # by decreasing size, then label
     return ClusteringResult(
-        assignments=assignments,
-        cluster_members=cluster_members,
-        singletons=singletons,
+        labels=np.asarray(labels, dtype=np.int64)[order],
+        cluster=np.where(sizes > 1, ids, 0)[membership],
         quality=modularity(weights, membership, resolution),
     )
 
@@ -482,31 +471,25 @@ def modularity(
 
 def cluster_mean_trajectory(
     result: ClusteringResult, trajectories: Iterable[Trajectory]
-) -> dict[int, Trajectory]:
-    """Pointwise mean trajectory per cluster (the id is stored as the label).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The year grid and the (clusters, years, 2) pointwise mean trajectory
+    of each cluster, row k - 1 for cluster k.
 
-    All member trajectories must share one year grid.  Attach the returned
-    mapping to the result with :func:`with_mean_trajectories`.
+    Every label of the result needs a trajectory, all on one year grid.
+    Attach the means to the result with :func:`with_mean_trajectories`.
     """
     by_label = {t.subfield_id: t for t in trajectories}
-    means: dict[int, Trajectory] = {}
-    for cid, members in result.cluster_members.items():
-        missing = [m for m in members if m not in by_label]
-        if missing:
-            raise ValueError(f"no trajectory for cluster members {missing}")
-        grids = {by_label[m].years for m in members}
-        if len(grids) != 1:
-            raise ValueError(f"cluster {cid} members have mismatched year grids")
-        years = next(iter(grids))
-        stack = np.stack([by_label[m].points for m in members])
-        means[cid] = Trajectory(cid, years, stack.mean(axis=0))
-    return means
+    ordered = [by_label.get(label) for label in result.labels.tolist()]
+    if None in ordered or len({t.years for t in ordered}) > 1:
+        raise ValueError("every label needs a trajectory, all on one year grid")
+    points = np.stack([t.points for t in ordered])  # (labels, years, 2)
+    means = [points[result.cluster == k].mean(axis=0) for k in range(1, result.cluster.max() + 1)]
+    return np.array(ordered[0].years), np.array(means).reshape(-1, *points.shape[1:])
 
 
 def with_mean_trajectories(
     result: ClusteringResult, trajectories: Iterable[Trajectory]
 ) -> ClusteringResult:
-    """Copy of the result with per-cluster mean trajectories filled in."""
-    return replace(
-        result, mean_trajectories=cluster_mean_trajectory(result, trajectories)
-    )
+    """Copy of the result with its year grid and cluster means filled in."""
+    years, means = cluster_mean_trajectory(result, trajectories)
+    return replace(result, years=years, means=means)

@@ -252,23 +252,22 @@ def read_series_table(path: Path) -> SeriesTable:
     """Rebuild a series table from a subfield_series.tsv file.
 
     Rows are placed on the grid of the subfields and years the file holds;
-    a grid cell without a row reads as zero.  A subfield/year pair given
-    twice is an error.  The header must list the columns that
-    :func:`write_series_table` writes, in its order; an empty file reads as
-    no rows.  Every count must be an ASCII decimal int64 and every share a
-    float64; a bad header, a row without 9 fields or a bad cell is a
+    a grid cell without a row reads as zero.  The header must list the
+    columns that :func:`write_series_table` writes, in its order; an empty
+    file reads as no rows.  Every count must be an ASCII decimal int64 and
+    every share a float64; a bad header, a row without 9 fields, a bad cell
+    or a subfield/year pair given twice (at its second row) is a
     ``ValueError`` naming the file and line.
     """
     _, lines = _read_table(path, _SERIES_COLUMNS)
     keys = _parse_cells(path, lines, range(6), np.int64)
     shares = _parse_cells(path, lines, range(6, 8), np.float64)
-    subfields, years = (
-        np.array(sorted(set(keys[:, i].tolist())), dtype=np.int64) for i in (0, 1)
-    )
+    subfields, years = sorted_unique(keys[:, 0]), sorted_unique(keys[:, 1])
     cells = np.searchsorted(subfields, keys[:, 0]) * len(years)
     cells += np.searchsorted(years, keys[:, 1])
-    if len(set(cells.tolist())) < len(cells):
-        raise ValueError(f"{path}: a subfield/year row is given twice")
+    if (row := _first_repeat(cells.tolist())) is not None:
+        sub, year = keys[row, :2].tolist()
+        raise ValueError(f"{path}, line {row + 2}: subfield {sub}, year {year} is given twice")
 
     def grid(values: np.ndarray) -> np.ndarray:
         """(column, subfield, year) array of the table columns ``values``."""
@@ -413,24 +412,19 @@ def write_cluster_outputs(
     similarity: SimilarityMatrix,
     result: ClusteringResult,
 ) -> None:
-    """The distance and similarity matrices, the assignments and the
-    result's mean trajectories."""
+    """The distance and similarity matrices, the cluster id of each label
+    and the result's mean trajectories, one row per cluster and year."""
     base = run_dir / "cluster"
     for name, pairs in (("dtw_distance", distances), ("similarity", similarity)):
         _write_matrix(base / f"{name}.tsv", "subfield", pairs.labels, pairs.labels, pairs.matrix)
-    labels, cids = zip(*sorted(result.assignments.items()))
-    singleton = np.array([cid is None for cid in cids])
-    cluster = np.where(singleton, "-", _cell_text(tuple(cid or 0 for cid in cids))).tolist()
-    header = ("subfield", "cluster", "singleton")
-    _write_table(base / "assignments.tsv", header, (labels, cluster, singleton))
-    means = result.mean_trajectories
-    rows = [
-        (cid, year, cn, di)
-        for cid in sorted(means)
-        for year, (cn, di) in zip(means[cid].years, means[cid].points.tolist())
-    ]
+    cluster = result.cluster
+    columns = (result.labels, np.where(cluster > 0, _cell_text(cluster), "-").tolist(), cluster == 0)
+    _write_table(base / "assignments.tsv", ("subfield", "cluster", "singleton"), columns)
+    clusters, years = result.means.shape[:2]
+    ids = np.repeat(np.arange(1, clusters + 1), years)
+    columns = (ids, np.tile(result.years, clusters), *result.means.reshape(-1, 2).T)
     header = ("cluster", "year", "mean_scaled_cn", "mean_scaled_di")
-    _write_table(base / "mean_trajectories.tsv", header, zip(*rows))
+    _write_table(base / "mean_trajectories.tsv", header, columns)
 
 
 def write_rank_outputs(
@@ -589,7 +583,7 @@ def cluster_stage(
         leiden_clusters(similarity, resolution=resolution, seed=seed), trajectories
     )
     write_cluster_outputs(out_dir, distances, similarity, result)
-    detail = f"{len(result.cluster_members)} clusters, {len(result.singletons)} singletons"
+    detail = f"{result.cluster.max()} clusters, {(result.cluster == 0).sum()} singletons"
     return result, detail, False
 
 

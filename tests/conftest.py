@@ -13,6 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from scibreak.clustering import Trajectory
 from scibreak.complexity import GenepyResult, _rank_order
 from scibreak.corpus import ingest_works
 from scibreak.impact import cd_all, nbnc_all
@@ -90,6 +91,34 @@ def scored(labels, scores, pruned=()):
     labels, scores = tuple(labels), np.asarray(scores, dtype=float)
     order, tie_rank = _rank_order(labels, scores)
     return GenepyResult("countries", labels, (), scores, order, tie_rank, tuple(sorted(pruned)), ())
+
+
+def assignments_of(result):
+    """A clustering result's partition as ``{label: cluster id}``, None for a
+    singleton."""
+    return {label: cid or None for label, cid in zip(result.labels.tolist(), result.cluster.tolist())}
+
+
+def members_of(result):
+    """A clustering result's clusters as ``{cluster id: member labels}``,
+    labels ascending; singletons are in no cluster."""
+    members = {}
+    for label, cid in zip(result.labels.tolist(), result.cluster.tolist()):
+        if cid:
+            members.setdefault(cid, []).append(label)
+    return {cid: tuple(labels) for cid, labels in sorted(members.items())}
+
+
+def singletons_of(result):
+    """The labels of a clustering result's singletons, ascending."""
+    return tuple(result.labels[result.cluster == 0].tolist())
+
+
+def means_of(years, means):
+    """Cluster mean trajectories, as ``cluster_mean_trajectory`` gives them,
+    as ``{cluster id: Trajectory}`` with the id as the trajectory's label."""
+    grid = tuple(years.tolist())
+    return {cid: Trajectory(cid, grid, row) for cid, row in enumerate(means, start=1)}
 
 
 def random_citation_records(

@@ -265,6 +265,50 @@ MUTANTS = (
         "if False:",
         ("tests/test_clustering.py::TestLeidenCore::test_pinned_partitions",),
     ),
+    # clusters of equal size numbered by their largest label, not their smallest
+    Mutant(
+        "cluster-ties-by-largest-label",
+        "src/scibreak/clustering.py",
+        "    _, first = np.unique(membership, return_index=True)  # smallest member's position\n",
+        "    _, first = np.unique(membership[::-1], return_index=True)\n    first = -first\n",
+        ("tests/test_clustering.py::TestLeidenCore::test_pinned_partitions",),
+    ),
+    # singletons numbered as clusters
+    Mutant(
+        "singletons-numbered",
+        "src/scibreak/clustering.py",
+        "np.where(sizes > 1, ids, 0)",
+        "np.where(sizes > 0, ids, 0)",
+        (
+            "tests/test_clustering.py::TestLeidenClusters::test_singleton_flagging",
+            "tests/test_clustering.py::TestLeidenCore::test_pinned_partitions",
+        ),
+    ),
+    # DTW: the kernel's copy of one-point inputs is a view, so the scaling
+    # rewrites the caller's points
+    Mutant(
+        "dtw-input-view",
+        "src/scibreak/clustering.py",
+        'a = np.array(a.transpose(2, 1, 0), order="C")',
+        "a = np.ascontiguousarray(a.transpose(2, 1, 0))",
+        ("tests/test_clustering.py::TestDistanceMatrix::test_inputs_are_never_changed",),
+    ),
+    # selection: an NBNC tie at the cut goes by corpus index, not work id
+    Mutant(
+        "selection-ties-by-corpus-index",
+        "src/scibreak/panel.py",
+        "np.lexsort((corpus.id_rank[scored.works], -scored.nbnc, years))",
+        "np.lexsort((scored.works, -scored.nbnc, years))",
+        ("tests/test_panel.py::TestSelection::test_tie_at_cut_prefers_smaller_id",),
+    ),
+    # work-id order from a numpy string array, which drops trailing NULs
+    Mutant(
+        "id-rank-numpy-strings",
+        "src/scibreak/corpus.py",
+        "rank = np.argsort(sorted(range(len(self._ids)), key=self._ids.__getitem__))",
+        'rank = np.argsort(np.argsort(np.array(self._ids), kind="stable"))',
+        ("tests/test_corpus.py::TestLazyLookups::test_id_rank_follows_python_str_order",),
+    ),
     # DTW: each full kernel batch leaves its last pair unset
     Mutant(
         "dtw-batch-drops-last-pair",

@@ -313,6 +313,35 @@ def brute_modularity(W, membership, resolution=1.0):
     return total / two_m
 
 
+def node_move_gains(W, membership, resolution=1.0):
+    """Modularity gain of each one-node move, in closed form: an (n, c + 1)
+    array over the c communities of ``membership`` (in ascending label order)
+    and, last, an empty one.
+
+    Moving v from A to B adds 2 v's weight to B and removes 2 v's weight to
+    A - v from the internal sums, and turns K_A, K_B into K_A - k_v,
+    K_B + k_v.  On a zero-diagonal W that changes modularity by
+
+        2 (w(v, B) - w(v, A - v)) / 2m - 2 gamma k_v (K_B - K_A + k_v) / (2m)^2
+
+    with K_A counting v.  An empty B has w = K = 0.  Staying is a gain of 0.
+    """
+    W = np.asarray(W, dtype=float)
+    n = len(W)
+    _, community = np.unique(membership, return_inverse=True)
+    indicator = np.eye(community.max() + 2)[community]  # the last column is empty
+    k = W.sum(axis=1)
+    two_m = k.sum()
+    to = W @ indicator  # w(v, B)
+    tot = k @ indicator  # K_B
+    nodes = np.arange(n)
+    own_to, own_tot = to[nodes, community], tot[community]
+    gains = 2 * (to - own_to[:, None]) / two_m
+    gains -= 2 * resolution * k[:, None] * (tot[None] - own_tot[:, None] + k[:, None]) / two_m**2
+    gains[nodes, community] = 0.0
+    return gains
+
+
 def _labels(records):
     """Year, subfield (None if absent) and countries of each work id.
 

@@ -30,9 +30,11 @@ from scibreak.pipeline import run_pipeline
 from scibreak.synth import synthetic_records, write_jsonl
 
 from conftest import (
+    assignments_of,
     build,
     cd_row,
     make_records,
+    members_of,
     nbnc_row,
     random_citation_records,
     ranking_rows,
@@ -182,12 +184,12 @@ def test_c05_kernel_and_clustering():
         np.fill_diagonal(planted, 1.0)
         sim = SimilarityMatrix(tuple(range(8)), planted, 1.0)
         result = leiden_clusters(sim, seed=13)
-        assert len(result.cluster_members) == 2
-        assert set(result.cluster_members[1]) == {0, 1, 2, 3} or set(
-            result.cluster_members[1]
+        assert len(members_of(result)) == 2
+        assert set(members_of(result)[1]) == {0, 1, 2, 3} or set(
+            members_of(result)[1]
         ) == {4, 5, 6, 7}
         repeat = leiden_clusters(sim, seed=13)
-        assert repeat.assignments == result.assignments
+        assert assignments_of(repeat) == assignments_of(result)
         assert repeat.quality == result.quality
 
 

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
+import random
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +36,10 @@ YEAR_MAX = 2040
 INPUT_RECORDS = {"corpus.snap", "ingest_report.json", "manifest.json"}
 
 
-def _run(corpus_path, out_root, indicators=INPUTS) -> dict[str, bytes]:
+def _config(corpus_path, out_root, indicators=INPUTS) -> PipelineConfig:
     """The golden pipeline config on ``corpus_path``, with the indicator
-    files of directory ``indicators``: every output file's bytes."""
-    config = PipelineConfig(
+    files of directory ``indicators``."""
+    return PipelineConfig(
         corpus_path=str(corpus_path),
         out_root=str(out_root),
         horizon=HORIZON,
@@ -48,12 +52,30 @@ def _run(corpus_path, out_root, indicators=INPUTS) -> dict[str, bytes]:
         gdp_path=str(indicators / "gdp.tsv"),
         gerd_window=(1995, 2004),
     )
-    run_dir = out_root / run_pipeline(config)["config_hash"]
+
+
+def _files(run_dir: Path) -> dict[str, bytes]:
+    """Every file's bytes under ``run_dir``, by relative path."""
     return {
         path.relative_to(run_dir).as_posix(): path.read_bytes()
         for path in sorted(run_dir.rglob("*"))
         if path.is_file()
     }
+
+
+def _run(corpus_path, out_root, indicators=INPUTS) -> dict[str, bytes]:
+    """The golden pipeline config on ``corpus_path``, run in this process:
+    every output file's bytes."""
+    config = _config(corpus_path, out_root, indicators)
+    return _files(out_root / run_pipeline(config)["config_hash"])
+
+
+def _untimed_manifest(files: dict[str, bytes]) -> dict:
+    """A run's manifest without its stage timings, which no run repeats."""
+    manifest = json.loads(files["manifest.json"])
+    for stage in manifest["stages"]:
+        del stage["seconds"]
+    return manifest
 
 
 def _late_works(records: list[dict], count: int, seed: int) -> list[dict]:
@@ -281,3 +303,82 @@ def test_mirrored_country_codes_permute_panels_and_rankings(plain_run, mirrored_
             assert abs(float(got[label][1]) - float(score)) <= ulp_room, (name, label)
     differ = [name for name in analyses if not _close_tables(plain_run[name], mirrored_run[name])]
     assert differ == []
+
+
+@pytest.fixture(scope="module")
+def shuffled_run(tmp_path_factory):
+    """The golden config on the golden corpus's lines in a seeded shuffle."""
+    root = tmp_path_factory.mktemp("shuffled")
+    lines = _golden_lines()
+    random.Random(3).shuffle(lines)
+    corpus_path = root / "corpus.jsonl"
+    corpus_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return _run(corpus_path, root / "run")
+
+
+def test_input_line_order_changes_only_the_snapshot(plain_run, shuffled_run):
+    """Relation 1: shuffling the corpus's lines changes only the snapshot and
+    the manifest's record of it and of the corpus path.
+
+    Ingest numbers works in input order, and the snapshot stores them in
+    that order, so ``corpus.snap`` moves.  Nothing else reads that number
+    for anything but lookups:
+
+    * a reference row holds its targets ascending, so k(c, f) and every
+      NBNC bag and gamma are the same sets and counts; each NBNC term and
+      each CD is a ratio of integer counts, and NBNC adds its terms in
+      offset order;
+    * metrics and breakthrough rows sort by year, then work id (``id_rank``,
+      Python ``str`` order), and selection breaks NBNC ties by work id;
+    * series, panels and rankings count works per subfield, year and
+      country code, and order rows by those labels, so DTW, the kernel,
+      Leiden (whose labels are sorted first) and GENEPY see the same
+      matrices in the same order.
+
+    The corpus here is a plain file, the plain run's gzipped, which ingest
+    reads alike.  The manifest records the corpus path, the config hash
+    that the path enters, and every output's checksum, so exactly the path,
+    the hash and the snapshot's checksum differ.
+    """
+    assert _changed(plain_run, shuffled_run) == {"corpus.snap", "manifest.json"}
+    want, got = _untimed_manifest(plain_run), _untimed_manifest(shuffled_run)
+    assert want["config"].pop("corpus_path") != got["config"].pop("corpus_path")
+    assert want["outputs"].pop("corpus.snap") != got["outputs"].pop("corpus.snap")
+    assert want.pop("config_hash") != got.pop("config_hash")
+    assert got == want
+
+
+def test_hash_seed_changes_no_byte(tmp_path, plain_run):
+    """Relation 5: two fresh ``scibreak run`` processes at ``PYTHONHASHSEED``
+    0 and 1 write the same bytes, the manifests' stage timings aside.
+
+    The seed moves the hash of every ``str``, and so the iteration order of
+    every set and dict keyed by strings (work ids, country codes).  The
+    byte contract holds only if no output follows that order: rows are
+    sorted by id or label before they are written, and dicts keep insertion
+    order.  The config file renders the golden config key by key, so both
+    processes run what the in-process plain run ran, at the hash seed of
+    this process; its data files must match too.
+    """
+    config = _config(INPUTS / "corpus.jsonl.gz", tmp_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "1"):
+        out_root = tmp_path / f"hash-seed-{seed}"
+        config_path = tmp_path / f"hash-seed-{seed}.cfg"
+        items = [*config.canonical_items(), ("out_root", str(out_root))]
+        config_path.write_text("".join(f"{k} = {v}\n" for k, v in items), encoding="utf-8")
+        command = [sys.executable, "-m", "scibreak", "run", "--config", str(config_path)]
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        runs.append((out_root, subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)))
+    try:
+        assert [process.wait(timeout=120) for _, process in runs] == [0, 0]
+    finally:
+        for _, process in runs:
+            process.kill()  # nothing left to stop once it has exited
+    first, second = (_files(out_root / config.config_hash()) for out_root, _ in runs)
+    assert first.keys() == second.keys() == plain_run.keys()
+    assert _untimed_manifest(first) == _untimed_manifest(second)
+    for run in (second, plain_run):
+        assert [name for name in first if name != "manifest.json" and first[name] != run[name]] == []

@@ -1347,8 +1347,25 @@ class TestCliStages:
         out = tmp_path / "out"
         argv = ["cluster", "--series", str(series), "--out-dir", str(out), "--seed", "1"]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {series}: ")
+        assert capsys.readouterr().err.startswith(f"error: {series}, line 4: ")
         assert not out.exists()
+
+    def test_series_table_repeated_row_names_file_and_line(self, tmp_path):
+        # the error once named the file alone; the line is that of the first
+        # row whose subfield and year an earlier row already gave
+        series = tmp_path / "subfield_series.tsv"
+        series.write_text(
+            SERIES_HEADER
+            + "3100\t2000\t4\t1\t1\t0\t0.25\t0.0\t-\n"
+            + "3101\t2001\t2\t1\t0\t1\t0.0\t0.5\t-\n"
+            + "3100\t2001\t4\t1\t1\t0\t0.25\t0.0\t-\n"
+            + "3101\t2001\t2\t1\t0\t1\t0.0\t0.5\t-\n"
+            + "3100\t2000\t4\t1\t1\t0\t0.25\t0.0\t-\n",
+            encoding="utf-8",
+        )
+        where = f"{series}, line 5: subfield 3101, year 2001 is given twice"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+            read_series_table(series)
 
     @pytest.mark.parametrize(
         "row, detail",
