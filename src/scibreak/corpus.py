@@ -3,8 +3,13 @@
 The corpus is an immutable, index-based citation graph.  Works are kept in
 stream order; reference adjacency is stored in compressed sparse rows sorted
 by work index, and the citing adjacency is its exact transpose, built on
-first use.  All query operations are pure, so a corpus can be shared freely
+first use.  Citation counts by citer year or by age come from ``np.bincount``
+over edges grouped by the citer's publication year, with no search per
+count.  All query operations are pure, so a corpus can be shared freely
 across concurrent readers once built.
+
+Input lines are decoded as UTF-8; a line that is not valid UTF-8 is a parse
+error.
 
 Input records are newline-delimited JSON objects.  The field mapping defaults
 to the layout of OpenAlex works exports and can be remapped through
@@ -15,12 +20,11 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import itertools
 import json
 import re
 import struct
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from json.scanner import make_scanner
@@ -41,6 +45,24 @@ _BAD_ID_CHAR = re.compile("[\t\n\r\ud800-\udfff]")
 _SCAN = make_scanner(json.JSONDecoder())
 _PARSE_ERROR = object()
 _NOT_NONE = partial(is_not, None)  # by identity: no __eq__ is called
+# a byte that is not UTF-8 decodes to U+DC80..U+DCFF under "surrogateescape"
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+class _Interner(dict):
+    """Key -> 0, 1, 2, ... in first-seen order, for exact ``str`` keys only.
+
+    A lookup of any other key raises ``TypeError``: a missing one here, an
+    unhashable one in the lookup itself.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Any) -> int:
+        if type(key) is not str:
+            raise TypeError(f"not an exact str: {type(key).__name__}")
+        self[key] = value = len(self)
+        return value
 
 
 class UnknownWorkError(KeyError):
@@ -261,9 +283,10 @@ class CitationCorpus:
     record.  The constructor refuses a column without one entry per id, or
     a CSR or country code that breaks this, with a ``ValueError``.
     Construction is single-writer.  The citing transpose, the id lookup
-    behind :meth:`work_index` and the sorted citation-year key behind
-    :meth:`citations_in_years` are built on first use, so that a corpus
-    that is only ingested and saved, or never scored, does not pay for them.
+    behind :meth:`work_index` and the edges grouped by citer year behind
+    :meth:`cited_in_years` and :meth:`citations_by_year` are built on first
+    use, so that a corpus that is only ingested and saved, or never scored,
+    does not pay for them.
     """
 
     def __init__(
@@ -408,42 +431,50 @@ class CitationCorpus:
         return _gather_rows(self._country_indptr, self._country_codes, rows)
 
     @cached_property
-    def _citation_year_key(self) -> np.ndarray:
-        """Sorted ``cited * stride + (citing year - year_min)``, one per edge.
+    def _cited_by_citer_year(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(citer years, offsets, cited), built on first use: the works cited
+        by works published in ``years[k]`` are ``cited[offsets[k]:offsets[k + 1]]``,
+        and ``years`` holds each publication year once, ascending."""
+        by_year = np.argsort(self._pub_year, kind="stable")
+        _, cited = _gather_rows(self._out_indptr, self._out_indices, by_year)
+        years = self._pub_year[by_year]
+        last = np.flatnonzero(np.diff(years, append=np.inf))  # each year's last work
+        ends = np.cumsum(np.diff(self._out_indptr)[by_year])[last]
+        return years[last], np.concatenate(([0], ends)), cited
 
-        The stride is the number of publication years, so each cited work owns
-        one contiguous run of keys ordered by citing year.
-        """
-        if not self._ids:
-            return np.empty(0, dtype=np.int64)
-        stride = self.year_max - self.year_min + 1
-        cited = np.repeat(
-            np.arange(self.n_works, dtype=np.int64), np.diff(self._in_indptr)
-        )
-        citing_year = self._pub_year[self._in_indices].astype(np.int64)
-        return np.sort(cited * stride + (citing_year - self.year_min))
+    def _citer_years(self, first: int, last: int) -> tuple[int, int]:
+        """The indexes lo..hi - 1 of the citer years in ``first..last``."""
+        years = self._cited_by_citer_year[0]
+        lo = int(np.searchsorted(years, first))
+        return lo, max(int(np.searchsorted(years, last, "right")), lo)
 
-    def citations_in_years(
-        self, cited: np.ndarray, first: np.ndarray | int, last: np.ndarray | int
-    ) -> np.ndarray:
-        """Citations each work in ``cited`` receives from works published in
-        ``first..last`` inclusive; the bounds broadcast against ``cited``."""
-        cited = np.asarray(cited, dtype=np.int64)
-        if not self._ids:
-            return np.zeros(cited.shape, dtype=np.int64)
-        key = self._citation_year_key
-        stride = self.year_max - self.year_min + 1
-        # bounds clipped to the corpus years never reach another work's keys
-        lo = np.clip(np.asarray(first) - self.year_min, 0, stride)
-        hi = np.clip(np.asarray(last) - self.year_min, -1, stride - 1)
-        low, high = np.broadcast_arrays(cited * stride + lo, cited * stride + hi)
-        # needles in key order keep the binary searches in cache
-        order = np.argsort(low, axis=None)
-        count = np.empty(low.size, dtype=np.int64)
-        count[order] = np.searchsorted(key, high.ravel()[order], "right") - np.searchsorted(
-            key, low.ravel()[order], "left"
+    def cited_in_years(self, first: int, last: int) -> np.ndarray:
+        """The cited work of every edge whose citer was published in
+        ``first..last`` inclusive, grouped by the citer's year: one slice."""
+        _, offsets, cited = self._cited_by_citer_year
+        lo, hi = self._citer_years(first, last)
+        return cited[offsets[lo] : offsets[hi]]
+
+    def citations_by_year(self, first: int, last: int) -> np.ndarray:
+        """Citations every work receives from works published in each year of
+        ``first..last``: a (works, years) table, no column if ``last < first``."""
+        years, offsets, cited = self._cited_by_citer_year
+        lo, hi = self._citer_years(first, last)
+        width = max(last - first + 1, 0)
+        column = np.repeat(years[lo:hi] - first, np.diff(offsets[lo : hi + 1]))
+        cells = cited[offsets[lo] : offsets[hi]].astype(np.int64) * width + column
+        return np.bincount(cells, minlength=self.n_works * width).reshape(self.n_works, width)
+
+    def citations_by_age(self, horizon: int) -> np.ndarray:
+        """Citations every work receives from works published ``age`` years
+        after it, for ages 0..``horizon``: a (works, horizon + 1) table."""
+        years = self._pub_year.astype(np.int64)
+        age = years[_owners(np.diff(self._out_indptr))] - years[self._out_indices]
+        kept = (age >= 0) & (age <= horizon)
+        cells = self._out_indices[kept].astype(np.int64) * (horizon + 1) + age[kept]
+        return np.bincount(cells, minlength=self.n_works * (horizon + 1)).reshape(
+            self.n_works, horizon + 1
         )
-        return np.maximum(count.reshape(low.shape), 0)
 
     # -- snapshot persistence ----------------------------------------------
 
@@ -552,8 +583,11 @@ def ingest_works(
     predates the cited work stay in the graph but are tallied as noise.
 
     One pass over the records keeps per-work columns; each reference id and
-    country code is interned to an int key as it streams, so references
-    resolve and deduplicate afterwards in array passes over the keys.
+    country code is interned to an int key, in first-seen order, so
+    references resolve and deduplicate afterwards in array passes over the
+    keys.  A reference list of strings costs one dict lookup per reference;
+    a list with any other entry drops the keys it added and interns ``str``
+    of each entry that is not None instead.
     """
     report = IngestReport()
     get_id, get_year, get_refs, get_subfield, get_countries = map(
@@ -564,8 +598,7 @@ def ingest_works(
     index: dict[str, int] = {}  # work id -> work index, in stream order
     years = array("i")
     subfields = array("i")
-    # reference id -> key, in first-seen order: keys are 0, 1, 2, ...
-    ref_ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    ref_ids = _Interner()  # reference id -> key, in first-seen order
     ref_keys = array("q")
     ref_counts = array("q")
     codes: dict[str, int] = {}  # country code -> key, in first-seen order
@@ -632,7 +665,14 @@ def ingest_works(
         listed = get_refs(record)
         before = len(ref_keys)
         if isinstance(listed, list):
-            ref_keys.extend(map(ref_ids.__getitem__, map(str, filter(_NOT_NONE, listed))))
+            try:
+                ref_keys.extend(map(ref_ids.__getitem__, listed))
+            except TypeError:  # an entry that is not a str: drop this list's keys
+                del ref_keys[before:]
+                ref_keys.extend(
+                    ref_ids.setdefault(ref, len(ref_ids))
+                    for ref in map(str, filter(_NOT_NONE, listed))
+                )
         ref_counts.append(len(ref_keys) - before)
 
         index[wid] = len(index)
@@ -711,16 +751,25 @@ def _country_csr(
     return table, _indptr(owner[kept], len(counts)), rank[keys[kept]]
 
 
-def iter_json_lines(path: str | Path) -> Iterable[str]:
+def iter_json_lines(path: str | Path) -> Iterable[Any]:
     """Yield non-blank lines from a plain or gzip-compressed text file; a
-    UTF-8 byte order mark at its start is not data."""
+    UTF-8 byte order mark at its start is not data.
+
+    A line that is not valid UTF-8 comes as ``_PARSE_ERROR``, which
+    :func:`ingest_works` counts; only a line with a non-ASCII character is
+    searched for the bytes that did not decode.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(2)
     opener = gzip.open if head == b"\x1f\x8b" else open
-    with opener(path, "rt", encoding="utf-8-sig") as fh:  # type: ignore[arg-type]
+    with opener(  # type: ignore[arg-type]
+        path, "rt", encoding="utf-8-sig", errors="surrogateescape"
+    ) as fh:
         for line in fh:
-            if line.strip():
+            if not line.isascii() and _UNDECODED.search(line):
+                yield _PARSE_ERROR
+            elif line.strip():
                 yield line
 
 

@@ -15,10 +15,13 @@ Citing works dated before the focal year are corpus noise and never count.
   distinct r under ``set``; N_t = |B_t|.  gamma_t(j) is j's citation count
   in calendar year year(j) + t (``own_age``) or year(f) + t
   (``focal_calendar``, 0 before j is published).  The kernel expands the
-  in-window edges into (f, t, r) triples, looks each gamma up in the
-  corpus's citation-year key and sums bag sizes and denominators per (f, t)
-  cell.  Offsets with no citations or no co-citation evidence contribute
-  exactly 0.  NBNC adds the yearly terms left to right, as ``sum`` does.
+  in-window edges into (f, t, r) triples, reads each gamma from a table of
+  citation counts and sums bag sizes and denominators per (f, t) cell.  The
+  table holds every work's citations by age 0..T (``own_age``, one
+  ``np.bincount`` per call) or by calendar year year(f)..year(f) + T
+  (``focal_calendar``, one per publication year).  Offsets with no
+  citations or no co-citation evidence contribute exactly 0.  NBNC adds
+  the yearly terms left to right, as ``sum`` does.
 
 * CD — the disruption index (Funk & Owen-Smith 2017).  With
   k(c, f) = |refs(c) ∩ refs(f)| over the in-window citers c of f:
@@ -31,11 +34,13 @@ Citing works dated before the focal year are corpus noise and never count.
   a..b.  The two subtractions remove f's own citations of its references
   and those made by f's citers, leaving the works that cite f's references
   but not f.  CD = (C_x - C_y) / (C_x + C_y + C_refs) lies in [-1, 1]; a
-  zero denominator yields 0 with a flag.  The kernel finds k(c, f) by a
-  binary search of each (f, reference of c) key into the focal works'
-  (f, reference of f) keys.  Those are ascending without a sort because
-  each reference row of the corpus is strictly ascending, the CSR order
-  that ingest builds and ``load_snapshot`` checks.
+  zero denominator yields 0 with a flag.  N_r[year(f), year(f) + T] of every
+  work r is one count vector, slid from one publication year to the next:
+  each citer year's citations enter it once and leave it once.  The kernel
+  finds k(c, f) by a binary search of each (f, reference of c) key into the
+  focal works' (f, reference of f) keys.  Those are ascending without a
+  sort because each reference row of the corpus is strictly ascending, the
+  CSR order that ingest builds and ``load_snapshot`` checks.
 
 :func:`nbnc_all` and :func:`cd_all` score the works of a year range in
 blocks of one publication year, so the expanded edges of only one year are
@@ -128,9 +133,13 @@ def nbnc_all(
         raise ValueError(f"unknown gamma convention: {gamma_convention!r}")
     works = _works_in_range(corpus, year_range)
     terms = np.zeros((len(works), horizon + 1))
+    own_age = gamma_convention == "own_age"
+    by_age = corpus.citations_by_age(horizon) if own_age else None
     for year, rows in _year_blocks(corpus, works):
+        # gamma_t(j) is counts[j, t]: j's citations at age t, or in year + t
+        counts = by_age if own_age else corpus.citations_by_year(year, year + horizon)
         terms[rows] = _nbnc_terms(
-            corpus, works[rows], year, horizon, cocited_semantics, gamma_convention
+            corpus, works[rows], year, horizon, cocited_semantics, own_age, counts
         )
     value = sum(terms.T)  # left to right, as the oracle's sum() adds the terms
     truncated = corpus.pub_years[works] + horizon > (corpus.year_max or 0)
@@ -147,8 +156,16 @@ def cd_all(
     _check_horizon(horizon)
     works = _works_in_range(corpus, year_range)
     parts = np.zeros((3, len(works)), dtype=np.int64)
+    # N_r[year, year + horizon] of every work r, slid from block to block:
+    # each citer year enters the window once and leaves it once
+    window = np.zeros(corpus.n_works, dtype=np.int64)
+    end = (corpus.year_min or 0) - 1
+    start = end + 1  # the window counts citer years start..end
     for year, rows in _year_blocks(corpus, works):
-        parts[:, rows] = _cd_parts(corpus, works[rows], year, horizon)
+        np.subtract.at(window, corpus.cited_in_years(start, min(end, year - 1)), 1)
+        np.add.at(window, corpus.cited_in_years(max(end + 1, year), year + horizon), 1)
+        start, end = year, year + horizon
+        parts[:, rows] = _cd_parts(corpus, works[rows], year, horizon, window)
     c_x, c_y, c_refs = parts
     denom = c_x + c_y + c_refs
     value = np.divide(c_x - c_y, denom, out=np.zeros(len(works)), where=denom > 0)
@@ -203,9 +220,11 @@ def _nbnc_terms(
     year: int,
     horizon: int,
     semantics: str,
-    convention: str,
+    own_age: bool,
+    counts: np.ndarray,
 ) -> np.ndarray:
-    """Yearly NBNC terms of ``works``, all published in ``year``."""
+    """Yearly NBNC terms of ``works``, all published in ``year``; ``counts``
+    holds gamma_t(j) at ``[j, t]``."""
     n_cells = len(works) * (horizon + 1)
     owner, citer, offset = _window_edges(corpus, works, year, horizon)
     cell = owner * (horizon + 1) + offset
@@ -219,10 +238,9 @@ def _nbnc_terms(
         unique = sorted_unique(member_cell * corpus.n_works + member)
         member_cell, member = np.divmod(unique, corpus.n_works)
     member_year = corpus.pub_years[member]
-    calendar = (member_year if convention == "own_age" else year) + (
-        member_cell % (horizon + 1)
-    )
-    gamma = corpus.citations_in_years(member, calendar, calendar)
+    offset = member_cell % (horizon + 1)
+    gamma = counts[member, offset]
+    calendar = (member_year if own_age else year) + offset
     gamma[calendar < member_year] = 0  # focal_calendar before j's publication
     size = np.bincount(member_cell, minlength=n_cells)
     # integer sums below 2**53 are exact in float64
@@ -232,9 +250,14 @@ def _nbnc_terms(
 
 
 def _cd_parts(
-    corpus: CitationCorpus, works: np.ndarray, year: int, horizon: int
+    corpus: CitationCorpus,
+    works: np.ndarray,
+    year: int,
+    horizon: int,
+    window: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C_x, C_y, C_refs) of ``works``, all published in ``year``."""
+    """(C_x, C_y, C_refs) of ``works``, all published in ``year``; ``window``
+    holds N_r[year, year + horizon] of every work r."""
     n = len(works)
     owner, citer, _ = _window_edges(corpus, works, year, horizon)
     ref_owner, ref = corpus.reference_pairs(works)
@@ -251,7 +274,7 @@ def _cd_parts(
 
     c_total = np.bincount(owner, minlength=n)
     c_y = np.bincount(owner[coupled], minlength=n)
-    ref_cites = corpus.citations_in_years(ref, year, year + horizon)
+    ref_cites = window[ref]
     c_refs = (
         np.bincount(ref_owner, weights=ref_cites, minlength=n).astype(np.int64)
         - np.bincount(ref_owner, minlength=n)

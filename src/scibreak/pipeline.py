@@ -590,25 +590,32 @@ def cluster_stage(
 def rank_stage(
     panels: Iterable[PanelMatrix], rca_threshold: float, eigen_count: int, out_dir: Path
 ) -> tuple[dict, str, bool]:
-    """RCA-filter and GENEPY-rank every panel with a positive count.
+    """RCA-filter and GENEPY-rank every panel with a positive count whose
+    RCA reaches ``rca_threshold`` somewhere.
 
     Returns {(kind, window): (countries result, subfields result)}; the
     stage is skipped when no panel was ranked.
     """
     rankings = {}
-    skipped = []
+    empty, below = [], []
     for panel in panels:
+        stem = _panel_stem(panel.kind, panel.window)
         if panel.counts.size == 0 or not (panel.counts > 0).any():
-            skipped.append(_panel_stem(panel.kind, panel.window))
+            empty.append(stem)
             continue
         rca_matrix = rca(panel)
         adjacency = binarize(rca_matrix, rca_threshold)
+        if adjacency.matrix.size == 0:
+            below.append(stem)
+            continue
         results = genepy_scores(adjacency, eigen_count)
         write_rank_outputs(out_dir, rca_matrix, adjacency, *results)
         rankings[(panel.kind, panel.window)] = results
     detail = f"{len(rankings)} window/kind rankings"
-    if skipped:
-        detail += f"; empty panels skipped: {','.join(skipped)}"
+    if empty:
+        detail += f"; empty panels skipped: {','.join(empty)}"
+    if below:
+        detail += f"; panels below the RCA threshold skipped: {','.join(below)}"
     return rankings, detail, not rankings
 
 

@@ -53,6 +53,14 @@ _KERNEL_TESTS = (
     "tests/test_acceptance.py::test_c02_cd_oracle_equivalence_and_bounds",
     "tests/test_impact.py",
 )
+_COUNT_TESTS = (
+    "tests/test_corpus.py::TestCitationCountsAgainstOracle",
+    "tests/test_corpus.py::TestYearlyCitationSeries",
+)
+_INTERNER_TESTS = (
+    "tests/test_corpus.py::TestIngestion::test_reference_list_with_entries_that_are_not_str",
+    "tests/test_corpus.py::TestAgainstNaiveIngest",
+)
 _RANKING_ORACLE = "tests/test_complexity.py::TestRankingOracle"
 _RUN_TABLE_TESTS = (
     "tests/test_pipeline.py::TestRunTables",
@@ -324,6 +332,59 @@ MUTANTS = (
         "kept = np.sort(np.unique(owner * len(codes) + keys, return_index=True)[1])",
         "kept = np.arange(len(keys))",
         ("tests/test_corpus.py::TestAgainstNaiveIngest",),
+    ),
+    # citation counts by age: the table loses its last age
+    Mutant(
+        "age-table-drops-last-age",
+        "src/scibreak/corpus.py",
+        "(age <= horizon)",
+        "(age < horizon)",
+        _COUNT_TESTS,
+    ),
+    # citation counts in a window of citer years: the window loses its last year
+    Mutant(
+        "count-window-drops-last-year",
+        "src/scibreak/corpus.py",
+        'return lo, max(int(np.searchsorted(years, last, "right")), lo)',
+        'return lo, max(int(np.searchsorted(years, last - 1, "right")), lo)',
+        _COUNT_TESTS,
+    ),
+    # ingest: the reference interner keys a non-str entry as itself
+    Mutant(
+        "interner-admits-any-key",
+        "src/scibreak/corpus.py",
+        "        if type(key) is not str:\n",
+        "        if False:\n",
+        _INTERNER_TESTS,
+    ),
+    # ingest: a list that leaves the one-lookup path keeps the keys it added
+    Mutant(
+        "interner-fallback-keeps-partial-keys",
+        "src/scibreak/corpus.py",
+        "                del ref_keys[before:]\n",
+        "",
+        _INTERNER_TESTS,
+    ),
+    # ingest: a line that is not UTF-8 goes to the parser
+    Mutant(
+        "undecodable-line-parsed",
+        "src/scibreak/corpus.py",
+        "if not line.isascii() and _UNDECODED.search(line):",
+        "if False:",
+        ("tests/test_corpus.py::TestIngestion::test_line_that_is_not_utf8_is_a_parse_error",),
+    ),
+    # rank: a panel whose RCA reaches the threshold nowhere is ranked
+    Mutant(
+        "rank-below-threshold-ranked",
+        "src/scibreak/pipeline.py",
+        "        if adjacency.matrix.size == 0:\n",
+        "        if False:\n",
+        (
+            "tests/test_pipeline.py::TestCliStages"
+            "::test_rank_skips_a_panel_below_the_rca_threshold_everywhere",
+            "tests/test_pipeline.py::TestPipelineRun"
+            "::test_rca_threshold_reached_nowhere_skips_the_panel",
+        ),
     ),
 )
 

@@ -107,6 +107,16 @@ def brute_cd(records, work_id, horizon):
     return (c_x - c_y) / denom, (c_x, c_y, c_refs)
 
 
+def citations_by_citer_year(corpus):
+    """{(work index, citer's year): citations}, one citer of ``citers_idx``
+    at a time; a pair that is absent has no citation."""
+    counts = defaultdict(int)
+    for work in range(corpus.n_works):
+        for citer in corpus.citers_idx(work).tolist():
+            counts[work, corpus.pub_year_of(citer)] += 1
+    return counts
+
+
 def exhaustive_dtw(pa, pb):
     """Minimum alignment cost over every monotone warping path."""
     pa = np.asarray(pa, dtype=float)

@@ -27,7 +27,7 @@ from scibreak.impact import cd_all, nbnc_all
 from scibreak.synth import synthetic_records
 
 from conftest import build, make_records, random_citation_records
-from oracles import _walk, naive_ingest
+from oracles import _walk, citations_by_citer_year, naive_ingest
 
 
 class TestIngestion:
@@ -184,6 +184,42 @@ class TestIngestion:
         assert report.works_ingested == 2
         assert report.rejected["parse_error"] == report.dangling_refs == 0
 
+    def test_reference_list_with_entries_that_are_not_str(self):
+        # such a list leaves the one-lookup path for its record only: the
+        # keys it added are dropped, and each entry that is not None is read
+        # as str, so the int 1 is the work "1" and ["x"] a dangling id
+        corpus, report = ingest_works(
+            [
+                {"id": "1", "publication_year": 2000},
+                {"id": "A", "publication_year": 2001, "referenced_works": ["1", 1, None, "B"]},
+                {"id": "B", "publication_year": 2001, "referenced_works": ["A", 1.0, "1", ["x"]]},
+            ]
+        )
+        assert [corpus.references_idx(i).tolist() for i in range(3)] == [[], [0, 2], [0, 1]]
+        assert (report.duplicate_refs, report.dangling_refs) == (1, 2)
+
+    @pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+    def test_line_that_is_not_utf8_is_a_parse_error(self, tmp_path, compressed):
+        # one bad byte once failed the whole ingest with a decode error that
+        # named neither the file nor the line
+        good = [
+            json.dumps(r, ensure_ascii=False).encode("utf-8")
+            for r in make_records([("A", 2000, []), ("Bé", 2001, ["A"]), ("C", 2002, ["Bé"])])
+        ]
+        bad = [
+            b'{"id": "X\x80", "publication_year": 2001}',  # a lone continuation byte
+            b'{"id": "Y", "publication_year": 2001} \xc3',  # a cut-off sequence
+            b'{"id": "Z\xed\xa0\x80", "publication_year": 2001}',  # an encoded surrogate
+        ]
+        data = b"\n".join([good[0], bad[0], good[1], bad[1], bad[2], good[2]]) + b"\n"
+        path = tmp_path / "works.jsonl"
+        path.write_bytes(gzip.compress(data) if compressed else data)
+        corpus, report = ingest_files(path)
+        assert corpus.ids == ["A", "Bé", "C"]
+        assert report.records_seen == 6
+        assert dict(report.rejected) == {"parse_error": 3}
+        assert report.dangling_refs == 0
+
 
 class TestGraphInvariants:
     def test_transpose_property(self):
@@ -315,8 +351,14 @@ class TestLazyLookups:
         assert not corpus.id_rank.flags.writeable
 
 
+def window_counts(corpus, first, last):
+    """Citations every work receives from works published in first..last."""
+    return np.bincount(corpus.cited_in_years(first, last), minlength=corpus.n_works)
+
+
 class TestYearlyCitationSeries:
-    """A work's citations per year, read through ``citations_in_years``."""
+    """A work's citations per year, read through ``citations_by_year`` and
+    ``cited_in_years``."""
 
     def test_counts_by_offset(self):
         corpus = build(
@@ -331,14 +373,13 @@ class TestYearlyCitationSeries:
             )
         )
         f = corpus.work_index("f")
-        calendar = 2000 + np.arange(4)
-        assert corpus.citations_in_years(f, calendar, calendar).tolist() == [1, 2, 0, 1]
-        assert corpus.citations_in_years(f, corpus.year_min, 1999) == 0
+        assert corpus.citations_by_year(2000, 2003)[f].tolist() == [1, 2, 0, 1]
+        assert window_counts(corpus, corpus.year_min, 1999)[f] == 0
+        assert corpus.citations_by_age(3)[f].tolist() == [1, 2, 0, 1]
 
     def test_uncited_work(self):
         corpus = build(make_records([("f", 2000, [])]))
-        calendar = 2000 + np.arange(11)
-        counts = corpus.citations_in_years(corpus.work_index("f"), calendar, calendar)
+        counts = corpus.citations_by_year(2000, 2010)[corpus.work_index("f")]
         assert counts.tolist() == [0] * 11
 
     def test_noise_citer_excluded_and_tallied(self):
@@ -346,9 +387,9 @@ class TestYearlyCitationSeries:
             make_records([("f", 2000, []), ("old", 1995, ["f"]), ("c", 2001, ["f"])])
         )
         f = corpus.work_index("f")
-        calendar = 2000 + np.arange(6)
-        assert corpus.citations_in_years(f, calendar, calendar).sum() == 1
-        assert corpus.citations_in_years(f, corpus.year_min, 2000 - 1) == 1
+        assert corpus.citations_by_year(2000, 2005)[f].sum() == 1
+        assert window_counts(corpus, corpus.year_min, 2000 - 1)[f] == 1
+        assert corpus.citations_by_age(5)[f].sum() == 1
 
     def test_gamma_sums_to_forward_indegree(self):
         rng = np.random.default_rng(10)
@@ -356,14 +397,18 @@ class TestYearlyCitationSeries:
         works = np.arange(corpus.n_works)
         years = corpus.pub_years
         grid = np.arange(corpus.year_min, corpus.year_max + 1)
-        counts = corpus.citations_in_years(works[:, None], grid, grid)
-        noise = corpus.citations_in_years(works, corpus.year_min, years - 1)
+        counts = corpus.citations_by_year(corpus.year_min, corpus.year_max)
+        noise = np.array(
+            [window_counts(corpus, corpus.year_min, y - 1)[i] for i, y in enumerate(years)]
+        )
+        by_age = corpus.citations_by_age(len(grid) - 1)
         for idx in works.tolist():
             citer_years = corpus.pub_years[corpus.citers_idx(idx)]
             expected = np.bincount(citer_years - corpus.year_min, minlength=len(grid))
             assert counts[idx].tolist() == expected.tolist()
             gamma = counts[idx, years[idx] - corpus.year_min :]
             assert gamma.sum() + noise[idx] == len(citer_years)
+            assert by_age[idx, : len(gamma)].tolist() == gamma.tolist()
         assert noise.sum() > 0  # the fixture has backward edges
 
     def test_bounds_outside_the_corpus_years_or_reversed(self):
@@ -371,15 +416,65 @@ class TestYearlyCitationSeries:
             make_records([("f", 2000, []), ("c1", 2001, ["f"]), ("c3", 2003, ["f"])])
         )
         f, c1 = corpus.work_index("f"), corpus.work_index("c1")
-        first = np.array([1990, 2004, 2003, 1990, 2001])
-        last = np.array([1999, 2010, 2001, 2010, 2001])
-        assert corpus.citations_in_years(f, first, last).tolist() == [0, 0, 0, 2, 1]
-        # clipped bounds never reach the keys of a neighbouring work
-        assert corpus.citations_in_years(c1, first, last).tolist() == [0] * 5
+        first = [1990, 2004, 2003, 1990, 2001]
+        last = [1999, 2010, 2001, 2010, 2001]
+        windows = [window_counts(corpus, a, b) for a, b in zip(first, last)]
+        assert [int(counts[f]) for counts in windows] == [0, 0, 0, 2, 1]
+        # clipped bounds never reach the citations of a neighbouring work
+        assert [int(counts[c1]) for counts in windows] == [0] * 5
+        assert corpus.citations_by_year(2003, 2001).shape == (3, 0)
 
     def test_empty_corpus(self):
-        counts = build([]).citations_in_years(np.array([], dtype=np.int64), 2000, 2001)
+        corpus = build([])
+        counts = window_counts(corpus, 2000, 2001)
         assert counts.shape == (0,)
+        assert corpus.cited_in_years(2000, 2001).shape == (0,)
+        assert corpus.citations_by_year(2000, 2001).shape == (0, 2)
+        assert corpus.citations_by_age(3).shape == (0, 4)
+
+
+@st.composite
+def dated_corpora(draw):
+    """Records over 2000-2008 with self, duplicate and backward references."""
+    n = draw(st.integers(1, 12))
+    years = draw(st.lists(st.integers(2000, 2008), min_size=n, max_size=n))
+    return [
+        {
+            "id": f"W{i}",
+            "publication_year": years[i],
+            "referenced_works": [
+                f"W{j}" for j in draw(st.lists(st.integers(0, n - 1), max_size=5))
+            ],
+        }
+        for i in range(n)
+    ]
+
+
+class TestCitationCountsAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=dated_corpora(),
+        horizon=st.integers(0, 8),
+        bounds=st.tuples(st.integers(1995, 2012), st.integers(1995, 2012)),
+    )
+    def test_tables_and_windows_count_every_citer(self, records, horizon, bounds):
+        corpus = build(records)
+        counts = citations_by_citer_year(corpus)
+        works, years = range(corpus.n_works), corpus.pub_years.tolist()
+        ages = range(horizon + 1)
+        by_age = corpus.citations_by_age(horizon)
+        assert by_age.shape == (corpus.n_works, horizon + 1)
+        assert by_age.tolist() == [[counts[w, years[w] + a] for a in ages] for w in works]
+        first, last = bounds
+        span = range(first, last + 1)
+        by_year = corpus.citations_by_year(first, last)
+        assert by_year.shape == (corpus.n_works, len(span))
+        assert by_year.tolist() == [[counts[w, y] for y in span] for w in works]
+        window = window_counts(corpus, first, last)
+        assert window.tolist() == [sum(counts[w, y] for y in span) for w in works]
+        # one slice, grouped by the citer's year
+        by_citer_year = [corpus.cited_in_years(y, y).tolist() for y in span]
+        assert corpus.cited_in_years(first, last).tolist() == sum(by_citer_year, [])
 
 
 class TestCocitedBag:

@@ -9,16 +9,18 @@
 - ``scibreak rank`` on three country x subfield panels.
 
 ``golden/digests.json`` records the sha256 of every output file of those
-runs, and the numpy version and ``platform.machine()`` they were made on.
+runs, and the platform they were made on: the numpy version,
+``platform.machine()``, the OpenBLAS core that numpy's BLAS runs and the
+SIMD features that numpy dispatches to.
 ``golden/texts.json.gz`` keeps the text of each output file that holds a
 float, and of the manifest.  The manifest is compared with its stage
 ``seconds`` removed, since those are timings.
 
-On the recorded numpy and machine every digest must match.  Elsewhere
-``np.exp`` and LAPACK may differ in the last bits, so a file that holds a
-float is compared by parsed value within ``FLOAT_BOUND``; every other file
-is still compared by digest, and the manifest without the digests of the
-float files.
+On the recorded platform every digest must match.  Elsewhere ``np.exp``
+and LAPACK may differ in the last bits, so a file that holds a float is
+compared by parsed value within ``FLOAT_BOUND``; every other file is still
+compared by digest, and the manifest without the digests of the float
+files.
 
 The inputs are committed, so a numpy whose Generator streams differ cannot
 change them; :func:`write_inputs` shows how they were drawn.  A change that
@@ -29,6 +31,8 @@ each changed file in CHANGES.md.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import gzip
 import hashlib
 import json
@@ -58,8 +62,45 @@ FLOAT_BOUND = 1e-9
 _NUMBER = re.compile(r"(?<![\w.])(-?(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?|inf)|nan)(?![\w.])")
 
 
+# the OpenBLAS core-name function under the names that numpy's builds export
+_CORENAME_SYMBOLS = (
+    "scipy_openblas_get_corename64_",
+    "scipy_openblas_get_corename",
+    "openblas_get_corename64_",
+    "openblas_get_corename",
+)
+
+
+def _blas_core() -> str:
+    """The OpenBLAS core that numpy's bundled BLAS runs, "" if none is found."""
+    here = os.path.dirname(np.__file__)
+    for pattern in ("../numpy.libs/*openblas*", ".dylibs/*openblas*"):
+        for path in sorted(glob.glob(os.path.join(here, pattern))):
+            library = ctypes.CDLL(path)
+            for symbol in _CORENAME_SYMBOLS:
+                corename = getattr(library, symbol, None)
+                if corename is not None:
+                    corename.argtypes, corename.restype = [], ctypes.c_char_p
+                    return corename().decode("ascii")
+    return ""
+
+
+def _simd() -> str:
+    """The SIMD features numpy dispatches to on this host, space-separated."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+
+
 def _platform() -> dict[str, str]:
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    return {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "blas_core": _blas_core(),
+        "simd": _simd(),
+    }
 
 
 def _run_all(out: Path) -> dict[str, bytes]:

@@ -400,6 +400,17 @@ class TestPipelineRun:
         without_aa = [(kind, target, str(int(n) - 1)) for kind, target, n in fits["finite"]]
         assert fits["inf"] == without_aa
 
+    def test_rca_threshold_reached_nowhere_skips_the_panel(self, tmp_path):
+        # at rca_threshold = 2 a panel whose RCA reaches 2 nowhere once failed
+        # the rank stage with "adjacency is empty", so the analyses never ran
+        config = small_config(tmp_path, rca_threshold=2.0)
+        manifest = run_pipeline(config)
+        assert manifest["complete"] is True
+        by_name = {s["name"]: s for s in manifest["stages"]}
+        assert by_name["rank"]["status"] == "ok"
+        assert "below the RCA threshold skipped: " in by_name["rank"]["detail"]
+        assert by_name["analyses"]["detail"] == "no external indicators configured"
+
     @pytest.mark.parametrize(
         "case,status,detail,written",
         [
@@ -956,6 +967,30 @@ class TestCliStages:
         assert cli_main(argv) == 1
         assert "fewer than 2 subfields; clustering skipped" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rank_skips_a_panel_below_the_rca_threshold_everywhere(self, tmp_path, capsys):
+        # one country's RCA is 1 in every subfield, so at a threshold of 2
+        # binarize pruned every row, and rank failed with "adjacency is empty"
+        below = tmp_path / "DI_2000-2009.tsv"
+        below.write_text("country\t3100\t3101\nAA\t1\t2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["--out-dir", str(out), "--rca-threshold", "2"]
+        assert cli_main(["rank", "--panel", str(below), *argv]) == 1
+        assert "below the RCA threshold skipped: DI_2000-2009" in capsys.readouterr().err
+        assert not out.exists()
+        rankable = tmp_path / "CN_2000-2009.tsv"
+        rankable.write_text(
+            "country\t3100\t3101\t3102\nAA\t6\t1\t1\nAB\t1\t6\t1\nAC\t1\t1\t6\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["rank", "--panel", str(rankable), str(below), *argv]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("1 window/kind rankings")
+        assert "below the RCA threshold skipped: DI_2000-2009" in printed
+        assert sorted(p.name for p in out.rglob("*") if p.is_file()) == sorted(
+            f"CN_2000-2009_{name}" for name in
+            ("adjacency.tsv", "countries.tsv", "diagnostics.json", "rca.tsv", "subfields.tsv")
+        )
 
     @pytest.mark.parametrize("resolution", ["0", "-1"])
     def test_cluster_non_positive_resolution_is_an_input_error(
