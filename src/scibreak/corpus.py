@@ -440,6 +440,7 @@ class CitationCorpus:
         years = self._pub_year[by_year]
         last = np.flatnonzero(np.diff(years, append=np.inf))  # each year's last work
         ends = np.cumsum(np.diff(self._out_indptr)[by_year])[last]
+        cited.flags.writeable = False  # cited_in_years hands out slices
         return years[last], np.concatenate(([0], ends)), cited
 
     def _citer_years(self, first: int, last: int) -> tuple[int, int]:
@@ -461,7 +462,8 @@ class CitationCorpus:
         years, offsets, cited = self._cited_by_citer_year
         lo, hi = self._citer_years(first, last)
         width = max(last - first + 1, 0)
-        column = np.repeat(years[lo:hi] - first, np.diff(offsets[lo : hi + 1]))
+        spans = np.diff(offsets[lo : hi + 1])
+        column = np.repeat(years[lo:hi].astype(np.int64) - first, spans)
         cells = cited[offsets[lo] : offsets[hi]].astype(np.int64) * width + column
         return np.bincount(cells, minlength=self.n_works * width).reshape(self.n_works, width)
 
