@@ -14,6 +14,13 @@ error.
 Input records are newline-delimited JSON objects.  The field mapping defaults
 to the layout of OpenAlex works exports and can be remapped through
 :class:`FieldMap`.  Gzip-compressed inputs are detected by magic bytes.
+Several input files are read as one stream, in the order given.
+
+Ingestion keeps one id table for works and references alike: each id is
+interned to an int key in first-seen order, and the table records which
+work, if any, claimed that key.  The same table answers the duplicate-id
+check and resolves references, which are kept as key lists and turned
+into the reference CSR by array passes after the last record.
 """
 
 from __future__ import annotations
@@ -52,17 +59,45 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 class _Interner(dict):
     """Key -> 0, 1, 2, ... in first-seen order, for exact ``str`` keys only.
 
-    A lookup of any other key raises ``TypeError``: a missing one here, an
-    unhashable one in the lookup itself.
+    ``work[key]`` is the index of the work whose id the key is, -1 until a
+    record claims it.  A lookup of any other key raises ``TypeError``: a
+    missing one here, an unhashable one in the lookup itself.
     """
 
-    __slots__ = ()
+    __slots__ = ("work",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.work: list[int] = []
 
     def __missing__(self, key: Any) -> int:
         if type(key) is not str:
             raise TypeError(f"not an exact str: {type(key).__name__}")
         self[key] = value = len(self)
+        self.work.append(-1)
         return value
+
+
+class _CountryKeys(dict):
+    """Raw country entry -> key of its upper-cased code, codes keyed 0, 1,
+    2, ... in first-seen order; -1 for an entry that is not two ASCII
+    letters.  Each distinct entry meets that rule once.  ``codes`` maps each
+    code to its key.  An unhashable entry raises ``TypeError``.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.codes: dict[str, int] = {}
+
+    def __missing__(self, item: Any) -> int:
+        if isinstance(item, str) and len(item) == 2 and item.isascii() and item.isalpha():
+            key = self.codes.setdefault(item.upper(), len(self.codes))
+        else:
+            key = -1
+        self[item] = key
+        return key
 
 
 class UnknownWorkError(KeyError):
@@ -584,113 +619,132 @@ def ingest_works(
     self references and per-record duplicate references.  Edges whose citer
     predates the cited work stay in the graph but are tallied as noise.
 
-    One pass over the records keeps per-work columns; each reference id and
-    country code is interned to an int key, in first-seen order, so
-    references resolve and deduplicate afterwards in array passes over the
-    keys.  A reference list of strings costs one dict lookup per reference;
-    a list with any other entry drops the keys it added and interns ``str``
-    of each entry that is not None instead.
+    One pass over the records keeps per-work columns.  Work ids and
+    reference ids share one table that interns each id to an int key, in
+    first-seen order, and keeps the index of the work that claimed it (-1
+    for none yet), which is also the duplicate check; references resolve and
+    deduplicate afterwards in array passes over the keys.  A reference list
+    of strings costs one dict lookup per reference; a list with any other
+    entry drops the keys it added and interns ``str`` of each entry that is
+    not None instead.  Country entries go through a second table, which
+    checks each distinct raw entry once.
     """
     report = IngestReport()
+    rejected = report.rejected
     get_id, get_year, get_refs, get_subfield, get_countries = map(
         _getter,
         (schema.work_id, schema.pub_year, schema.references, schema.subfield,
          schema.countries),
     )
-    index: dict[str, int] = {}  # work id -> work index, in stream order
+    ids = _Interner()  # work or reference id -> key, in first-seen order
+    intern, work_of = ids.__getitem__, ids.work
+    work_ids: list[str] = []  # in stream order
     years = array("i")
     subfields = array("i")
-    ref_ids = _Interner()  # reference id -> key, in first-seen order
-    ref_keys = array("q")
-    ref_counts = array("q")
-    codes: dict[str, int] = {}  # country code -> key, in first-seen order
-    code_keys = array("q")
-    code_counts = array("q")
+    ref_keys: list[int] = []
+    ref_counts: list[int] = []
+    countries = _CountryKeys()
+    country_key = countries.__getitem__
+    code_keys: list[int] = []  # -1 for an invalid entry
+    code_counts: list[int] = []
+    seen = 0
 
     for raw in records:
-        report.records_seen += 1
+        seen += 1
         record = _decode(raw) if isinstance(raw, (str, bytes)) else raw
         if record is _PARSE_ERROR:
-            report.rejected["parse_error"] += 1
+            rejected["parse_error"] += 1
             continue
         if not isinstance(record, dict):
-            report.rejected["not_object"] += 1
+            rejected["not_object"] += 1
             continue
 
-        wid_raw = get_id(record)
-        if wid_raw is None or (isinstance(wid_raw, str) and not wid_raw.strip()):
-            report.rejected["missing_id"] += 1
+        wid = get_id(record)
+        if wid is None or (isinstance(wid, str) and not wid.strip()):
+            rejected["missing_id"] += 1
             continue
-        wid = str(wid_raw)
-        if _BAD_ID_CHAR.search(wid):
-            report.rejected["invalid_id"] += 1
-            continue
+        # a printable ASCII str holds no tab, CR, LF or surrogate
+        if type(wid) is not str or not (wid.isascii() and wid.isprintable()):
+            wid = str(wid)
+            if _BAD_ID_CHAR.search(wid):
+                rejected["invalid_id"] += 1
+                continue
 
-        year_raw = get_year(record)
-        if year_raw is None:
-            report.rejected["missing_year"] += 1
-            continue
-        year = _parse_year(year_raw)
-        if year is None:
-            report.rejected["invalid_year"] += 1
-            continue
+        year = get_year(record)
+        # an exact int inside int32, the common case, needs no parsing
+        if type(year) is not int or not -2147483648 <= year <= 2147483647:
+            if year is None:
+                rejected["missing_year"] += 1
+                continue
+            year = _parse_year(year)
+            if year is None:
+                rejected["invalid_year"] += 1
+                continue
         if (year_min is not None and year < year_min) or (
             year_max is not None and year > year_max
         ):
-            report.rejected["year_out_of_range"] += 1
+            rejected["year_out_of_range"] += 1
             continue
 
-        if wid in index:
-            report.rejected["duplicate_id"] += 1
+        key = intern(wid)
+        if work_of[key] >= 0:
+            rejected["duplicate_id"] += 1
             continue
 
-        sub_raw = get_subfield(record)
-        sub = _parse_subfield(sub_raw)
-        if sub is None and sub_raw is not None:
-            report.invalid_subfields += 1
+        sub = get_subfield(record)
+        if type(sub) is not int or not 0 <= sub <= 2147483647:
+            parsed = _parse_subfield(sub)
+            if parsed is None and sub is not None:
+                report.invalid_subfields += 1
+            sub = -1 if parsed is None else parsed
 
         listed = get_countries(record)
         before = len(code_keys)
         if listed is not None:
-            for item in listed if isinstance(listed, list) else (listed,):
-                if (
-                    isinstance(item, str)
-                    and len(item) == 2
-                    and item.isascii()
-                    and item.isalpha()
-                ):
-                    code_keys.append(codes.setdefault(item.upper(), len(codes)))
-                else:
-                    report.invalid_countries += 1
+            listed = listed if isinstance(listed, list) else (listed,)
+            try:
+                code_keys.extend(map(country_key, listed))
+            except TypeError:  # an unhashable entry: never two ASCII letters
+                del code_keys[before:]
+                code_keys.extend(
+                    country_key(item) if isinstance(item, str) else -1 for item in listed
+                )
         code_counts.append(len(code_keys) - before)
 
         listed = get_refs(record)
         before = len(ref_keys)
         if isinstance(listed, list):
             try:
-                ref_keys.extend(map(ref_ids.__getitem__, listed))
+                ref_keys.extend(map(intern, listed))
             except TypeError:  # an entry that is not a str: drop this list's keys
                 del ref_keys[before:]
-                ref_keys.extend(
-                    ref_ids.setdefault(ref, len(ref_ids))
-                    for ref in map(str, filter(_NOT_NONE, listed))
-                )
+                ref_keys.extend(map(intern, map(str, filter(_NOT_NONE, listed))))
         ref_counts.append(len(ref_keys) - before)
 
-        index[wid] = len(index)
+        work_of[key] = len(work_ids)
+        work_ids.append(wid)
         years.append(year)
-        subfields.append(-1 if sub is None else sub)
+        subfields.append(sub)
 
+    report.records_seen = seen
+    # the key lists go before the array passes build their temporaries
+    code_keys = np.array(code_keys, dtype=np.int64)
+    ref_keys = np.array(ref_keys, dtype=np.int64)
     year_of = np.asarray(years, dtype=np.int32)
-    table, country_indptr, country_codes = _country_csr(codes, code_keys, code_counts)
+    table, country_indptr, country_codes = _country_csr(
+        countries.codes, code_keys, code_counts, report
+    )
+    del code_keys
     corpus = CitationCorpus(
-        list(index),
+        work_ids,
         year_of,
         np.asarray(subfields, dtype=np.int32),
         table,
         country_indptr,
         country_codes,
-        *_reference_csr(index, ref_ids, ref_keys, ref_counts, year_of, report),
+        *_reference_csr(
+            np.array(work_of, dtype=np.int64), ref_keys, ref_counts, year_of, report
+        ),
     )
     report.works_ingested = corpus.n_works
     return corpus, report
@@ -698,6 +752,7 @@ def ingest_works(
 
 def _owners(counts: Sequence[int]) -> np.ndarray:
     """The row of each entry of a CSR whose rows hold ``counts`` entries."""
+    counts = np.asarray(counts, dtype=np.int64)
     return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
 
@@ -707,44 +762,57 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _reference_csr(
-    index: dict[str, int],
-    ref_ids: dict[str, int],
-    keys: array,
-    counts: array,
+    work_of: np.ndarray,
+    keys: np.ndarray,
+    counts: Sequence[int],
     years: np.ndarray,
     report: IngestReport,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The reference CSR from each work's interned reference keys.
 
-    A key maps to its work index, or to ``n + key`` for an id that is not a
-    work, so one sort of ``owner * (n + K) + target`` drops per-record
-    duplicates and leaves every row ascending.  Fills the report's
+    ``work_of[key]`` is the work an id key names, or -1; the function
+    overwrites both arrays.  A key maps to its work index, or to ``n + key``
+    for an id that is not a work, so one sort of ``owner * (n + K) +
+    target`` puts per-record duplicates side by side and leaves every row
+    ascending.  The pairs are sorted and split in place, so besides ``keys``
+    about two more arrays of its size are live at once.  Fills the report's
     reference tallies.
     """
-    n = len(index)
-    stride = n + len(ref_ids)
-    target = np.array([index.get(ref, n + k) for k, ref in enumerate(ref_ids)], np.int64)
-    keys = np.asarray(keys, dtype=np.int64)
-    owner, target = np.divmod(sorted_unique(_owners(counts) * stride + target[keys]), stride)
-    report.duplicate_refs = len(keys) - len(owner)
-    dangling = target >= n
-    self_ref = target == owner
-    report.dangling_refs = int(dangling.sum())
-    report.self_refs = int(self_ref.sum())
-    kept = ~(dangling | self_ref)
-    owner, target = owner[kept], target[kept]
+    n = len(years)
+    stride = n + len(work_of)
+    absent = np.flatnonzero(work_of < 0)
+    work_of[absent] = n + absent
+    keys[:] = work_of[keys]
+    owner = _owners(counts)
+    owner *= stride
+    keys += owner
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    # owners rise row by row, so they are already those of the sorted pairs
+    owner //= stride
+    target = np.remainder(keys, stride, out=keys)
+    dangling = first & (target >= n)
+    self_ref = first & (target == owner)
+    report.duplicate_refs = len(keys) - int(np.count_nonzero(first))
+    report.dangling_refs = int(np.count_nonzero(dangling))
+    report.self_refs = int(np.count_nonzero(self_ref))
+    first &= ~(dangling | self_ref)
+    owner = owner[first]
+    target = target[first].astype(np.int32)
     report.backward_edges = int((years[owner] < years[target]).sum())
-    return _indptr(owner, n), target.astype(np.int32)
+    return _indptr(owner, n), target
 
 
 def _country_csr(
-    codes: dict[str, int], keys: array, counts: array
+    codes: dict[str, int], keys: np.ndarray, counts: Sequence[int], report: IngestReport
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(ascending code table, indptr, table indexes) of the works' countries,
-    from each work's interned code keys; a code repeated within a work keeps
-    only its first place."""
-    keys = np.asarray(keys, dtype=np.int64)
-    owner = _owners(counts)
+    from each work's country entry keys, -1 for an invalid entry, which the
+    report counts; a code repeated within a work keeps only its first place."""
+    valid = keys >= 0
+    report.invalid_countries = len(keys) - int(np.count_nonzero(valid))
+    owner, keys = _owners(counts)[valid], keys[valid]
     # np.unique's indexes are those of each distinct pair's first occurrence
     kept = np.sort(np.unique(owner * len(codes) + keys, return_index=True)[1])
     table = sorted(codes)
@@ -771,7 +839,7 @@ def iter_json_lines(path: str | Path) -> Iterable[Any]:
         for line in fh:
             if not line.isascii() and _UNDECODED.search(line):
                 yield _PARSE_ERROR
-            elif line.strip():
+            elif not line.isspace():  # a line from a file is never empty
                 yield line
 
 

@@ -18,8 +18,10 @@ Citing works dated before the focal year are corpus noise and never count.
   in-window edges into (f, t, r) triples, reads each gamma from a table of
   citation counts and sums bag sizes and denominators per (f, t) cell.  The
   table holds every work's citations by age 0..T (``own_age``, one
-  ``np.bincount`` per call) or by calendar year year(f)..year(f) + T
-  (``focal_calendar``, one per publication year).  Offsets with no
+  ``np.bincount`` per call) or is a ring of T + 1 rows of citations by
+  calendar year, one row per year mod T + 1 (``focal_calendar``): from one
+  publication year to the next only the years that enter the window
+  year(f)..year(f) + T are counted, one ``np.bincount`` each.  Offsets with no
   citations or no co-citation evidence contribute exactly 0.  NBNC adds
   the yearly terms left to right, as ``sum`` does.
 
@@ -134,10 +136,17 @@ def nbnc_all(
     works = _works_in_range(corpus, year_range)
     terms = np.zeros((len(works), horizon + 1))
     own_age = gamma_convention == "own_age"
-    by_age = corpus.citations_by_age(horizon) if own_age else None
+    if own_age:  # j's citations at age t are counts[j, t]
+        counts = corpus.citations_by_age(horizon)
+    else:  # j's citations in calendar year y are counts[y % (horizon + 1), j]
+        counts = np.zeros((horizon + 1, corpus.n_works), dtype=np.int64)
+        filled = (corpus.year_min or 0) - 1  # the last year the ring holds
     for year, rows in _year_blocks(corpus, works):
-        # gamma_t(j) is counts[j, t]: j's citations at age t, or in year + t
-        counts = by_age if own_age else corpus.citations_by_year(year, year + horizon)
+        if not own_age:  # the years that enter the window, across any gap
+            for calendar in range(max(filled + 1, year), year + horizon + 1):
+                column = corpus.citations_by_year(calendar, calendar)[:, 0]
+                counts[calendar % (horizon + 1)] = column
+            filled = year + horizon
         terms[rows] = _nbnc_terms(
             corpus, works[rows], year, horizon, cocited_semantics, own_age, counts
         )
@@ -224,7 +233,8 @@ def _nbnc_terms(
     counts: np.ndarray,
 ) -> np.ndarray:
     """Yearly NBNC terms of ``works``, all published in ``year``; ``counts``
-    holds gamma_t(j) at ``[j, t]``."""
+    holds gamma_t(j) at ``[j, t]`` (``own_age``) or ``[(year + t) %
+    (horizon + 1), j]`` (``focal_calendar``)."""
     n_cells = len(works) * (horizon + 1)
     owner, citer, offset = _window_edges(corpus, works, year, horizon)
     cell = owner * (horizon + 1) + offset
@@ -239,7 +249,10 @@ def _nbnc_terms(
         member_cell, member = np.divmod(unique, corpus.n_works)
     member_year = corpus.pub_years[member]
     offset = member_cell % (horizon + 1)
-    gamma = counts[member, offset]
+    if own_age:
+        gamma = counts[member, offset]
+    else:
+        gamma = counts[(year + offset) % (horizon + 1), member]
     calendar = (member_year if own_age else year) + offset
     gamma[calendar < member_year] = 0  # focal_calendar before j's publication
     size = np.bincount(member_cell, minlength=n_cells)

@@ -116,6 +116,15 @@ MUTANTS = (
         "keep = offset <= horizon",
         _KERNEL_TESTS,
     ),
+    # NBNC focal_calendar: the count ring fills at most horizon + 1 years past
+    # its last fill, so after a longer gap rows keep older years' counts
+    Mutant(
+        "focal-ring-keeps-stale-rows",
+        "src/scibreak/impact.py",
+        "range(max(filled + 1, year), year + horizon + 1)",
+        "range(max(filled + 1, year), min(year, filled + 1) + horizon + 1)",
+        _KERNEL_TESTS,
+    ),
     # both kernels: the window has no end; killed by the metamorphic relation
     # alone, since works dated after every window then cite into one
     Mutant(
@@ -364,6 +373,67 @@ MUTANTS = (
         "                del ref_keys[before:]\n",
         "",
         _INTERNER_TESTS,
+    ),
+    # ingest: the country table reads an entry that is not a str, such as
+    # b"US", as a code
+    Mutant(
+        "country-table-admits-non-str",
+        "src/scibreak/corpus.py",
+        "if isinstance(item, str) and len(item) == 2 and item.isascii() and item.isalpha():",
+        "if len(item) == 2 and item.isascii() and item.isalpha():",
+        (
+            "tests/test_corpus.py::TestIngestion"
+            "::test_country_entries_that_are_not_str_are_invalid",
+        ),
+    ),
+    # ingest: an invalid country entry (key -1) is kept as the last code
+    Mutant(
+        "country-invalid-key-kept",
+        "src/scibreak/corpus.py",
+        "valid = keys >= 0",
+        "valid = keys >= -1",
+        (
+            "tests/test_corpus.py::TestIngestion::test_openalex_shapes",
+            "tests/test_corpus.py::TestAgainstNaiveIngest",
+        ),
+    ),
+    # ingest: the duplicate check misses the id of the first work
+    Mutant(
+        "duplicate-check-misses-first-work",
+        "src/scibreak/corpus.py",
+        "if work_of[key] >= 0:",
+        "if work_of[key] > 0:",
+        (
+            "tests/test_corpus.py::TestIngestion::test_rejection_reasons",
+            "tests/test_corpus.py::TestAgainstNaiveIngest",
+        ),
+    ),
+    # ingest: the exact-int year path admits a year one past int32
+    Mutant(
+        "year-fast-path-past-int32",
+        "src/scibreak/corpus.py",
+        "not -2147483648 <= year <= 2147483647",
+        "not -2147483648 <= year <= 2147483648",
+        ("tests/test_corpus.py::TestIngestion::test_values_beyond_int32_are_counted_not_fatal",),
+    ),
+    # ingest: an ASCII id skips the bad-character search even with a tab in it
+    Mutant(
+        "ascii-id-skips-bad-char-search",
+        "src/scibreak/corpus.py",
+        "not (wid.isascii() and wid.isprintable())",
+        "not wid.isascii()",
+        ("tests/test_corpus.py::TestIngestion::test_ids_the_tables_cannot_hold_are_rejected",),
+    ),
+    # ingest: of several input files only the first is read
+    Mutant(
+        "ingest-reads-first-file-only",
+        "src/scibreak/corpus.py",
+        "        for path in paths:\n            yield from iter_json_lines(path)\n",
+        "        yield from iter_json_lines(paths[0])\n",
+        (
+            "tests/test_metamorphic.py"
+            "::test_input_split_into_a_plain_and_a_gzip_part_changes_no_byte",
+        ),
     ),
     # ingest: a line that is not UTF-8 goes to the parser
     Mutant(

@@ -148,6 +148,24 @@ class TestIngestion:
         assert corpus.countries_of(i) == ("US", "IL")
         assert report.invalid_countries == 2
 
+    def test_country_entries_that_are_not_str_are_invalid(self):
+        # only a str of two ASCII letters is a code, so b"US" is invalid; a
+        # list with an unhashable entry is read entry by entry, the others
+        # through the table of distinct entries
+        authorships = [
+            [b"US", "de"],
+            [("U", "S"), 7, 7.0, True, b"US"],
+            [["US"], {"US": 1}, "us", "de"],  # unhashable entries
+        ]
+        corpus, report = ingest_works(
+            {"id": f"W{i}", "publication_year": 2000,
+             "authorships": [{"countries": entries}]}
+            for i, entries in enumerate(authorships)
+        )
+        assert [corpus.countries_of(i) for i in range(3)] == [("DE",), (), ("US", "DE")]
+        assert corpus.country_table == ("DE", "US")
+        assert report.invalid_countries == 8
+
     def test_custom_field_map(self):
         schema = FieldMap(
             work_id="key", pub_year="yr", references="cites", subfield="sf",

@@ -95,6 +95,27 @@ class TestNbncFixtures:
         assert own2.terms[1] == 1.0  # still only q at j-age 1
         assert cal2.terms[1] == 0.5  # p and r cite j in 2001
 
+    def test_focal_calendar_across_a_gap_longer_than_the_window(self):
+        # f1's window 2000-2001 and f2's 2005-2006 share no year: every
+        # count of j that f2's terms read must be one of 2005 or 2006
+        records = make_records(
+            [
+                ("j", 1999, []),
+                ("f1", 2000, []),
+                ("a", 2000, ["f1", "j"]),
+                ("b", 2001, ["j"]),
+                ("f2", 2005, []),
+                ("c", 2005, ["f2", "j"]),
+                ("d", 2006, ["f2", "j"]),
+                ("e", 2006, ["j"]),
+            ]
+        )
+        scores = nbnc_all(build(records), 1, gamma_convention="focal_calendar")
+        for row, record in enumerate(records):
+            _, terms = naive_nbnc(records, record["id"], 1, convention="focal_calendar")
+            assert scores.terms[row].tolist() == terms
+        assert scores.terms[4].tolist() == [1.0, 0.5]  # j: once in 2005, twice in 2006
+
     def test_set_semantics_toggle(self):
         corpus = build(
             make_records(

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scibreak.cli import main as cli_main
 from scibreak.config import PipelineConfig
 from scibreak.pipeline import run_pipeline
 
@@ -346,6 +347,74 @@ def test_input_line_order_changes_only_the_snapshot(plain_run, shuffled_run):
     assert want["outputs"].pop("corpus.snap") != got["outputs"].pop("corpus.snap")
     assert want.pop("config_hash") != got.pop("config_hash")
     assert got == want
+
+
+def _stage_chain(inputs: list[Path], out: Path) -> dict[str, bytes]:
+    """``scibreak ingest`` of ``inputs`` and then every stage subcommand,
+    with the golden config's settings, in this process: every file's bytes
+    but a manifest's."""
+    out.mkdir()
+    snap = str(out / "corpus.snap")
+    span = ["--start", "1965", "--end", str(ANALYSIS_END)]
+    steps = [
+        ["ingest", "--input", *map(str, inputs), "--snapshot", snap,
+         "--report", str(out / "ingest_report.json"), "--year-max", str(YEAR_MAX)],
+        ["metrics", "--snapshot", snap, "--out-dir", str(out), "--horizon", str(HORIZON), *span],
+        ["select", "--snapshot", snap, "--metrics-dir", str(out / "metrics"),
+         "--out-dir", str(out)],
+        ["panel", "--snapshot", snap, "--breakthroughs-dir", str(out / "breakthroughs"),
+         "--out-dir", str(out), *span],
+        ["cluster", "--series", str(out / "series" / "subfield_series.tsv"),
+         "--out-dir", str(out), "--seed", "11"],
+    ]
+    for argv in steps:
+        assert cli_main(argv) == 0, argv[0]
+    panels = sorted(str(path) for path in (out / "panels").glob("*.tsv"))
+    assert cli_main(["rank", "--panel", *panels, "--out-dir", str(out)]) == 0
+    files = _files(out)
+    return {name: data for name, data in files.items() if Path(name).name != "manifest.json"}
+
+
+def test_input_split_into_a_plain_and_a_gzip_part_changes_no_byte(tmp_path):
+    """Relation 1, second half: the corpus's lines cut into a plain part and
+    a gzipped part, read by one ``scibreak ingest``, give the bytes of the
+    one-file input through every stage.
+
+    Ingest reads its inputs as one stream in the order given, so work
+    numbers, the duplicate check and reference resolution cannot see where
+    one file ends.  The cut falls between a work and a later duplicate of
+    its id, and between a citer and a work it cites, which moves to just
+    after the cut.
+    """
+    lines = _golden_lines()
+    records = [json.loads(line) for line in lines]
+    cut = len(lines) // 2
+    citer, cited = next(
+        (record, ref)
+        for record in records[cut // 2 : cut]
+        for ref in record["referenced_works"]
+        if ref != record["id"]
+    )
+    moved = next(i for i, record in enumerate(records) if record["id"] == cited)
+    assert moved < cut  # the golden corpus cites only earlier lines
+    duplicate = dict(citer, publication_year=citer["publication_year"] + 1, referenced_works=[])
+    head = [line for i, line in enumerate(lines[:cut]) if i != moved]
+    tail = [lines[moved], *lines[cut:], json.dumps(duplicate)]
+
+    whole = tmp_path / "whole.jsonl"
+    whole.write_text("".join(line + "\n" for line in head + tail), encoding="utf-8")
+    plain, zipped = tmp_path / "a.jsonl", tmp_path / "b.jsonl.gz"
+    plain.write_text("".join(line + "\n" for line in head), encoding="utf-8")
+    zipped.write_bytes(gzip.compress("".join(line + "\n" for line in tail).encode("utf-8")))
+
+    one = _stage_chain([whole], tmp_path / "one")
+    two = _stage_chain([plain, zipped], tmp_path / "two")
+    report = json.loads(one["ingest_report.json"])
+    assert report["rejected"] == {"duplicate_id": 1}
+    assert report["records_seen"] == len(records) + 1
+    assert len(one) > 50
+    assert one.keys() == two.keys()
+    assert [name for name in one if one[name] != two[name]] == []
 
 
 def test_hash_seed_changes_no_byte(tmp_path, plain_run):
