@@ -64,7 +64,10 @@ def spearman(
 def loglog_fit(
     x: Sequence[float], y: Sequence[float]
 ) -> PowerLawFit:
-    """Least-squares line on (ln x, ln y); the slope is the exponent."""
+    """Least-squares line on (ln x, ln y); the slope is the exponent.
+
+    A constant ln x leaves the slope undefined: an InsufficientDataError.
+    """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
     if len(xs) != len(ys):
@@ -77,6 +80,8 @@ def loglog_fit(
         raise ValueError("power-law fit requires strictly positive values")
     lx = np.log(xs)
     ly = np.log(ys)
+    if (lx == lx[0]).all():
+        raise InsufficientDataError("every x is equal: the slope is undefined")
     slope, intercept = np.polyfit(lx, ly, 1)
     residual = float(np.sum((ly - (slope * lx + intercept)) ** 2))
     return PowerLawFit(float(slope), float(math.exp(intercept)), residual)

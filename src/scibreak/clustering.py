@@ -37,7 +37,8 @@ remain node strengths.  The decision rules:
   w(v, S) - γ k_v K_S / 2m above 1e-12; ties go to the lowest id.
 * Two well-connectedness tests, each with 1e-12 of slack: v is considered
   only if w(v, C - v) >= γ k_v (K_C - k_v) / 2m, and S is a candidate only
-  if w(S, C - S) >= γ K_S (K_C - K_S) / 2m.
+  if w(S, C - S) >= γ K_S (K_C - K_S) / 2m.  w(S, C - S) is a running
+  total, updated as nodes join S; its rounding stays far inside the slack.
 """
 
 from __future__ import annotations
@@ -420,7 +421,6 @@ def _refine(
     best candidate wins; ties go to the lowest subcommunity id.
     """
     refined = np.arange(len(membership))  # a node alone keeps its own id
-    ref_tot = strengths.copy()
     by_community = np.argsort(membership, kind="stable")
     for nodes in np.split(by_community, np.cumsum(np.bincount(membership))[:-1]):
         if len(nodes) < 2:
@@ -428,30 +428,29 @@ def _refine(
         sub = W[np.ix_(nodes, nodes)]
         within = sub.sum(axis=1) - np.diag(sub)
         s_tot = strengths[nodes].sum()
-        members = {v: [v] for v in nodes.tolist()}  # in join order
+        # subcommunity j, founded by nodes[j]: size, total strength, cut w(S, C - S)
+        label, size = np.arange(len(nodes)), np.ones(len(nodes), dtype=np.int64)
+        ref_tot, cut = strengths[nodes], within.copy()
         order = list(range(len(nodes)))
         rng.shuffle(order)
         for i in order:
-            v = int(nodes[i])
-            if len(members[refined[v]]) != 1:
+            if size[i] != 1:
                 continue
-            k_v = strengths[v]
+            k_v = strengths[nodes[i]]
             if within[i] + _EPS < resolution * k_v * (s_tot - k_v) / two_m:
                 continue
-            labels = refined[nodes]
-            gains = np.bincount(labels, weights=sub[i])  # in node order
-            best_t, best_gain = -1, _EPS
-            for t in sorted(members.keys() - {v}):
-                cut = W[np.ix_(members[t], nodes[labels != t])].sum()
-                if cut + _EPS < resolution * ref_tot[t] * (s_tot - ref_tot[t]) / two_m:
-                    continue
-                gain = gains[t] - resolution * k_v * ref_tot[t] / two_m
-                if gain > best_gain:
-                    best_t, best_gain = t, gain
-            if best_t >= 0:
-                members[best_t] += members.pop(v)
-                ref_tot[best_t] += k_v
-                refined[v] = best_t
+            # w(v, S) in node order; an emptied id has none, so it never gains
+            to = np.bincount(label, weights=sub[i], minlength=len(nodes))
+            gains = to - resolution * k_v * ref_tot / two_m
+            gains[cut + _EPS < resolution * ref_tot * (s_tot - ref_tot) / two_m] = -np.inf
+            gains[i] = -np.inf
+            best = int(np.argmax(gains))  # the first of equal gains: the lowest id
+            if gains[best] > _EPS:
+                cut[best] += within[i] - 2 * to[best]
+                size[best] += 1
+                ref_tot[best] += k_v
+                label[i], size[i] = best, 0
+        refined[nodes] = nodes[label]
     return refined
 
 

@@ -751,10 +751,14 @@ def _analyses_stage(
                     for country in sorted(values)
                     if country in gerd and gerd[country] > 0
                 ]
-                if len(pairs) >= 3:
+                if len(pairs) < 3:
+                    continue
+                try:
                     fit = stats.loglog_fit(*zip(*pairs))
-                    cells = (fit.exponent, fit.prefactor, fit.residual)
-                    rows.append((kind.value, target, len(pairs), *cells))
+                except stats.InsufficientDataError:
+                    continue
+                cells = (fit.exponent, fit.prefactor, fit.residual)
+                rows.append((kind.value, target, len(pairs), *cells))
         tables.append((
             "gerd_fit.tsv",
             ("kind", "target", "n", "exponent", "prefactor", "residual"),

@@ -62,6 +62,10 @@ _INTERNER_TESTS = (
     "tests/test_corpus.py::TestAgainstNaiveIngest",
 )
 _RANKING_ORACLE = "tests/test_complexity.py::TestRankingOracle"
+_REFINE_TESTS = (
+    "tests/test_clustering.py::TestLeidenCore::test_refine_matches_brute_refine",
+    "tests/test_clustering.py::TestLeidenCore::test_paper_shape_partitions_match_brute_refine",
+)
 _RUN_TABLE_TESTS = (
     "tests/test_pipeline.py::TestRunTables",
     "tests/test_pipeline.py::TestMatrixTables",
@@ -278,9 +282,33 @@ MUTANTS = (
     Mutant(
         "leiden-no-subcommunity-connectedness-skip",
         "src/scibreak/clustering.py",
-        "if cut + _EPS < resolution * ref_tot[t] * (s_tot - ref_tot[t]) / two_m:",
-        "if False:",
+        "gains[cut + _EPS < resolution * ref_tot * (s_tot - ref_tot) / two_m] = -np.inf",
+        "pass",
         ("tests/test_clustering.py::TestLeidenCore::test_pinned_partitions",),
+    ),
+    # Leiden refinement: a join counts w(v, S) once against the running cut
+    Mutant(
+        "leiden-cut-update-drops-factor-2",
+        "src/scibreak/clustering.py",
+        "cut[best] += within[i] - 2 * to[best]",
+        "cut[best] += within[i] - to[best]",
+        _REFINE_TESTS,
+    ),
+    # Leiden refinement: a node may pick its own subcommunity as the target
+    Mutant(
+        "leiden-refine-candidates-include-v",
+        "src/scibreak/clustering.py",
+        "            gains[i] = -np.inf\n",
+        "",
+        _REFINE_TESTS,
+    ),
+    # Leiden refinement: a founder that others joined still counts as alone
+    Mutant(
+        "leiden-refine-singleton-ignores-size",
+        "src/scibreak/clustering.py",
+        "if size[i] != 1:",
+        "if label[i] != i:",
+        _REFINE_TESTS,
     ),
     # clusters of equal size numbered by their largest label, not their smallest
     Mutant(

@@ -352,6 +352,53 @@ def node_move_gains(W, membership, resolution=1.0):
     return gains
 
 
+def brute_refine(W, strengths, two_m, membership, resolution, rng):
+    """Leiden's refinement phase with every subcommunity a list of members
+    and every cut w(S, C - S) summed afresh from ``W`` for each candidate.
+
+    Same signature, decision rules and ``rng`` draws as
+    ``scibreak.clustering._refine``: each community of two or more nodes, in
+    ascending id, shuffles its nodes; a node still alone and well connected
+    joins the well-connected subcommunity S of largest gain
+    w(v, S) - resolution k_v K_S / 2m above 1e-12, the lowest id on ties.
+    """
+    eps = 1e-12
+    refined = np.arange(len(membership))  # a node alone keeps its own id
+    ref_tot = strengths.copy()
+    by_community = np.argsort(membership, kind="stable")
+    for nodes in np.split(by_community, np.cumsum(np.bincount(membership))[:-1]):
+        if len(nodes) < 2:
+            continue
+        sub = W[np.ix_(nodes, nodes)]
+        within = sub.sum(axis=1) - np.diag(sub)
+        s_tot = strengths[nodes].sum()
+        members = {v: [v] for v in nodes.tolist()}  # in join order
+        order = list(range(len(nodes)))
+        rng.shuffle(order)
+        for i in order:
+            v = int(nodes[i])
+            if len(members[refined[v]]) != 1:
+                continue
+            k_v = strengths[v]
+            if within[i] + eps < resolution * k_v * (s_tot - k_v) / two_m:
+                continue
+            labels = refined[nodes]
+            gains = np.bincount(labels, weights=sub[i])  # in node order
+            best_t, best_gain = -1, eps
+            for t in sorted(members.keys() - {v}):
+                cut = W[np.ix_(members[t], nodes[labels != t])].sum()
+                if cut + eps < resolution * ref_tot[t] * (s_tot - ref_tot[t]) / two_m:
+                    continue
+                gain = gains[t] - resolution * k_v * ref_tot[t] / two_m
+                if gain > best_gain:
+                    best_t, best_gain = t, gain
+            if best_t >= 0:
+                members[best_t] += members.pop(v)
+                ref_tot[best_t] += k_v
+                refined[v] = best_t
+    return refined
+
+
 def _labels(records):
     """Year, subfield (None if absent) and countries of each work id.
 

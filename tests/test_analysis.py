@@ -115,6 +115,11 @@ class TestLoglogFit:
         assert fit.exponent == pytest.approx(0.0, abs=1e-14)
         assert fit.prefactor == pytest.approx(5.0, rel=1e-12)
 
+    def test_constant_x_is_insufficient_data(self):
+        # the slope is undefined; np.polyfit once returned 0.4308 with a RankWarning
+        with pytest.raises(InsufficientDataError, match="every x is equal"):
+            loglog_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
     def test_noisy_fit_matches_normal_equations(self):
         rng = np.random.default_rng(72)
         for _ in range(20):

@@ -1,6 +1,7 @@
 """DTW distances, kernel similarity, Leiden clustering, mean trajectories."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scibreak import clustering
 from scibreak.clustering import (
     _BATCH,
     DistanceMatrix,
@@ -28,6 +30,7 @@ from scibreak.panel import SeriesTable
 from conftest import assignments_of, means_of, members_of, singletons_of
 from oracles import (
     brute_modularity,
+    brute_refine,
     dp_dtw,
     exhaustive_dtw,
     exhaustive_dtw_per_component,
@@ -582,6 +585,48 @@ class TestLeidenCore:
         result = leiden_clusters(similarity, resolution=resolution, seed=leiden_seed)
         assert [assignments_of(result)[label] for label in range(n)] == clusters
         assert result.quality == pytest.approx(quality, abs=1e-12)
+
+    def test_refine_matches_brute_refine(self):
+        # leaf graphs (zero diagonal), some with an isolated node or equal
+        # weights, and aggregate-level graphs summed over a random grouping
+        # of their nodes, which carry a nonzero diagonal
+        merged = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 30))
+            W = np.ones((n, n)) if seed % 5 == 0 else rng.random((n, n)) ** 3
+            W = np.triu(W, 1) + np.triu(W, 1).T
+            if seed % 3 == 0:
+                W[0] = W[:, 0] = 0.0
+            if seed % 2:
+                _, groups = np.unique(rng.integers(0, n // 2 + 1, n), return_inverse=True)
+                indicator = np.eye(groups.max() + 1)[groups]
+                W = indicator.T @ W @ indicator
+                n = len(W)
+            strengths, two_m = W.sum(axis=1), float(W.sum())
+            if two_m == 0:
+                continue
+            for communities in (1, 2, max(1, n // 3)):
+                _, membership = np.unique(rng.integers(0, communities, n), return_inverse=True)
+                for resolution in (0.5, 1.0, 3.0):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    refined = clustering._refine(
+                        W, strengths, two_m, membership, resolution, ours
+                    )
+                    expected = brute_refine(W, strengths, two_m, membership, resolution, theirs)
+                    assert refined.tolist() == expected.tolist()
+                    assert ours.getstate() == theirs.getstate()
+                    merged += int((refined != np.arange(n)).sum())
+        assert merged > 1000
+
+    def test_paper_shape_partitions_match_brute_refine(self, monkeypatch):
+        similarity = _blob_similarity(252, 252, 12)
+        ours = [leiden_clusters(similarity, seed=seed) for seed in range(10)]
+        monkeypatch.setattr(clustering, "_refine", brute_refine)
+        for seed, result in enumerate(ours):
+            expected = leiden_clusters(similarity, seed=seed)
+            assert result.cluster.tolist() == expected.cluster.tolist()
+            assert result.quality == expected.quality
 
     def test_negative_weights_rejected(self):
         W = np.array([[1.0, -1.0], [-1.0, 1.0]])

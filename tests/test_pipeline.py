@@ -400,6 +400,28 @@ class TestPipelineRun:
         without_aa = [(kind, target, str(int(n) - 1)) for kind, target, n in fits["finite"]]
         assert fits["inf"] == without_aa
 
+    def test_analyses_stage_skips_a_fit_on_equal_gerd_means(self, tmp_path):
+        # equal GERD means once reached gerd_fit.tsv as a slope from a rank-deficient fit
+        years = range(1985, 1995)
+        codes = [f"{chr(65 + i // 26)}{chr(65 + i % 26)}" for i in range(52)]
+        paths = {}
+        for name, value in (("rd", 1.5), ("gdp", 100.0)):
+            paths[name] = tmp_path / f"{name}.tsv"
+            paths[name].write_text(
+                "country\tperiod\tvalue\n"
+                + "".join(f"{c}\t{y}\t{value}\n" for c in codes for y in years),
+                encoding="utf-8",
+            )
+        config = small_config(
+            tmp_path, n_works=400, rd_share_path=str(paths["rd"]),
+            gdp_path=str(paths["gdp"]), gerd_window=(1985, 1994),
+        )
+        manifest = run_pipeline(config)
+        analyses = manifest["stages"][-1]
+        assert (analyses["name"], analyses["status"]) == ("analyses", "skipped")
+        run_dir = Path(config.out_root) / manifest["config_hash"]
+        assert not (run_dir / "analysis" / "gerd_fit.tsv").exists()
+
     def test_rca_threshold_reached_nowhere_skips_the_panel(self, tmp_path):
         # at rca_threshold = 2 a panel whose RCA reaches 2 nowhere once failed
         # the rank stage with "adjacency is empty", so the analyses never ran
@@ -1136,6 +1158,15 @@ class TestCliStages:
         assert cli_main(["fit", str(data), "--x-col", "x", "--y-col", "y"]) == 0
         out = capsys.readouterr().out
         assert "exponent=1.5" in out and "n=4" in out
+
+    def test_fit_on_a_constant_x_is_an_input_error(self, tmp_path, capsys):
+        # the slope is undefined; the command once printed exponent=0.43...
+        data = tmp_path / "data.tsv"
+        data.write_text("x\ty\n2.0\t1.0\n2.0\t2.0\n2.0\t3.0\n", encoding="utf-8")
+        assert cli_main(["fit", str(data), "--x-col", "x", "--y-col", "y"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: every x is equal: the slope is undefined\n"
 
     @pytest.mark.parametrize("flag", ["--x-col", "--y-col"])
     def test_fit_column_missing_from_the_header_is_an_input_error(self, tmp_path, capsys, flag):
